@@ -14,7 +14,7 @@ without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,6 +97,14 @@ class StructureConstants:
         if anti > 1e-10:
             raise InvalidElementError(f"structure constants not antisymmetric: {anti:.3e}")
 
+    @cached_property
+    def upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(j, k, l, f[j, k, l]) over the non-zero constants with j < k."""
+        j, k, l = np.nonzero(self.f)
+        keep = j < k
+        j, k, l = j[keep], k[keep], l[keep]
+        return j, k, l, self.f[j, k, l]
+
 
 @lru_cache(maxsize=None)
 def gellmann_basis(n: int) -> GeneratorBasis:
@@ -144,16 +152,23 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     """Extract f[j, k, l] = -2i Tr([X_j, X_k] X_l) from an orthonormal basis.
 
     The result is real and totally antisymmetric; the imaginary residue of
-    the trace formula is checked against a 1e-12 tolerance.
+    the trace formula is checked against a 1e-12 tolerance.  It is computed
+    once per basis (keyed by its matrix entries) and shared thereafter, like
+    :func:`gellmann_basis`.
     """
-    x = basis.generators
+    return _structure_constants(basis.n, basis.generators.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _structure_constants(n: int, raw: bytes) -> StructureConstants:
+    x = np.frombuffer(raw, dtype=complex).reshape(n * n - 1, n, n)
     prod = np.einsum("aij,bjk->abik", x, x)
     comm = prod - prod.transpose(1, 0, 2, 3)
     f = -2j * np.einsum("abij,cji->abc", comm, x)
     imag = np.max(np.abs(f.imag))
     if imag > 1e-12:
         raise InvalidElementError(f"structure constants not real: residue {imag:.3e}")
-    return StructureConstants(n=basis.n, f=f.real)
+    return StructureConstants(n=n, f=f.real)
 
 
 def expand(element: np.ndarray, basis: GeneratorBasis) -> np.ndarray:

@@ -110,6 +110,16 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_theta(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",") if part.strip() != ""])
@@ -178,7 +188,7 @@ def _scan_row(n: int, particles: int, wanted: set, cap: int, seed: int | None) -
     row["casimir"] = c2
     row["cs_floor"] = d * d / (4.0 * c2)
     if "ghz" in wanted:
-        _, cov = covariance(make_ghz(n, particles, cap=cap))
+        _, cov = covariance(make_ghz(n, particles, cap=cap, rep=rep))
         try:
             row["cs_ghz"] = intrinsic_bound(cov)
         except SingularCovarianceError:
@@ -299,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="intrinsic",
         help="'intrinsic', 'identity', or a JSON file with a weight matrix",
     )
-    bound.add_argument("--cap", type=int, default=DIMENSION_CAP)
+    bound.add_argument("--cap", type=_cap, default=DIMENSION_CAP)
     bound.add_argument("--out", default=None, help="write JSON here instead of stdout")
     bound.set_defaults(func=cmd_bound)
 
@@ -316,12 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--plot", default=None, help="also write an SVG log-log plot here")
     scan.add_argument("--seed", type=int, default=None, help="seed for optimized probes")
     scan.add_argument("--jobs", type=int, default=1, help="concurrent rows")
-    scan.add_argument("--cap", type=int, default=DIMENSION_CAP)
+    scan.add_argument("--cap", type=_cap, default=DIMENSION_CAP)
     scan.set_defaults(func=cmd_scan)
 
     check = sub.add_parser("check", help="grade a probe state")
     check.add_argument("probe", help="probe spec JSON file")
-    check.add_argument("--cap", type=int, default=DIMENSION_CAP)
+    check.add_argument("--cap", type=_cap, default=DIMENSION_CAP)
     check.add_argument("--out", default=None)
     check.set_defaults(func=cmd_check)
 
@@ -330,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--particles", type=int, required=True, help="particle number")
     opt.add_argument("--config", default=None, help="optimizer config JSON file")
     opt.add_argument("--seed", type=int, default=None, help="overrides the config seed")
-    opt.add_argument("--cap", type=int, default=DIMENSION_CAP)
+    opt.add_argument("--cap", type=_cap, default=DIMENSION_CAP)
     opt.add_argument("--out", default=None)
     opt.set_defaults(func=cmd_optimize)
     return parser

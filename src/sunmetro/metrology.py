@@ -113,6 +113,11 @@ def mixed_state(rep: Representation, density) -> ProbeState:
     return ProbeState(rep=rep, density=rho)
 
 
+def _images(state: ProbeState) -> np.ndarray:
+    # X_a^(R) psi for every generator a, one sparse mat-vec: shape (d, D)
+    return (state.rep.stack @ state.vector).reshape(state.rep.basis.dim, state.rep.space_dim)
+
+
 def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and symmetrized covariance of the generators in a pure state.
 
@@ -121,9 +126,8 @@ def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """
     if not state.is_pure:
         raise InvalidStateError("covariance_pure needs a pure state")
-    g = state.rep.generators
     psi = state.vector
-    images = np.einsum("aij,j->ai", g, psi)
+    images = _images(state)
     mean = (images @ psi.conj()).real
     gram = np.einsum("ai,bi->ab", images.conj(), images)
     cov = gram.real - np.outer(mean, mean)
@@ -242,11 +246,11 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix, tol: float = SATURA
     Vanishing expectations mean the scalar bound is jointly attainable; any
     first-order unpolarized probe passes for every chart.
     """
-    lifted = np.tensordot(gm.hmat, state.rep.generators, axes=1)
     if state.is_pure:
-        images = np.einsum("mij,j->mi", lifted, state.vector)
-        products = np.einsum("mi,ki->mk", images.conj(), images)
+        images = gm.hmat @ _images(state)  # H_m psi for every generator row m
+        products = images.conj() @ images.T
     else:
+        lifted = np.tensordot(gm.hmat, state.rep.generators, axes=1)
         products = np.einsum("ij,ajk,bki->ab", state.density, lifted, lifted)
     residual = float(np.max(np.abs(products - products.T)))
     return residual < tol

@@ -70,21 +70,24 @@ class ProbeSpec:
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidStateError("probe document needs a 'kind' field")
         amplitudes = None
-        if doc.get("amplitudes") is not None:
-            amplitudes = tuple(_parse_amplitude(a) for a in doc["amplitudes"])
         occupations = None
-        if doc.get("occupations") is not None:
-            occupations = tuple(int(v) for v in doc["occupations"])
         opt_int = lambda key: None if doc.get(key) is None else int(doc[key])
-        return cls(
-            kind=str(doc["kind"]),
-            n=opt_int("n"),
-            particles=opt_int("N"),
-            k=opt_int("k"),
-            l=opt_int("l"),
-            amplitudes=amplitudes,
-            occupations=occupations,
-        )
+        try:
+            if doc.get("amplitudes") is not None:
+                amplitudes = tuple(_parse_amplitude(a) for a in doc["amplitudes"])
+            if doc.get("occupations") is not None:
+                occupations = tuple(int(v) for v in doc["occupations"])
+            return cls(
+                kind=str(doc["kind"]),
+                n=opt_int("n"),
+                particles=opt_int("N"),
+                k=opt_int("k"),
+                l=opt_int("l"),
+                amplitudes=amplitudes,
+                occupations=occupations,
+            )
+        except (TypeError, ValueError) as exc:
+            raise InvalidStateError(f"malformed probe document: {exc}") from None
 
 
 def _parse_amplitude(entry) -> complex:
@@ -99,15 +102,21 @@ def _symmetric_rep(n: int, particles: int, cap: int) -> Representation:
     return symmetric_representation(gellmann_basis(n), particles, cap=cap)
 
 
-def make_ghz(n: int, particles: int, cap: int = DIMENSION_CAP) -> ProbeState:
+def make_ghz(
+    n: int, particles: int, cap: int = DIMENSION_CAP, rep: Representation | None = None
+) -> ProbeState:
     """Equal superposition of the n single-mode stretched states.
 
     For n = 2 this is the two-mode NOON state.  The mean generator vector
-    vanishes for every particles >= 2.
+    vanishes for every particles >= 2.  ``rep`` reuses an already built
+    symmetric(n, particles) instead of building it again.
     """
     if particles < 1:
         raise ConstraintError(f"need at least one particle, got {particles}")
-    rep = _symmetric_rep(n, particles, cap)
+    if rep is None:
+        rep = _symmetric_rep(n, particles, cap)
+    elif rep.fock is None or (rep.fock.modes, rep.fock.particles) != (n, particles):
+        raise InvalidStateError(f"{rep.label} is not symmetric({n}, {particles})")
     vec = np.zeros(rep.space_dim, dtype=complex)
     for mode in range(n):
         occ = [0] * n

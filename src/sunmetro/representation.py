@@ -8,6 +8,11 @@ the number-conserving collective operator
 restricted to the fixed-particle-number Fock sector.  That sector carries the
 symmetric irreducible representation; its dimension is binom(𝒩 + n - 1, n - 1),
 and the quadratic invariant sum_a (X_a^(R))**2 is a multiple of the identity.
+
+Each X^(R) is a diagonal plus hops a_i^dagger a_j with amplitudes
+sqrt(n_j (n_i + 1)), so it has O(n**2 D) non-zeros out of D**2.  The d
+collective generators are therefore stored as one sparse stack: a CSR matrix
+of shape (d D, D) whose a-th block of D rows is X_a^(R).
 """
 
 from __future__ import annotations
@@ -18,19 +23,25 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy import sparse
 
-from .algebra import GeneratorBasis
+from .algebra import GeneratorBasis, structure_constants
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
-#: Default guard on the representation dimension; raise above this.
+#: Default guard on the representation dimension; raise above this.  It
+#: bounds memory: the sparse stack and its construction checks grow as
+#: O(n**2 D) and O(n**4 D), and the dense views that the optimizer, mixed
+#: states and lifted unitaries use hold d D**2 complex entries.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
 CASIMIR_RTOL = 1e-8
 
-# Full commutator-table validation is O(d^2 D^3); above this dimension only a
-# fixed subset of pairs is checked at construction time.
-_FULL_CHECK_DIM = 150
+#: Relative tolerance for each collective generator to count as Hermitian.
+HERMITIAN_RTOL = 1e-12
+
+#: Relative tolerance for the commutator table of a collective representation.
+COMMUTATOR_RTOL = 1e-10
 
 
 def _compositions(total: int, parts: int):
@@ -80,47 +91,79 @@ def fock_basis(modes: int, particles: int) -> FockBasis:
     return FockBasis(modes=modes, particles=particles, states=states)
 
 
-@dataclass(frozen=True)
 class Representation:
     """A concrete unitary representation of the generator basis.
+
+    Give exactly one of ``generators`` and ``stack``.
 
     Attributes
     ----------
     basis : GeneratorBasis
         The fundamental basis being represented.
+    stack : scipy.sparse.csr_array
+        Complex CSR matrix of shape ``(d * D, D)`` with sorted indices; rows
+        ``a * D`` to ``(a + 1) * D - 1`` hold X_a^(R).  Its blocks are
+        Hermitian and satisfy the commutation relations of
+        ``basis.generators``.
     generators : numpy.ndarray
-        Complex array of shape ``(d, D, D)``; Hermitian, satisfying the same
-        commutation relations as ``basis.generators``.
+        Read-only dense ``(d, D, D)`` view of the stack, built on first
+        access.  A dense stack passed in is checked for Hermiticity within
+        1e-12 relative and kept as this view.
     label : str
         Either ``"fundamental"`` or ``"symmetric(n, 𝒩)"``.
     fock : FockBasis or None
         Occupation basis for collective representations, None otherwise.
     """
 
-    basis: GeneratorBasis
-    generators: np.ndarray
-    label: str
-    fock: FockBasis | None = None
-
-    def __post_init__(self):
-        mats = np.asarray(self.generators, dtype=complex)
+    def __init__(
+        self,
+        basis: GeneratorBasis,
+        generators: np.ndarray | None = None,
+        label: str = "",
+        fock: FockBasis | None = None,
+        *,
+        stack=None,
+    ):
+        self.basis = basis
+        self.label = label
+        self.fock = fock
+        self._casimir: float | None = None  # set once the construction checks pass
+        d = basis.dim
+        if (generators is None) == (stack is None):
+            raise InvalidElementError("provide exactly one of generators and stack")
+        if stack is not None:
+            rows, dim = stack.shape
+            if dim < 1 or rows != d * dim:
+                raise InvalidElementError(f"expected a ({d} D, D) sparse stack, got {stack.shape}")
+            self.stack = stack
+            return
+        mats = np.asarray(generators, dtype=complex)
         mats.setflags(write=False)
-        object.__setattr__(self, "generators", mats)
-        d = self.basis.dim
         if mats.ndim != 3 or mats.shape[0] != d or mats.shape[1] != mats.shape[2]:
             raise InvalidElementError(f"expected ({d}, D, D) generator stack, got {mats.shape}")
         herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
-        if herm > 1e-12 * max(1.0, float(np.max(np.abs(mats)))):
+        if herm > HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(mats)))):
             raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
+        self.__dict__["generators"] = mats
+        self.stack = sparse.csr_array(mats.reshape(d * mats.shape[1], mats.shape[2]))
 
     @property
     def space_dim(self) -> int:
-        return self.generators.shape[1]
+        return self.stack.shape[1]
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Dense ``(d, D, D)`` view of the stack."""
+        mats = self.stack.toarray().reshape(self.basis.dim, self.space_dim, self.space_dim)
+        mats.setflags(write=False)
+        return mats
 
     @cached_property
     def quadratic_invariant(self) -> np.ndarray:
         """The matrix sum_a X_a^(R) X_a^(R) (scalar for irreducibles)."""
-        m = np.einsum("aij,ajk->ik", self.generators, self.generators)
+        keys, sums = _invariant_entries(self.stack)
+        m = np.zeros((self.space_dim, self.space_dim), dtype=complex)
+        m.flat[keys] = sums
         m.setflags(write=False)
         return m
 
@@ -134,6 +177,10 @@ def symmetric_representation(
     basis: GeneratorBasis, particles: int, cap: int = DIMENSION_CAP
 ) -> Representation:
     """Collective representation on 𝒩 bosons in n modes.
+
+    The sparse stack is built directly and checked at once: Hermiticity, the
+    full commutator table and a scalar quadratic invariant, whose value
+    :func:`casimir` then returns.
 
     Parameters
     ----------
@@ -152,60 +199,179 @@ def symmetric_representation(
             f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
         )
     fock = fock_basis(n, particles)
-    d = basis.dim
-    mats = np.zeros((d, dim, dim), dtype=complex)
-    occs = np.array(fock.states)
-    diag = basis.generators[:, range(n), range(n)].real  # (d, n) diagonal entries
-    mats[:, range(dim), range(dim)] = diag @ occs.T
-    index = fock.index
-    for s_idx, occ in enumerate(fock.states):
-        for j in range(n):
-            if occ[j] == 0:
-                continue
-            for i in range(n):
-                if i == j:
-                    continue
-                target = list(occ)
-                target[j] -= 1
-                target[i] += 1
-                t_idx = index[tuple(target)]
-                amp = np.sqrt(occ[j] * (occ[i] + 1))
-                mats[:, t_idx, s_idx] += basis.generators[:, i, j] * amp
     rep = Representation(
-        basis=basis, generators=mats, label=f"symmetric({n}, {particles})", fock=fock
+        basis=basis,
+        label=f"symmetric({n}, {particles})",
+        fock=fock,
+        stack=_collective_stack(basis, fock),
     )
-    _check_commutation(rep)
+    rep._casimir = _construction_checks(rep)
     return rep
 
 
-def _check_commutation(rep: Representation, atol: float = 1e-10) -> None:
-    """Verify [X_j^(R), X_k^(R)] matches the fundamental commutators.
+def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_array:
+    # X_a^(R) = diag(X_a) . occupations + sum_{i != j} (X_a)_ij a_i^dagger a_j
+    n, d, dim = basis.n, basis.dim, fock.dim
+    g = basis.generators
+    occs = np.array(fock.states)
+    diag = g[:, range(n), range(n)].real @ occs.T  # (d, D)
+    # radix-(N + 1) key per occupation tuple; it descends with the basis order
+    # (Python ints beyond int64 turn the weights into an object array)
+    weights = np.array([(fock.particles + 1) ** (n - 1 - m) for m in range(n)])
+    keys = occs @ weights
+    mode_i, mode_j = (~np.eye(n, dtype=bool)).nonzero()
+    src, hop = occs[:, mode_j].nonzero()  # states with a particle to move j -> i
+    i, j = mode_i[hop], mode_j[hop]
+    amp = np.sqrt(occs[src, j] * (occs[src, i] + 1))
+    dst = dim - 1 - np.searchsorted(keys[::-1], keys[src] - weights[j] + weights[i])
+    hops = g[:, i, j] * amp  # (d, hops)
+    a0, s0 = diag.nonzero()
+    a1, h1 = hops.nonzero()
+    rows = np.concatenate([a0 * dim + s0, a1 * dim + dst[h1]])
+    cols = np.concatenate([s0, src[h1]])
+    data = np.concatenate([diag[a0, s0], hops[a1, h1]])
+    order = (rows * dim + cols).argsort()
+    indptr = np.concatenate(([0], np.bincount(rows, minlength=d * dim).cumsum()))
+    return sparse.csr_array((data[order], cols[order], indptr), shape=(d * dim, dim))
 
-    Compares against i f_jkl X_l^(R) for all pairs when the space is small,
-    and for a fixed subset of pairs otherwise.
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    # concatenation of arange(s, s + c) over (starts, counts)
+    return (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
+
+
+def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # distinct keys in ascending order and the sum of the values at each
+    if keys.size == 0:
+        return keys, values
+    order = keys.argsort()
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    return keys[starts], np.add.reduceat(values[order], starts)
+
+
+def _entries(stack: sparse.csr_array):
+    # (generator, row, column, value) of every stored entry, in storage order
+    dim = stack.shape[1]
+    indptr = stack.indptr
+    block, row = divmod(np.arange(stack.shape[0]).repeat(indptr[1:] - indptr[:-1]), dim)
+    return block, row, stack.indices.astype(np.int64), stack.data
+
+
+def _gram_entries(block, row, col, val, dim: int):
+    """Unmerged terms of the Gram product F F^dagger of a stack F.
+
+    Returns (j, r, k, c, v): one term F[(j, r), m] conj(F[(k, c), m]) of the
+    ((j, r), (k, c)) entry per shared column m.  The (j, k) block of
+    F F^dagger is X_j X_k^dagger.
     """
-    from .algebra import structure_constants
+    by_col = col.argsort(kind="stable")
+    count = np.bincount(col, minlength=dim)
+    sorted_col = col[by_col]
+    per = count[sorted_col]
+    left = by_col.repeat(per)
+    right = by_col[_ranges((count.cumsum() - count)[sorted_col], per)]
+    return block[left], row[left], block[right], row[right], val[left] * val[right].conj()
 
-    f = structure_constants(rep.basis).f
-    g = rep.generators
-    d = g.shape[0]
-    if rep.space_dim <= _FULL_CHECK_DIM:
-        pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    else:
-        pairs = [(j, (j + 1) % d) for j in range(d)]
-    scale = max(1.0, float(np.max(np.abs(g))))
-    for j, k in pairs:
-        comm = g[j] @ g[k] - g[k] @ g[j]
-        expected = 1j * np.tensordot(f[j, k], g, axes=1)
-        dev = np.max(np.abs(comm - expected))
-        if dev > atol * scale:
-            raise InvalidElementError(
-                f"commutator ({j}, {k}) deviates by {dev:.3e} in {rep.label}"
-            )
+
+def _invariant_entries(stack: sparse.csr_array):
+    # merged (row * D + column, value) entries of sum_a X_a X_a^dagger
+    dim = stack.shape[1]
+    j, r, k, c, v = _gram_entries(*_entries(stack), dim)
+    same = j == k
+    return _merge(r[same] * dim + c[same], v[same])
+
+
+def _scalar_invariant(rep: Representation, keys: np.ndarray, sums: np.ndarray) -> float:
+    # trace / D of the quadratic invariant; raises unless it is scalar
+    dim = rep.space_dim
+    row, col = divmod(keys, dim)
+    on_diag = row == col
+    diag = np.zeros(dim, dtype=complex)
+    diag[row[on_diag]] = sums[on_diag]
+    c = float(diag.real.sum()) / dim
+    dev = max(np.abs(sums[~on_diag]).max(initial=0.0), np.abs(diag - c).max())
+    if dev > CASIMIR_RTOL * max(1.0, abs(c)):
+        raise NotIrreducibleError(
+            f"quadratic invariant of {rep.label} deviates from scalar by {dev:.3e}"
+        )
+    return c
+
+
+def _construction_checks(rep: Representation) -> float:
+    """Check a representation's stack in one grouped pass; return its Casimir.
+
+    1. Every X_a^(R) is Hermitian within ``HERMITIAN_RTOL`` relative to the
+       largest entry (or 1).
+    2. Every pair j < k satisfies [X_j, X_k] = i f_jkl X_l within
+       ``COMMUTATOR_RTOL`` relative to the same scale.
+    3. sum_a X_a^(R)**2 is scalar within ``CASIMIR_RTOL`` (else
+       :class:`NotIrreducibleError`).
+
+    Checks 2 and 3 read the Gram product F F^dagger of the stack F, whose
+    (j, k) block is X_j X_k once check 1 holds.  The terms of all three
+    checks are summed in one sort, each check in its own range of keys, and
+    only the deviations are kept.
+    """
+    stack = rep.stack
+    dim = rep.space_dim
+    width = stack.shape[0]
+    block, row, col, val = _entries(stack)
+    j, r, k, c, v = _gram_entries(block, row, col, val, dim)
+    tj, tk, tl, f = structure_constants(rep.basis).upper
+    # entries of X_l for each constant f_jkl, j < k
+    starts = stack.indptr[tl * dim].astype(np.int64)
+    counts = stack.indptr[(tl + 1) * dim] - starts
+    entry = _ranges(starts, counts)
+    term = np.arange(tl.size).repeat(counts)
+
+    # key ranges: X - X^dagger, then sum_a X_a X_a^dagger, then the commutators
+    inv0 = width * dim
+    comm0 = inv0 + dim * dim
+    same = j == k
+    apart = ~same
+    lo, hi = np.minimum(j, k)[apart], np.maximum(j, k)[apart]
+    keys, sums = _merge(
+        np.concatenate([
+            (block * dim + row) * dim + col,
+            (block * dim + col) * dim + row,
+            inv0 + r[same] * dim + c[same],
+            comm0 + (lo * dim + r[apart]) * width + hi * dim + c[apart],
+            comm0 + (tj[term] * dim + row[entry]) * width + tk[term] * dim + col[entry],
+        ]),
+        np.concatenate([
+            val,
+            -val.conj(),
+            v[same],
+            np.where(j < k, v, -v)[apart],  # [X_j, X_k] = X_j X_k - X_k X_j
+            -1j * f[term] * val[entry],
+        ]),
+    )
+    inv_at, comm_at = np.searchsorted(keys, [inv0, comm0])
+    scale = max(1.0, np.abs(val).max(initial=0.0))
+
+    herm = np.abs(sums[:inv_at]).max(initial=0.0)
+    if herm > HERMITIAN_RTOL * scale:
+        raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
+    comm = np.abs(sums[comm_at:])
+    if comm.size and comm.max() > COMMUTATOR_RTOL * scale:
+        worst = int(keys[comm_at + np.argmax(comm)] - comm0)
+        pair = (worst // width // dim, worst % width // dim)
+        raise InvalidElementError(
+            f"commutator {pair} deviates by {comm.max():.3e} in {rep.label}"
+        )
+    return _scalar_invariant(rep, keys[inv_at:comm_at] - inv0, sums[inv_at:comm_at])
 
 
 def casimir(rep: Representation) -> float:
     """Scalar value of the quadratic invariant sum_a (X_a^(R))**2.
+
+    Computed as trace / D of the sparse invariant, read from the Gram product
+    of the stack; a representation built by :func:`symmetric_representation`
+    carries the value its construction checks computed.
 
     Raises
     ------
@@ -213,14 +379,9 @@ def casimir(rep: Representation) -> float:
         If the invariant is not proportional to the identity within a 1e-8
         relative tolerance (the representation is reducible or corrupted).
     """
-    m = rep.quadratic_invariant
-    c = float(np.trace(m).real) / rep.space_dim
-    dev = np.max(np.abs(m - c * np.eye(rep.space_dim)))
-    if dev > CASIMIR_RTOL * max(1.0, abs(c)):
-        raise NotIrreducibleError(
-            f"quadratic invariant of {rep.label} deviates from scalar by {dev:.3e}"
-        )
-    return c
+    if rep._casimir is not None:
+        return rep._casimir
+    return _scalar_invariant(rep, *_invariant_entries(rep.stack))
 
 
 def lift_unitary(rep: Representation, coeffs: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from sunmetro import Representation
 from sunmetro.cli import main
 
 HEADER = "n,N,casimir,cs_ghz,cs_floor,cs_optimized"
@@ -96,6 +97,56 @@ def test_bound_parse_failures_exit_1(files, capsys, tmp_path):
     assert main(["bound", str(broken), files["euler"], "--theta", "0,0,0"]) == 1
     assert main(["bound", files["tetra"], files["euler"]]) == 1  # --theta required
     assert main(["frobnicate"]) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "ghz", "n": [1], "N": 3},
+        {"kind": "custom", "n": 2, "N": 1, "amplitudes": 5},
+        {"kind": "fock", "occupations": 3},
+    ],
+)
+def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bound", str(path), files["euler"], "--theta", "0,0,0"]) == 1
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sunmetro: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_below_one_is_usage_error(files, capsys, cap):
+    for argv in (
+        ["bound", files["tetra"], files["euler"], "--theta", "0,0,0"],
+        ["check", files["tetra"]],
+        ["scan", "--n", "3", "--nmin", "2", "--nmax", "3"],
+        ["optimize", "--n", "2", "--particles", "4", "--seed", "1"],
+    ):
+        assert main(argv + ["--cap", cap]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--cap" in captured.err
+
+
+def test_scan_bound_check_never_build_the_dense_stack(files, capsys, monkeypatch):
+    def refuse(rep):
+        raise AssertionError(f"dense generator stack of {rep.label} was built")
+
+    exp3 = files["dir"] / "exp3.json"
+    exp3.write_text(json.dumps({"kind": "exponential", "n": 3}))
+    theta3 = ",".join(["0.1"] * 8)
+    monkeypatch.setattr(Representation, "generators", property(refuse))
+    assert main(["scan", "--n", "3", "--nmin", "2", "--nmax", "6"]) == 0
+    for probe, chart, theta, code in (
+        ("tetra", files["euler"], "0.1,0.2,0.3", 0),
+        ("stretched", files["euler"], "0.1,0.2,0.3", 2),
+        ("ghz39", str(exp3), theta3, 0),
+        ("cyclic", str(exp3), theta3, 0),
+    ):
+        assert main(["bound", files[probe], chart, "--theta", theta]) == code
+        assert main(["check", files[probe]]) == 0
     capsys.readouterr()
 
 

@@ -46,6 +46,17 @@ def test_ghz_amplitudes():
         make_ghz(3, 0)
 
 
+def test_ghz_reuses_given_representation():
+    rep = sym_rep(3, 9)
+    state = make_ghz(3, 9, rep=rep)
+    assert state.rep is rep
+    np.testing.assert_array_equal(state.vector, make_ghz(3, 9).vector)
+    with pytest.raises(InvalidStateError):
+        make_ghz(3, 8, rep=rep)
+    with pytest.raises(InvalidStateError):
+        make_ghz(2, 1, rep=fundamental_representation(gellmann_basis(2)))
+
+
 @pytest.mark.parametrize("n,particles", [(2, 2), (2, 5), (3, 2), (3, 7), (4, 3)])
 def test_ghz_mean_vanishes(n, particles):
     mean, _ = covariance(make_ghz(n, particles))
@@ -128,6 +139,13 @@ def test_probe_spec_errors():
         ProbeSpec.from_json({"n": 2})
     with pytest.raises(InvalidStateError):
         ProbeSpec.from_json({"kind": "custom", "amplitudes": ["x"]})
+    for doc in (
+        {"kind": "ghz", "n": [1], "N": 3},
+        {"kind": "custom", "n": 2, "N": 1, "amplitudes": 5},
+        {"kind": "fock", "occupations": 3},
+    ):
+        with pytest.raises(InvalidStateError):
+            ProbeSpec.from_json(doc)
     with pytest.raises(InvalidStateError):
         build_probe(ProbeSpec(kind="ghz", n=3))  # particles missing
     with pytest.raises(InvalidStateError):

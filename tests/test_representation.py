@@ -7,6 +7,7 @@ import pytest
 from conftest import random_pure, sym_rep
 
 from sunmetro import (
+    DIMENSION_CAP,
     DimensionCapError,
     InvalidElementError,
     NotIrreducibleError,
@@ -19,10 +20,36 @@ from sunmetro import (
     structure_constants,
     symmetric_representation,
 )
+from sunmetro.representation import _construction_checks
 
 
 def casimir_formula(n, particles):
     return particles * (particles + n) * (n - 1) / (2.0 * n)
+
+
+def dense_collective_stack(basis, particles):
+    """Reference build: the dense (d, D, D) stack, one hop a_i^dagger a_j at a time."""
+    n = basis.n
+    fock = fock_basis(n, particles)
+    dim = fock.dim
+    mats = np.zeros((basis.dim, dim, dim), dtype=complex)
+    occs = np.array(fock.states)
+    diag = basis.generators[:, range(n), range(n)].real
+    mats[:, range(dim), range(dim)] = diag @ occs.T
+    for s_idx, occ in enumerate(fock.states):
+        for j in range(n):
+            if occ[j] == 0:
+                continue
+            for i in range(n):
+                if i == j:
+                    continue
+                target = list(occ)
+                target[j] -= 1
+                target[i] += 1
+                t_idx = fock.index[tuple(target)]
+                amp = np.sqrt(occ[j] * (occ[i] + 1))
+                mats[:, t_idx, s_idx] += basis.generators[:, i, j] * amp
+    return mats
 
 
 def test_fock_ordering_descending():
@@ -165,3 +192,46 @@ def test_quadratic_invariant_scalar_on_random_sector():
     # sanity on the fixture helper used throughout the suite
     state = random_pure(rep, np.random.default_rng(0))
     assert abs(np.linalg.norm(state.vector) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sparse_stack_matches_dense_reference(n):
+    basis = gellmann_basis(n)
+    for particles in range(1, 13):
+        rep = symmetric_representation(basis, particles)
+        assert np.array_equal(rep.generators, dense_collective_stack(basis, particles))
+
+
+def test_commutator_check_covers_every_pair():
+    # symmetric(3, 16) has D = 153.  Shifting the lambda_8 entry of the state
+    # (0, 0, 16) commutes with generators 0 and 6, and no neighbouring pair
+    # (j, j + 1 mod 8) has f_jk7 != 0, so only pairs such as (1, 4) and
+    # (1, 7) see it.
+    rep = sym_rep(3, 16)
+    assert rep.space_dim > 150
+    gens = rep.generators.copy()
+    last = rep.fock.index[(0, 0, 16)]
+    gens[7, last, last] += 1e-6
+    bad = Representation(basis=rep.basis, generators=gens, label="perturbed")
+    f = structure_constants(rep.basis).f
+    scale = float(np.max(np.abs(gens)))
+    for j in range(8):
+        k = (j + 1) % 8
+        comm = gens[j] @ gens[k] - gens[k] @ gens[j]
+        assert np.max(np.abs(comm - 1j * np.tensordot(f[j, k], gens, axes=1))) < 1e-10 * scale
+    with pytest.raises(InvalidElementError, match="commutator"):
+        _construction_checks(bad)
+    _construction_checks(Representation(basis=rep.basis, generators=rep.generators, label="intact"))
+
+
+def test_large_sector_stays_sparse():
+    n, particles = 3, 60
+    rep = symmetric_representation(gellmann_basis(n), particles)
+    dim = rep.space_dim
+    assert dim == 1891 and dim <= DIMENSION_CAP
+    assert abs(casimir(rep) - casimir_formula(n, particles)) < 1e-8
+    assert casimir_formula(n, particles) == 1260.0
+    stack = rep.stack
+    assert stack.nnz <= (n - 1) * (2 * n + 1) * dim
+    assert stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes < 2 * 2**20
+    assert "generators" not in vars(rep)  # the dense view was never built
