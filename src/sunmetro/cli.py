@@ -276,11 +276,11 @@ def _cell(value) -> str:
 
 def cmd_optimize(args) -> int:
     doc = _load_json(args.config) if args.config else {}
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc = {**doc, "seed": args.seed}
-    if doc.get("seed") is None:
-        raise InvalidElementError("a seed is required: pass --seed or put one in the config")
     config = OptimizerConfig.from_json(doc)
+    if config.seed is None:
+        raise InvalidElementError("a seed is required: pass --seed or put one in the config")
     rep = symmetric_representation(gellmann_basis(args.n), args.particles, cap=args.cap)
     result = optimize_probe(rep, config)
     amplitudes = [[z.real, z.imag] for z in result.state.vector]

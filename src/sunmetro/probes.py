@@ -8,12 +8,18 @@ occupation tuples).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .exceptions import ConstraintError, InvalidStateError, OptimizationFailedError
+from .exceptions import (
+    ConstraintError,
+    InvalidElementError,
+    InvalidStateError,
+    OptimizationFailedError,
+)
 from .algebra import gellmann_basis
 from .metrology import ProbeState, pure_state
 from .representation import (
@@ -28,8 +34,6 @@ OPTIMIZER_METHODS = ("gradient_descent_on_sphere", "simplex")
 #: Covariance eigenvalues below this fraction of the isotropic value trip
 #: the optimizer's barrier instead of entering Tr[C^(-1)].
 BARRIER_CUTOFF = 1e-9
-
-_FD_STEP = 1e-6  # central-difference step for the sphere gradient
 
 
 @dataclass(frozen=True)
@@ -255,13 +259,49 @@ class OptimizerConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "OptimizerConfig":
+        """Parse a config object; a malformed one raises InvalidElementError.
+
+        ``restarts``, ``max_iters`` and ``seed`` must be integers (not
+        booleans; ``seed`` may be null), ``tolerance`` a finite positive
+        number.
+        """
+        if not isinstance(doc, dict):
+            raise InvalidElementError(
+                f"optimizer config must be a JSON object, got {type(doc).__name__}"
+            )
         known = {f: doc[f] for f in ("restarts", "max_iters", "tolerance", "seed", "method") if f in doc}
-        return cls(**known)
+        for key in ("restarts", "max_iters", "seed"):
+            value = known.get(key)
+            if key in known and not _is_int(value) and not (key == "seed" and value is None):
+                raise InvalidElementError(
+                    f"optimizer config {key!r} must be an integer, got {value!r}"
+                )
+        if "tolerance" in known:
+            tol = known["tolerance"]
+            if not (_is_int(tol) or isinstance(tol, float) and math.isfinite(tol)) or tol <= 0:
+                raise InvalidElementError(
+                    f"optimizer config 'tolerance' must be a finite positive number, got {tol!r}"
+                )
+        try:
+            return cls(**known)
+        except ValueError as exc:
+            raise InvalidElementError(f"optimizer config: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best probe found, its bound, and the unbeatable floor d^2/(4 c2)."""
+    """Best probe found, its bound, and the unbeatable floor d^2/(4 c2).
+
+    ``diagnostics["restarts"]`` holds one trace per restart: ``iterations``
+    (descent steps taken), ``gradient_norm`` (final tangent-gradient norm,
+    None for the simplex method) and ``stop``, one of "tolerance",
+    "line_search", "max_iters", "singular" (the restart ended in the
+    barrier region and was discarded) or "simplex".
+    """
 
     state: ProbeState
     bound_achieved: float
@@ -274,10 +314,10 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     """Minimize Tr[C^(-1)] over pure states of ``rep`` by restarted descent.
 
     The search runs over real-and-imaginary stacked amplitude vectors on the
-    unit sphere, with gradients taken by central finite differences and a
-    barrier on near-singular covariances.  Deterministic for a fixed seed and
-    config: restarts are merged by objective with ties broken by restart
-    index.
+    unit sphere, with the analytic gradient (two sparse products with the
+    generator stack per evaluation) and a barrier on near-singular
+    covariances.  Deterministic for a fixed seed and config: restarts are
+    merged by objective with ties broken by restart index.
 
     Raises
     ------
@@ -291,39 +331,19 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     dim = rep.space_dim
     c2 = casimir(rep)
     floor = d * d / (4.0 * c2)
-    flat = rep.generators.reshape(d * dim, dim)
     barrier = BARRIER_CUTOFF * c2 / d
-
-    def objectives(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # batched Tr[C^(-1)] over rows of z (shape (m, 2 dim)); returns
-        # (values, smallest covariance eigenvalue per row)
-        psi = z[:, :dim] + 1j * z[:, dim:]
-        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
-        images = (psi @ flat.T).reshape(-1, d, dim)
-        mean = np.einsum("mai,mi->ma", images, psi.conj()).real
-        gram = (images.conj() @ images.transpose(0, 2, 1)).real
-        cov = gram - mean[:, :, None] * mean[:, None, :]
-        cov = (cov + cov.transpose(0, 2, 1)) / 2.0
-        eigs = np.linalg.eigvalsh(cov)
-        smallest = eigs[:, 0]
-        safe = np.clip(eigs, 1e-300, None)
-        values = np.where(
-            smallest > barrier,
-            np.sum(1.0 / safe, axis=1),
-            d / np.clip(smallest, 1e-18, None),
-        )
-        return values, smallest
+    objective, gradient = _objective_and_gradient(rep, barrier)
 
     rng = np.random.default_rng(config.seed)
     best = None
     singular_restarts = 0
-    identity = np.eye(2 * dim)
+    traces = []
     for restart in range(config.restarts):
         z0 = rng.standard_normal(2 * dim)
         z0 /= np.linalg.norm(z0)
         if config.method == "simplex":
             res = minimize(
-                lambda z: float(objectives(z[None])[0][0]),
+                lambda z: objective(z)[0],
                 z0,
                 method="Nelder-Mead",
                 options={
@@ -333,14 +353,18 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
                 },
             )
             z, value, converged = res.x, float(res.fun), bool(res.success)
-            smallest = float(objectives(z[None])[1][0])
+            smallest = objective(z)[1]
+            trace = {"iterations": int(res.nit), "gradient_norm": None, "stop": "simplex"}
         else:
-            z, value, converged, smallest = _descend(
-                z0, objectives, identity, config.max_iters, config.tolerance
+            z, value, smallest, trace = _descend(
+                z0, objective, gradient, config.max_iters, config.tolerance
             )
+            converged = trace["stop"] != "max_iters"
         if smallest <= barrier:
             singular_restarts += 1
+            traces.append({**trace, "stop": "singular"})
             continue
+        traces.append(trace)
         if best is None or value < best[1] - 1e-15:
             best = (z, value, converged, restart)
     if best is None:
@@ -361,40 +385,88 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
             "best_restart": which,
             "singular_restarts": singular_restarts,
             "objective": value,
+            "restarts": traces,
         },
     )
 
 
-def _descend(z0, objectives, identity, max_iters, tolerance):
-    """Projected gradient descent on the unit sphere with backtracking."""
+def _objective_and_gradient(rep: Representation, barrier: float):
+    """The optimizer's objective and its analytic gradient on ``rep``.
+
+    Both take a real vector z = [Re psi; Im psi] and read the unit state
+    psi = z / |z|.  ``objective(z)`` returns ``(value, lambda_min)``: value
+    is Tr[C^(-1)], or the barrier d / lambda_min once the smallest
+    covariance eigenvalue lambda_min is at or below ``barrier``.
+    ``gradient(z)`` is the real gradient of that value with respect to
+    [Re psi; Im psi]; callers project it onto the sphere's tangent space.
+
+    With images Y_a = X_a psi, means m and G = C^(-2) (in the barrier branch
+    G = (d / lambda_min^2) v v^T for the lowest eigenvector v), the
+    Wirtinger derivative is -sum_a X_a (G Y)_a + 2 (G m) . Y: one product
+    with the sparse stack F for Y and one with F^dagger for the sum.
+    """
+    d = rep.basis.dim
+    dim = rep.space_dim
+    stack = rep.stack
+    adjoint = stack.conj().T.tocsr()
+
+    def moments(z):
+        psi = (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z)
+        images = (stack @ psi).reshape(d, dim)
+        bras = images.conj()
+        mean = (bras @ psi).real
+        cov = (bras @ images.T).real - mean[:, None] * mean
+        return images, mean, (cov + cov.T) / 2.0
+
+    def objective(z):
+        eigs = np.linalg.eigvalsh(moments(z)[2])
+        smallest = float(eigs[0])
+        if smallest > barrier:
+            return float((1.0 / eigs).sum()), smallest
+        return d / max(smallest, 1e-18), smallest
+
+    def gradient(z):
+        images, mean, cov = moments(z)
+        eigs, vecs = np.linalg.eigh(cov)
+        if eigs[0] > barrier:
+            weight = (vecs / eigs**2) @ vecs.T
+        else:
+            weight = d / max(eigs[0], 1e-18) ** 2 * np.outer(vecs[:, 0], vecs[:, 0])
+        wirtinger = 2.0 * (weight @ mean) @ images - adjoint @ (weight @ images).ravel()
+        return 2.0 * np.concatenate([wirtinger.real, wirtinger.imag])
+
+    return objective, gradient
+
+
+def _descend(z0, objective, gradient, max_iters, tolerance):
+    """Projected gradient descent on the unit sphere with backtracking.
+
+    Returns ``(z, value, lambda_min, trace)``; ``trace`` is the restart's
+    entry in ``OptimizeResult.diagnostics["restarts"]``.
+    """
     z = z0
-    value = float(objectives(z[None])[0][0])
-    smallest = float(objectives(z[None])[1][0])
-    converged = False
-    h = _FD_STEP
-    for _ in range(max_iters):
-        shifted = np.concatenate([z + h * identity, z - h * identity])
-        vals, _ = objectives(shifted)
-        m = identity.shape[0]
-        grad = (vals[:m] - vals[m:]) / (2.0 * h)
+    value, smallest = objective(z)
+    for steps in range(max_iters + 1):
+        grad = gradient(z)
         grad -= (grad @ z) * z  # tangent projection
         gnorm = float(np.linalg.norm(grad))
+        if steps == max_iters:
+            stop = "max_iters"
+            break
         if gnorm < tolerance:
-            converged = True
+            stop = "tolerance"
             break
         step = min(1.0, 1.0 / gnorm)
-        improved = False
         for _ in range(40):
             cand = z - step * grad
             cand /= np.linalg.norm(cand)
-            cval, csmall = objectives(cand[None])
-            if cval[0] < value - 1e-4 * step * gnorm * gnorm:
-                z, value, smallest = cand, float(cval[0]), float(csmall[0])
-                improved = True
+            cval, csmall = objective(cand)
+            if cval < value - 1e-4 * step * gnorm * gnorm:
+                z, value, smallest = cand, cval, csmall
                 break
             step /= 2.0
-        if not improved:
+        else:
             # no descent direction at line-search resolution; treat as converged
-            converged = True
+            stop = "line_search"
             break
-    return z, value, converged, smallest
+    return z, value, smallest, {"iterations": steps, "gradient_norm": gnorm, "stop": stop}

@@ -30,8 +30,8 @@ from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleEr
 
 #: Default guard on the representation dimension; raise above this.  It
 #: bounds memory: the sparse stack and its construction checks grow as
-#: O(n**2 D) and O(n**4 D), and the dense views that the optimizer, mixed
-#: states and lifted unitaries use hold d D**2 complex entries.
+#: O(n**2 D) and O(n**4 D), and the dense views that mixed states and
+#: lifted unitaries use hold d D**2 complex entries.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.

@@ -117,6 +117,31 @@ def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
     assert err.startswith("sunmetro: error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, seed_flag",
+    [
+        ("[1, 2]", True),
+        ('{"restarts": "x"}', True),
+        ('{"restarts": [1]}', True),
+        ('{"restarts": true}', True),
+        ('{"restarts": 1e400}', True),
+        ('{"max_iters": 2.5}', True),
+        ('{"seed": "abc"}', False),
+        ('{"seed": 1.5}', False),
+    ],
+    ids=["list", "restarts-str", "restarts-list", "restarts-bool", "restarts-inf",
+         "max-iters-float", "seed-str", "seed-float"],
+)
+def test_malformed_optimizer_config_exits_1(capsys, tmp_path, text, seed_flag):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    argv = ["optimize", "--n", "2", "--particles", "4", "--config", str(path)]
+    assert main(argv + (["--seed", "1"] if seed_flag else [])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sunmetro: error:") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("cap", ["0", "-1"])
 def test_cap_below_one_is_usage_error(files, capsys, cap):
     for argv in (
@@ -250,6 +275,21 @@ def test_scan_validation_failures_exit_1(capsys):
     assert main(["scan", "--n", "2", "--nmin", "5", "--nmax", "4"]) == 1
     assert main(["scan", "--n", "2", "--nmin", "2", "--nmax", "4", "--states", "bell"]) == 1
     assert main(["scan", "--n", "2", "--nmin", "2", "--nmax", "4", "--states", "optimized"]) == 1
+    capsys.readouterr()
+
+
+def test_optimize_never_builds_the_dense_stack(tmp_path, capsys, monkeypatch):
+    def refuse(rep):
+        raise AssertionError(f"dense generator stack of {rep.label} was built")
+
+    monkeypatch.setattr(Representation, "generators", property(refuse))
+    assert main(["optimize", "--n", "3", "--particles", "6", "--seed", "1"]) == 0
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(json.dumps({"method": "simplex", "restarts": 2}))
+    argv = ["optimize", "--n", "2", "--particles", "4", "--seed", "1", "--config", str(simplex)]
+    assert main(argv) == 0
+    argv = ["scan", "--n", "2", "--nmin", "3", "--nmax", "5", "--states", "optimized"]
+    assert main(argv + ["--seed", "1"]) == 0
     capsys.readouterr()
 
 

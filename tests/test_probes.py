@@ -8,6 +8,7 @@ from conftest import random_pure, sym_rep
 
 from sunmetro import (
     ConstraintError,
+    InvalidElementError,
     InvalidStateError,
     OptimizationFailedError,
     OptimizerConfig,
@@ -30,6 +31,8 @@ from sunmetro import (
     pure_state,
     unpolarized_report,
 )
+from sunmetro import probes
+from sunmetro.probes import BARRIER_CUTOFF, _objective_and_gradient
 
 INV3 = 1.0 / np.sqrt(3.0)
 
@@ -171,6 +174,28 @@ def test_optimizer_config_validation():
         OptimizerConfig(seed=1, tolerance=0.0)
     parsed = OptimizerConfig.from_json({"seed": 4, "restarts": 7, "tolerance": 1e-5})
     assert parsed.seed == 4 and parsed.restarts == 7
+    assert OptimizerConfig.from_json({"seed": None, "tolerance": 1}).seed is None
+    assert OptimizerConfig.from_json({"tolerance": 10**400}).tolerance == 10**400
+    for doc in (
+        [1, 2],
+        {"restarts": "x"},
+        {"restarts": [1]},
+        {"restarts": True},
+        {"restarts": float("inf")},
+        {"restarts": None},
+        {"max_iters": 2.5},
+        {"seed": "abc"},
+        {"seed": 1.5},
+        {"seed": False},
+        {"tolerance": 0},
+        {"tolerance": float("nan")},
+        {"tolerance": True},
+        {"tolerance": "1e-6"},
+        {"restarts": 0},
+        {"method": "annealing"},
+    ):
+        with pytest.raises(InvalidElementError):
+            OptimizerConfig.from_json(doc)
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +243,8 @@ def test_optimizer_simplex_method(sym24):
     result = optimize_probe(sym24, OptimizerConfig(seed=3, restarts=10, method="simplex"))
     assert result.bound_achieved >= result.floor - 1e-9
     assert abs(result.bound_achieved - 0.375) < 0.375 * 0.05
+    for trace in result.diagnostics["restarts"]:
+        assert trace["stop"] in ("simplex", "singular") and trace["gradient_norm"] is None
 
 
 def test_optimizer_requires_seed(sym24):
@@ -230,6 +257,123 @@ def test_optimizer_fails_on_fundamental():
     with pytest.raises(OptimizationFailedError) as err:
         optimize_probe(fund, OptimizerConfig(seed=0, restarts=3, max_iters=50))
     assert err.value.diagnostics["singular_restarts"] == 3
+
+
+def _central_differences(objective, z, h=1e-6):
+    grad = np.array(
+        [(objective(z + h * e)[0] - objective(z - h * e)[0]) / (2.0 * h) for e in np.eye(z.size)]
+    )
+    return grad - (grad @ z) * z
+
+
+def _assert_gradient_matches(rep, z, barrier):
+    objective, gradient = _objective_and_gradient(rep, barrier)
+    analytic = gradient(z)
+    analytic -= (analytic @ z) * z
+    reference = _central_differences(objective, z)
+    assert np.linalg.norm(analytic - reference) <= 1e-6 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("n, particles", [(2, 7), (3, 6), (4, 4)])
+def test_analytic_gradient_matches_central_differences(n, particles):
+    rep = sym_rep(n, particles)
+    barrier = BARRIER_CUTOFF * casimir(rep) / rep.basis.dim
+    objective, _ = _objective_and_gradient(rep, barrier)
+    rng = np.random.default_rng(10 * n + particles)
+    for _ in range(3):
+        z = rng.standard_normal(2 * rep.space_dim)
+        z /= np.linalg.norm(z)
+        assert objective(z)[1] > barrier  # the Tr[C^(-1)] branch
+        _assert_gradient_matches(rep, z, barrier)
+
+
+def test_analytic_gradient_in_barrier_branch():
+    # a Fock state has a singular covariance; perturbed, its smallest
+    # eigenvalue is small but resolved by the difference step, and a barrier
+    # above it puts the objective on the d / lambda_min branch
+    rep = sym_rep(3, 4)
+    fock = make_fock((2, 1, 1)).vector
+    rng = np.random.default_rng(5)
+    kick = rng.standard_normal(rep.space_dim) + 1j * rng.standard_normal(rep.space_dim)
+    psi = fock + 0.05 * kick / np.linalg.norm(kick)
+    z = np.concatenate([psi.real, psi.imag]) / np.linalg.norm(psi)
+    smallest = _objective_and_gradient(rep, np.inf)[0](z)[1]
+    assert 0 < smallest < 1e-2 * casimir(rep) / rep.basis.dim  # far below isotropic
+    objective, _ = _objective_and_gradient(rep, 2.0 * smallest)
+    value, _ = objective(z)
+    assert value == pytest.approx(rep.basis.dim / smallest, rel=1e-12)
+    _assert_gradient_matches(rep, z, 2.0 * smallest)
+
+
+def _batched_fd_gradient(rep, barrier, h=1e-6):
+    """The finite-difference gradient the analytic one replaced.
+
+    Evaluates Tr[C^(-1)] (or the barrier) at all 4 D shifted coordinate
+    vectors at once through the dense generator view.
+    """
+    d, dim = rep.basis.dim, rep.space_dim
+    flat = rep.generators.reshape(d * dim, dim)
+    identity = np.eye(2 * dim)
+
+    def values(z):
+        psi = z[:, :dim] + 1j * z[:, dim:]
+        psi = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        images = (psi @ flat.T).reshape(-1, d, dim)
+        mean = np.einsum("mai,mi->ma", images, psi.conj()).real
+        gram = (images.conj() @ images.transpose(0, 2, 1)).real
+        cov = gram - mean[:, :, None] * mean[:, None, :]
+        eigs = np.linalg.eigvalsh((cov + cov.transpose(0, 2, 1)) / 2.0)
+        smallest = eigs[:, 0]
+        return np.where(
+            smallest > barrier,
+            np.sum(1.0 / np.clip(eigs, 1e-300, None), axis=1),
+            d / np.clip(smallest, 1e-18, None),
+        )
+
+    def gradient(z):
+        vals = values(np.concatenate([z + h * identity, z - h * identity]))
+        return (vals[: 2 * dim] - vals[2 * dim :]) / (2.0 * h)
+
+    return gradient
+
+
+@pytest.mark.parametrize(
+    "n, particles",
+    [(2, p) for p in range(4, 9)] + [(3, p) for p in range(3, 7)] + [(4, 3)],
+)
+def test_analytic_descent_matches_finite_difference_descent(n, particles, monkeypatch):
+    rep = sym_rep(n, particles)
+    configs = [OptimizerConfig(seed=seed, restarts=2) for seed in (1, 2)]
+    analytic = [optimize_probe(rep, config) for config in configs]
+
+    def with_fd_gradient(rep, barrier):
+        objective, _ = _objective_and_gradient(rep, barrier)
+        return objective, _batched_fd_gradient(rep, barrier)
+
+    monkeypatch.setattr(probes, "_objective_and_gradient", with_fd_gradient)
+    for config, fast in zip(configs, analytic):
+        slow = optimize_probe(rep, config)
+        assert slow.converged == fast.converged
+        assert slow.bound_achieved == pytest.approx(fast.bound_achieved, rel=1e-9)
+
+
+def test_restart_traces_name_the_stop_reason(spin2_result):
+    traces = spin2_result.diagnostics["restarts"]
+    assert len(traces) == 20
+    for trace in traces:
+        assert set(trace) == {"iterations", "gradient_norm", "stop"}
+        assert trace["stop"] in ("tolerance", "line_search", "max_iters", "singular")
+        if trace["stop"] == "tolerance":
+            assert trace["gradient_norm"] < 1e-6
+
+
+def test_restart_trace_reports_max_iters():
+    # the optimize-small benchmark op that exits 3
+    capped = optimize_probe(sym_rep(3, 5), OptimizerConfig(seed=1018, restarts=2))
+    assert not capped.converged
+    best = capped.diagnostics["restarts"][capped.diagnostics["best_restart"]]
+    assert best == {**best, "iterations": 400, "stop": "max_iters"}
+    assert best["gradient_norm"] > 1e-6
 
 
 def test_floor_inequality_random_states():
