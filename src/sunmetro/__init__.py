@@ -66,6 +66,7 @@ from .representation import (
     FockBasis,
     Representation,
     casimir,
+    exp_hermitian,
     fock_basis,
     fundamental_representation,
     lift_unitary,

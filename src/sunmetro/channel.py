@@ -25,7 +25,7 @@ from scipy.special import roots_legendre
 
 from .algebra import GeneratorBasis, expand, from_coefficients, gellmann_basis
 from .exceptions import InvalidDimensionError, InvalidElementError
-from .representation import Representation, fundamental_representation, lift_unitary
+from .representation import Representation, exp_hermitian, fundamental_representation, lift_unitary
 
 PARAMETRIZATION_KINDS = ("exponential", "euler_su2", "product_of_exponentials")
 
@@ -98,10 +98,14 @@ class Parametrization:
     def from_json(cls, doc: dict) -> "Parametrization":
         if not isinstance(doc, dict) or "kind" not in doc or "n" not in doc:
             raise InvalidElementError("parametrization document needs 'kind' and 'n'")
-        factors = doc.get("factors")
-        if factors is not None:
-            factors = tuple(tuple(float(c) for c in ax) for ax in factors)
-        return cls(kind=str(doc["kind"]), n=int(doc["n"]), factors=factors)
+        try:
+            n = int(doc["n"])
+            factors = doc.get("factors")
+            if factors is not None:
+                factors = tuple(tuple(float(c) for c in ax) for ax in factors)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidElementError(f"malformed parametrization document: {exc}") from None
+        return cls(kind=str(doc["kind"]), n=n, factors=factors)
 
 
 @dataclass(frozen=True)
@@ -165,12 +169,6 @@ def _factor_axes(p: Parametrization, basis: GeneratorBasis) -> list[np.ndarray]:
         ey[1] = 1.0
         return [ez, ey, ez]
     return [np.asarray(ax, dtype=float) for ax in p.factors]
-
-
-def _unitary_from_hermitian(a: np.ndarray) -> np.ndarray:
-    a = (a + a.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
 def unitary_at(p: Parametrization, theta, rep: Representation | None = None) -> np.ndarray:
@@ -250,7 +248,7 @@ def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
         axes = _factor_axes(p, basis)
         m = len(axes)
         factors = [
-            _unitary_from_hermitian(-t[k] * from_coefficients(axes[k], basis))
+            exp_hermitian(-t[k] * from_coefficients(axes[k], basis))
             for k in range(m)
         ]
         suffix = np.eye(p.n, dtype=complex)

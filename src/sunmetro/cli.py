@@ -18,12 +18,11 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .algebra import gellmann_basis
-from .channel import Parametrization, exponential, generators_closed_form
+from .channel import Parametrization, exponential
 from .exceptions import (
     ConstraintError,
     DimensionCapError,
@@ -32,17 +31,9 @@ from .exceptions import (
     InvalidStateError,
     NotIrreducibleError,
     OptimizationFailedError,
-    SingularCovarianceError,
     SingularInformationError,
 )
-from .metrology import (
-    build_report,
-    covariance,
-    intrinsic_bound,
-    saturation_check,
-    unpolarized_report,
-    weighted_bound,
-)
+from .metrology import build_report
 from .probes import (
     OptimizerConfig,
     ProbeSpec,
@@ -132,20 +123,16 @@ def cmd_bound(args) -> int:
     state = build_probe(spec, cap=args.cap)
     chart = Parametrization.from_json(_load_json(args.parametrization))
     theta = _parse_theta(args.theta)
-    if args.weight in ("intrinsic", "identity"):
-        weight = args.weight
-    else:
-        weight = np.asarray(_load_json(args.weight), dtype=float)
+    weight = args.weight
+    if weight not in ("intrinsic", "identity"):
+        doc = _load_json(weight)
+        try:
+            weight = np.asarray(doc, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidElementError(f"malformed weight matrix in {args.weight}: {exc}") from None
     report = build_report(state, chart, theta, weight=weight)
     if report.weighted_bound is None:
-        # re-derive the failure so the error carries rank information
-        if report.flags["covariance_singular"]:
-            intrinsic_bound(report.covariance)
-        wmat = report.metric if args.weight == "intrinsic" else (
-            np.eye(report.qfim.shape[0]) if args.weight == "identity" else weight
-        )
-        weighted_bound(wmat, report.qfim)
-        raise SingularInformationError("bound unavailable")  # unreachable guard
+        raise report.singular_error()
     _emit(report.to_json(), args.out)
     return 0
 
@@ -153,24 +140,13 @@ def cmd_bound(args) -> int:
 def cmd_check(args) -> int:
     spec = ProbeSpec.from_json(_load_json(args.probe))
     state = build_probe(spec, cap=args.cap)
-    rep = state.rep
-    n = rep.basis.n
-    d = rep.basis.dim
-    grade = unpolarized_report(state)
-    _, cov = covariance(state)
-    try:
-        bound = intrinsic_bound(cov)
-    except SingularCovarianceError:
-        bound = None
-    c2 = casimir(rep)
-    origin = generators_closed_form(exponential(n), np.zeros(d))
+    n, d = state.rep.basis.n, state.rep.basis.dim
+    report = build_report(state, exponential(n), np.zeros(d))
     doc = {
-        "first_order": grade["first_order"],
-        "second_order": grade["second_order"],
-        "deviation": grade["deviation"],
-        "intrinsic_bound": bound,
-        "floor": d * d / (4.0 * c2),
-        "saturable": saturation_check(state, origin),
+        **report.unpolarized,
+        "intrinsic_bound": report.intrinsic_bound,
+        "floor": d * d / (4.0 * casimir(state.rep)),
+        "saturable": report.flags["saturable"],
     }
     _emit(doc, args.out)
     return 0
@@ -181,22 +157,21 @@ def _scan_row(n: int, particles: int, wanted: set, cap: int, seed: int | None) -
     try:
         rep = symmetric_representation(gellmann_basis(n), particles, cap=cap)
     except DimensionCapError:
-        row["skipped"] = True
-        return row
+        return {**row, **dict.fromkeys(CSV_COLUMNS[2:], "skipped")}
     d = n * n - 1
     c2 = casimir(rep)
     row["casimir"] = c2
     row["cs_floor"] = d * d / (4.0 * c2)
     if "ghz" in wanted:
-        _, cov = covariance(make_ghz(n, particles, cap=cap, rep=rep))
-        try:
-            row["cs_ghz"] = intrinsic_bound(cov)
-        except SingularCovarianceError:
-            row["cs_ghz"] = "singular"
+        bound = build_report(make_ghz(n, particles, cap=cap, rep=rep)).intrinsic_bound
+        row["cs_ghz"] = "singular" if bound is None else bound
     if "optimized" in wanted:
-        config = OptimizerConfig(seed=seed + particles)
-        result = optimize_probe(rep, config)
-        row["cs_optimized"] = result.bound_achieved
+        try:
+            result = optimize_probe(rep, OptimizerConfig(seed=seed + particles))
+            row["cs_optimized"] = result.bound_achieved
+        except OptimizationFailedError:
+            # no restart found a regular covariance: the bound does not exist
+            row["cs_optimized"] = "singular"
     return row
 
 
@@ -209,35 +184,16 @@ def cmd_scan(args) -> int:
         raise InvalidElementError(f"bad particle range [{args.nmin}, {args.nmax}]")
     if "optimized" in wanted and args.seed is None:
         raise InvalidElementError("--seed is required when scanning optimized probes")
-    particle_range = range(args.nmin, args.nmax + 1)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(
-                pool.map(
-                    lambda p: _scan_row(args.n, p, wanted, args.cap, args.seed),
-                    particle_range,
-                )
-            )
-    else:
-        rows = [_scan_row(args.n, p, wanted, args.cap, args.seed) for p in particle_range]
+    rows = [
+        _scan_row(args.n, p, wanted, args.cap, args.seed)
+        for p in range(args.nmin, args.nmax + 1)
+    ]
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        if row.get("skipped"):
-            writer.writerow([row["n"], row["N"], "skipped", "skipped", "skipped", "skipped"])
-            continue
-        writer.writerow(
-            [
-                row["n"],
-                row["N"],
-                _fmt(row["casimir"]),
-                _cell(row.get("cs_ghz")),
-                _fmt(row["cs_floor"]),
-                _cell(row.get("cs_optimized")),
-            ]
-        )
+        writer.writerow([_cell(row.get(column)) for column in CSV_COLUMNS])
     text = buffer.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -325,7 +281,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", default=None, help="CSV path (default stdout)")
     scan.add_argument("--plot", default=None, help="also write an SVG log-log plot here")
     scan.add_argument("--seed", type=int, default=None, help="seed for optimized probes")
-    scan.add_argument("--jobs", type=int, default=1, help="concurrent rows")
+    # rows run serially, since threads gave no speed-up on this GIL-bound
+    # loop; --jobs stays accepted so that existing command lines keep working
+    scan.add_argument("--jobs", type=int, default=1, help="accepted; rows run in order")
     scan.add_argument("--cap", type=_cap, default=DIMENSION_CAP)
     scan.set_defaults(func=cmd_scan)
 

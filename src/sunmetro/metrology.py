@@ -192,6 +192,37 @@ def qfim(gm: GeneratorMatrix, cov: np.ndarray) -> np.ndarray:
     return (q + q.T) / 2.0
 
 
+def _covariance_error(rank: int, size: int, cond: float) -> SingularCovarianceError:
+    return SingularCovarianceError(
+        f"covariance has numerical rank {rank} < {size}: "
+        "not every parameter direction is estimable",
+        rank=rank,
+        condition_number=cond,
+    )
+
+
+def _information_error(rank: int, size: int, cond: float) -> SingularInformationError:
+    return SingularInformationError(
+        f"information matrix has numerical rank {rank} < {size}",
+        rank=rank,
+        condition_number=cond,
+    )
+
+
+def _check_weight(weight, shape: tuple) -> np.ndarray:
+    # a weight must be a finite symmetric positive definite matrix of Q's shape
+    w = np.asarray(weight, dtype=float)
+    if w.shape != shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise InvalidElementError(f"weight shape {w.shape} does not match Q {shape}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidElementError("weight matrix has non-finite entries")
+    if np.max(np.abs(w - w.T)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+        raise InvalidElementError("weight matrix is not symmetric")
+    if np.min(np.linalg.eigvalsh((w + w.T) / 2.0)) <= 0.0:
+        raise InvalidElementError("weight matrix is not positive definite")
+    return w
+
+
 def intrinsic_bound(cov: np.ndarray, cond_threshold: float = CONDITION_THRESHOLD) -> float:
     """Chart-independent scalar bound (1/4) Tr[C^(-1)] of a probe covariance.
 
@@ -204,12 +235,7 @@ def intrinsic_bound(cov: np.ndarray, cond_threshold: float = CONDITION_THRESHOLD
     c = np.asarray(cov, dtype=float)
     eigs, rank, cond = _spectrum(c, cond_threshold)
     if rank < c.shape[0]:
-        raise SingularCovarianceError(
-            f"covariance has numerical rank {rank} < {c.shape[0]}: "
-            "not every parameter direction is estimable",
-            rank=rank,
-            condition_number=cond,
-        )
+        raise _covariance_error(rank, c.shape[0], cond)
     return 0.25 * float(np.sum(1.0 / eigs))
 
 
@@ -222,21 +248,11 @@ def weighted_bound(
     explicitly.  With W equal to the pulled-back metric this reproduces
     :func:`intrinsic_bound` whenever Q is regular.
     """
-    w = np.asarray(weight, dtype=float)
     q = np.asarray(qfim_matrix, dtype=float)
-    if w.shape != q.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise InvalidElementError(f"weight shape {w.shape} does not match Q {q.shape}")
-    if np.max(np.abs(w - w.T)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-        raise InvalidElementError("weight matrix is not symmetric")
-    if np.min(np.linalg.eigvalsh((w + w.T) / 2.0)) <= 0.0:
-        raise InvalidElementError("weight matrix is not positive definite")
+    w = _check_weight(weight, q.shape)
     _, rank, cond = _spectrum(q, cond_threshold)
     if rank < q.shape[0]:
-        raise SingularInformationError(
-            f"information matrix has numerical rank {rank} < {q.shape[0]}",
-            rank=rank,
-            condition_number=cond,
-        )
+        raise _information_error(rank, q.shape[0], cond)
     return float(np.trace(solve(q, w, assume_a="pos")))
 
 
@@ -265,13 +281,7 @@ def unpolarized_report(state: ProbeState) -> dict:
                   generators.
     deviation:    that max-norm distance, reported unconditionally.
     """
-    mean, cov = covariance(state)
-    d = state.rep.basis.dim
-    iso = casimir(state.rep) / d
-    deviation = float(np.max(np.abs(cov - iso * np.eye(d))))
-    first = bool(np.linalg.norm(mean) < FIRST_ORDER_TOL)
-    second = bool(first and deviation < SECOND_ORDER_TOL)
-    return {"first_order": first, "second_order": second, "deviation": deviation}
+    return build_report(state).unpolarized
 
 
 @dataclass(frozen=True)
@@ -279,7 +289,12 @@ class BoundReport:
     """Everything the bound evaluation produced for one probe and chart.
 
     ``intrinsic_bound`` and ``weighted_bound`` are None when the required
-    matrix is singular; the flags say which one failed.
+    matrix is singular; the flags say which one failed.  :meth:`to_json`
+    emits the first seven attributes only.  The others: ``unpolarized`` is
+    the grade :func:`unpolarized_report` returns; ``covariance_rank`` and
+    ``covariance_condition_number`` are C's numerical rank and condition
+    number at the report's threshold, and ``qfim_rank`` and
+    ``qfim_condition_number`` are Q's (None without a chart).
     """
 
     mean: np.ndarray
@@ -289,6 +304,11 @@ class BoundReport:
     intrinsic_bound: float | None
     weighted_bound: float | None
     flags: dict
+    unpolarized: dict
+    covariance_rank: int
+    covariance_condition_number: float
+    qfim_rank: int | None
+    qfim_condition_number: float | None
 
     def to_json(self) -> dict:
         return {
@@ -300,6 +320,20 @@ class BoundReport:
             "weighted_bound": self.weighted_bound,
             "flags": dict(self.flags),
         }
+
+    def singular_error(self) -> SingularInformationError | None:
+        """Why a bound is missing, as the error the bound functions raise.
+
+        The error :func:`intrinsic_bound` raises on this C when C is
+        singular, else the one :func:`weighted_bound` raises on this Q when
+        Q is, else None.  Built from the recorded rank and condition number.
+        """
+        if self.flags["covariance_singular"]:
+            rank, size = self.covariance_rank, self.covariance.shape[0]
+            return _covariance_error(rank, size, self.covariance_condition_number)
+        if self.flags["qfim_singular"]:
+            return _information_error(self.qfim_rank, len(self.qfim), self.qfim_condition_number)
+        return None
 
 
 def build_report(
@@ -314,18 +348,17 @@ def build_report(
     ``weight`` may be None, the string "intrinsic" (use the pulled-back
     metric, in which case the bound is computed from C alone whenever Q
     degenerates but C does not), the string "identity", or an explicit
-    symmetric positive definite matrix.
+    symmetric positive definite matrix, which is checked before any rank is.
+    The covariance is computed once and C and Q are diagonalized once each;
+    a singular matrix is recorded in the report, not raised.
     """
     mean, cov = covariance(state)
-    _, cov_rank, _ = _spectrum(cov, cond_threshold)
+    cov_eigs, cov_rank, cov_cond = _spectrum(cov, cond_threshold)
     cov_singular = cov_rank < cov.shape[0]
-    intrinsic = None if cov_singular else intrinsic_bound(cov, cond_threshold)
+    intrinsic = None if cov_singular else 0.25 * float(np.sum(1.0 / cov_eigs))
 
-    qmat = None
-    metric = None
-    q_singular = None
-    weighted = None
-    saturable = None
+    qmat = metric = wmat = weighted = saturable = None
+    q_rank = q_cond = q_singular = None
     if parametrization is not None:
         if parametrization.n != state.rep.basis.n:
             raise InvalidElementError(
@@ -335,32 +368,31 @@ def build_report(
         gm = generators_closed_form(parametrization, theta)
         metric = gm.hmat @ gm.hmat.T
         metric = (metric + metric.T) / 2.0
+        if isinstance(weight, str) and weight in ("intrinsic", "identity"):
+            wmat = metric if weight == "intrinsic" else np.eye(metric.shape[0])
+        elif weight is not None:
+            wmat = _check_weight(weight, metric.shape)
         qmat = qfim(gm, cov)
-        _, q_rank, _ = _spectrum(qmat, cond_threshold)
+        _, q_rank, q_cond = _spectrum(qmat, cond_threshold)
         q_singular = q_rank < qmat.shape[0]
         saturable = saturation_check(state, gm)
-        if weight is not None:
-            if isinstance(weight, str) and weight == "intrinsic":
-                if not q_singular:
-                    weighted = weighted_bound(metric, qmat, cond_threshold)
-                elif not cov_singular:
-                    # the metric weight cancels the chart, so the bound
-                    # survives a degenerate Q as long as C is regular
-                    weighted = intrinsic
-            else:
-                if isinstance(weight, str) and weight == "identity":
-                    wmat = np.eye(qmat.shape[0])
-                else:
-                    wmat = np.asarray(weight, dtype=float)
-                if not q_singular:
-                    weighted = weighted_bound(wmat, qmat, cond_threshold)
+        if wmat is not None and not q_singular:
+            weighted = float(np.trace(solve(qmat, wmat, assume_a="pos")))
+        elif wmat is metric and not cov_singular:
+            # the metric weight cancels the chart, so the bound
+            # survives a degenerate Q as long as C is regular
+            weighted = intrinsic
 
-    unpol = unpolarized_report(state)
+    d = state.rep.basis.dim
+    iso = casimir(state.rep) / d
+    deviation = float(np.max(np.abs(cov - iso * np.eye(d))))
+    first = bool(np.linalg.norm(mean) < FIRST_ORDER_TOL)
+    second = bool(first and deviation < SECOND_ORDER_TOL)
     flags = {
         "covariance_singular": bool(cov_singular),
         "qfim_singular": q_singular if q_singular is None else bool(q_singular),
         "saturable": saturable,
-        "unpolarized_order": 2 if unpol["second_order"] else (1 if unpol["first_order"] else 0),
+        "unpolarized_order": 2 if second else (1 if first else 0),
     }
     return BoundReport(
         mean=mean,
@@ -370,4 +402,9 @@ def build_report(
         intrinsic_bound=intrinsic,
         weighted_bound=weighted,
         flags=flags,
+        unpolarized={"first_order": first, "second_order": second, "deviation": deviation},
+        covariance_rank=cov_rank,
+        covariance_condition_number=cov_cond,
+        qfim_rank=q_rank,
+        qfim_condition_number=q_cond,
     )

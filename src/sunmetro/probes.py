@@ -90,7 +90,7 @@ class ProbeSpec:
                 amplitudes=amplitudes,
                 occupations=occupations,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidStateError(f"malformed probe document: {exc}") from None
 
 

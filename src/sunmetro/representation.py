@@ -385,15 +385,19 @@ def casimir(rep: Representation) -> float:
 
 
 def lift_unitary(rep: Representation, coeffs: np.ndarray) -> np.ndarray:
-    """exp(i sum_a h_a X_a^(R)) through the Hermitian eigendecomposition.
-
-    Eigendecomposition is used instead of a series or Pade expansion so the
-    result is exactly unitary up to rounding even for large collective norms.
-    """
+    """exp(i sum_a h_a X_a^(R)), evaluated by :func:`exp_hermitian`."""
     h = np.asarray(coeffs, dtype=float)
     if h.shape != (rep.basis.dim,):
         raise InvalidElementError(f"expected {rep.basis.dim} coefficients, got {h.shape}")
-    a = np.tensordot(h, rep.generators, axes=1)
+    return exp_hermitian(np.tensordot(h, rep.generators, axes=1))
+
+
+def exp_hermitian(a: np.ndarray) -> np.ndarray:
+    """exp(i A) for a Hermitian matrix A through its eigendecomposition.
+
+    Eigendecomposition is used instead of a series or Pade expansion so the
+    result is exactly unitary up to rounding even for large norms.
+    """
     a = (a + a.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(a)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T

@@ -6,7 +6,24 @@ import json
 import numpy as np
 import pytest
 
-from sunmetro import Representation
+import sunmetro.cli as cli
+from sunmetro import (
+    Parametrization,
+    ProbeSpec,
+    Representation,
+    SingularCovarianceError,
+    SingularInformationError,
+    build_probe,
+    casimir,
+    covariance,
+    exponential,
+    generators_closed_form,
+    intrinsic_bound,
+    qfim,
+    saturation_check,
+    unpolarized_report,
+    weighted_bound,
+)
 from sunmetro.cli import main
 
 HEADER = "n,N,casimir,cs_ghz,cs_floor,cs_optimized"
@@ -106,6 +123,7 @@ def test_bound_parse_failures_exit_1(files, capsys, tmp_path):
         {"kind": "ghz", "n": [1], "N": 3},
         {"kind": "custom", "n": 2, "N": 1, "amplitudes": 5},
         {"kind": "fock", "occupations": 3},
+        {"kind": "ghz", "n": float("inf"), "N": 3},
     ],
 )
 def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
@@ -115,6 +133,44 @@ def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
     assert main(["check", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("sunmetro: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "chart, weight",
+    [
+        ({"kind": "exponential", "n": [2]}, "intrinsic"),
+        ({"kind": "product_of_exponentials", "n": 2, "factors": 5}, "intrinsic"),
+        ({"kind": "exponential", "n": float("inf")}, "intrinsic"),
+        ({"kind": "exponential", "n": 2}, {"a": 1}),
+        ({"kind": "exponential", "n": 2}, [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+    ids=["chart-n-list", "chart-factors-int", "chart-n-inf", "weight-object", "weight-inf"],
+)
+def test_malformed_chart_or_weight_exits_1(files, capsys, tmp_path, chart, weight):
+    chart_path = tmp_path / "chart.json"
+    chart_path.write_text(json.dumps(chart))
+    argv = ["bound", files["tetra"], str(chart_path), "--theta", "0,0,0"]
+    if weight != "intrinsic":
+        weight_path = tmp_path / "weight.json"
+        weight_path.write_text(json.dumps(weight))
+        argv += ["--weight", str(weight_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sunmetro: error:") and "Traceback" not in captured.err
+
+
+def test_malformed_weight_exits_1_even_with_a_singular_probe(files, capsys, tmp_path):
+    fock = tmp_path / "fock30.json"
+    fock.write_text(json.dumps({"kind": "fock", "occupations": [3, 0]}))
+    weight = tmp_path / "weight2.json"
+    weight.write_text(json.dumps([[1.0, 0.0], [0.0, 1.0]]))
+    for probe in (str(fock), files["tetra"]):
+        argv = ["bound", probe, files["exp2"], "--theta", "0,0,0", "--weight", str(weight)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sunmetro: error: weight shape (2, 2) does not match Q (3, 3)\n"
 
 
 @pytest.mark.parametrize(
@@ -247,6 +303,15 @@ def test_scan_cap_marks_skipped_rows(capsys):
     assert lines[1].startswith("3,1,")
 
 
+def test_scan_marks_failed_optimization_singular(capsys):
+    # symmetric(2, 1) carries no regular covariance, so every restart fails
+    argv = ["scan", "--n", "2", "--nmin", "1", "--nmax", "2", "--states", "optimized"]
+    assert main(argv + ["--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.split("\n") == [HEADER, "2,1,0.75,,3,singular", "2,2,2,,1.125,2.25", ""]
+    assert captured.err == ""
+
+
 def test_scan_reproducible_and_job_count_invariant(tmp_path):
     args = ["scan", "--n", "2", "--nmin", "3", "--nmax", "6",
             "--states", "ghz,floor,optimized", "--seed", "5"]
@@ -354,3 +419,150 @@ def test_help_exits_0(capsys):
     assert "bound" in capsys.readouterr().out
     assert main([]) == 1  # a subcommand is required
     capsys.readouterr()
+
+
+# The differential grid: every probe of the ``files`` fixture on every chart
+# of its n, at a regular point and (euler) at the pole, with each kind of weight.
+GRID_CHARTS = {
+    2: [
+        ({"kind": "euler_su2", "n": 2}, [0.3, 1.1, -0.4]),
+        ({"kind": "euler_su2", "n": 2}, [0.3, 0.0, -0.4]),
+        ({"kind": "exponential", "n": 2}, [0.2, -0.5, 0.9]),
+    ],
+    3: [({"kind": "exponential", "n": 3}, [0.1, -0.2, 0.3, 0.05, -0.4, 0.25, 0.15, -0.1])],
+}
+GRID_PROBES = {
+    "tetra": {"kind": "tetrahedron_j2"},
+    "noon4": {"kind": "noon", "N": 4},
+    "stretched": {"kind": "fock", "occupations": [4, 0]},
+    "ghz39": {"kind": "ghz", "n": 3, "N": 9},
+    "cyclic": {"kind": "su3_cyclic", "k": 3, "l": 3},
+}
+
+
+def _grid_weight(size: int) -> np.ndarray:
+    a = np.random.default_rng(size).standard_normal((size, size))
+    return a @ a.T / size + 0.5 * np.eye(size)
+
+
+def _reference_grade(state) -> dict:
+    # the isotropy grade as unpolarized_report computed it on its own
+    mean, cov = covariance(state)
+    d = state.rep.basis.dim
+    deviation = float(np.max(np.abs(cov - casimir(state.rep) / d * np.eye(d))))
+    first = bool(np.linalg.norm(mean) < 1e-10)
+    return {"first_order": first, "second_order": first and deviation < 1e-8,
+            "deviation": deviation}
+
+
+def _reference_bound(probe: dict, chart: dict, theta, weight):
+    """``bound`` by the per-function route; (exit code, report or diagnostics)."""
+    state = build_probe(ProbeSpec.from_json(probe))
+    mean, cov = covariance(state)
+    gm = generators_closed_form(Parametrization.from_json(chart), theta)
+    metric = gm.hmat @ gm.hmat.T
+    metric = (metric + metric.T) / 2.0
+    q = qfim(gm, cov)
+    intrinsic = cov_error = q_error = None
+    try:
+        intrinsic = intrinsic_bound(cov)
+    except SingularCovarianceError as exc:
+        cov_error = exc
+    if isinstance(weight, str):
+        wmat = metric if weight == "intrinsic" else np.eye(len(q))
+    else:
+        wmat = weight
+    try:
+        weighted = weighted_bound(wmat, q)
+    except SingularInformationError as exc:
+        q_error = exc
+        is_intrinsic = isinstance(weight, str) and weight == "intrinsic"
+        weighted = intrinsic if is_intrinsic else None
+    if weighted is None:
+        error = cov_error or q_error
+        return 2, {"error": str(error), "rank": error.rank,
+                   "condition_number": error.condition_number}
+    grade = _reference_grade(state)
+    _assert_same(unpolarized_report(state), grade)
+    return 0, {
+        "mean": mean,
+        "covariance": cov,
+        "qfim": q,
+        "metric": metric,
+        "intrinsic_bound": intrinsic,
+        "weighted_bound": weighted,
+        "flags": {
+            "covariance_singular": cov_error is not None,
+            "qfim_singular": q_error is not None,
+            "saturable": saturation_check(state, gm),
+            "unpolarized_order": 2 if grade["second_order"] else int(grade["first_order"]),
+        },
+    }
+
+
+def _reference_check(probe: dict) -> dict:
+    """``check`` by the per-function route."""
+    state = build_probe(ProbeSpec.from_json(probe))
+    n, d = state.rep.basis.n, state.rep.basis.dim
+    grade = _reference_grade(state)
+    try:
+        bound = intrinsic_bound(covariance(state)[1])
+    except SingularCovarianceError:
+        bound = None
+    origin = generators_closed_form(exponential(n), np.zeros(d))
+    return {
+        "first_order": grade["first_order"],
+        "second_order": grade["second_order"],
+        "deviation": grade["deviation"],
+        "intrinsic_bound": bound,
+        "floor": d * d / (4.0 * casimir(state.rep)),
+        "saturable": saturation_check(state, origin),
+    }
+
+
+def _assert_same(actual, expected):
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected)
+        for key, value in expected.items():
+            _assert_same(actual[key], value)
+    elif expected is None or isinstance(expected, (bool, int, str)):
+        assert actual == expected and type(actual) is type(expected)
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_bound_and_check_match_the_per_function_route(tmp_path, capsys, monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: emitted.append(doc))
+    outcomes = set()
+    for name, probe in GRID_PROBES.items():
+        probe_path = tmp_path / f"{name}.json"
+        probe_path.write_text(json.dumps(probe))
+        n = build_probe(ProbeSpec.from_json(probe)).rep.basis.n
+        for k, (chart, theta) in enumerate(GRID_CHARTS[n]):
+            chart_path = tmp_path / f"chart{n}_{k}.json"
+            chart_path.write_text(json.dumps(chart))
+            weight_path = tmp_path / f"weight{len(theta)}.json"
+            weight_path.write_text(json.dumps(_grid_weight(len(theta)).tolist()))
+            for weight, flag in (("intrinsic", "intrinsic"), ("identity", "identity"),
+                                 (_grid_weight(len(theta)), str(weight_path))):
+                argv = ["bound", str(probe_path), str(chart_path),
+                        "--theta", ",".join(repr(t) for t in theta), "--weight", flag]
+                emitted.clear()
+                rc = main(argv)
+                captured = capsys.readouterr()
+                code, expected = _reference_bound(probe, chart, theta, weight)
+                assert rc == code, argv
+                outcomes.add("report" if code == 0 else expected["error"].split()[0])
+                if code == 0:
+                    assert len(emitted) == 1 and captured.err == ""
+                    _assert_same(emitted[0], expected)
+                else:
+                    assert emitted == [] and captured.out == ""
+                    assert captured.err == json.dumps(cli._round_floats(expected)) + "\n"
+        emitted.clear()
+        assert main(["check", str(probe_path)]) == 0
+        assert len(emitted) == 1
+        _assert_same(emitted[0], _reference_check(probe))
+    # the grid reaches a report, a singular C and a singular Q
+    assert outcomes == {"report", "covariance", "information"}

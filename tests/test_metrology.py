@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sunmetro.metrology as metrology
 from sunmetro import (
     InvalidElementError,
     InvalidStateError,
@@ -26,6 +27,7 @@ from sunmetro import (
     gellmann_basis,
     generators_closed_form,
     intrinsic_bound,
+    make_fock,
     make_ghz,
     make_noon,
     mixed_state,
@@ -335,3 +337,65 @@ def test_report_singular_covariance(stretched):
 def test_report_rejects_chart_dimension_mismatch(cyclic33):
     with pytest.raises(InvalidElementError):
         build_report(cyclic33, euler_su2(), [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        np.ones((5, 5)),
+        np.array([[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        np.diag([1.0, -1.0, 1.0]),
+        np.diag([np.nan, 1.0, 1.0]),
+    ],
+    ids=["shape", "asymmetric", "indefinite", "nan"],
+)
+@pytest.mark.parametrize(
+    "probe, chart, theta",
+    [
+        ("fock30", exponential(2), np.zeros(3)),  # singular C
+        ("tetrahedron", euler_su2(), [0.3, 0.0, -0.4]),  # singular Q at the pole
+        ("tetrahedron", euler_su2(), [0.3, 1.1, -0.4]),  # both regular
+    ],
+    ids=["singular-covariance", "singular-qfim", "regular"],
+)
+def test_report_validates_weight_before_rank(tetrahedron, probe, chart, theta, weight):
+    state = make_fock((3, 0)) if probe == "fock30" else tetrahedron
+    with pytest.raises(InvalidElementError, match="weight"):
+        build_report(state, chart, theta, weight=weight)
+
+
+def test_report_computes_covariance_once(tetrahedron, monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return covariance(state)
+
+    monkeypatch.setattr(metrology, "covariance", counting)
+    report = build_report(tetrahedron, euler_su2(), [0.3, 1.1, -0.4], weight="intrinsic")
+    assert len(calls) == 1
+    assert report.unpolarized == unpolarized_report(tetrahedron)
+
+
+def test_report_records_ranks_and_rebuilds_the_bound_errors(tetrahedron, stretched):
+    regular = build_report(tetrahedron, euler_su2(), [0.3, 1.1, -0.4], weight="identity")
+    assert regular.covariance_rank == 3 and regular.qfim_rank == 3
+    assert abs(regular.covariance_condition_number - 1.0) < 1e-12
+    assert regular.singular_error() is None
+    assert build_report(tetrahedron).qfim_rank is None
+
+    singular = build_report(stretched, exponential(2), np.zeros(3), weight="identity")
+    error = singular.singular_error()
+    with pytest.raises(SingularCovarianceError) as expected:
+        intrinsic_bound(singular.covariance)
+    assert type(error) is SingularCovarianceError
+    assert (str(error), error.rank) == (str(expected.value), expected.value.rank)
+    assert error.condition_number == expected.value.condition_number
+
+    pole = build_report(tetrahedron, euler_su2(), [0.3, 0.0, -0.4], weight="identity")
+    error = pole.singular_error()
+    with pytest.raises(SingularInformationError) as expected:
+        weighted_bound(np.eye(3), pole.qfim)
+    assert type(error) is SingularInformationError
+    assert (str(error), error.rank) == (str(expected.value), expected.value.rank)
+    assert error.condition_number == expected.value.condition_number
