@@ -36,6 +36,11 @@ CONDITION_THRESHOLD = 1e8
 PHI_SERIES_CUTOFF = 1e-4
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Parametrization:
     """A smooth coordinate chart on (a subgroup of) SU(n).
@@ -98,9 +103,11 @@ class Parametrization:
     def from_json(cls, doc: dict) -> "Parametrization":
         if not isinstance(doc, dict) or "kind" not in doc or "n" not in doc:
             raise InvalidElementError("parametrization document needs 'kind' and 'n'")
+        n = doc["n"]
+        if not _is_int(n):
+            raise InvalidElementError(f"parametrization 'n' must be an integer, got {n!r}")
+        factors = doc.get("factors")
         try:
-            n = int(doc["n"])
-            factors = doc.get("factors")
             if factors is not None:
                 factors = tuple(tuple(float(c) for c in ax) for ax in factors)
         except (TypeError, ValueError, OverflowError) as exc:

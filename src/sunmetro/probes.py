@@ -21,6 +21,7 @@ from .exceptions import (
     OptimizationFailedError,
 )
 from .algebra import gellmann_basis
+from .channel import _is_int
 from .metrology import ProbeState, pure_state
 from .representation import (
     DIMENSION_CAP,
@@ -71,27 +72,41 @@ class ProbeSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProbeSpec":
+        """Parse a probe document; a malformed one raises InvalidStateError.
+
+        ``n``, ``N``, ``k``, ``l`` and each occupation must be integers (not
+        booleans), the kind must be known and the fields it needs present.
+        """
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidStateError("probe document needs a 'kind' field")
-        amplitudes = None
-        occupations = None
-        opt_int = lambda key: None if doc.get(key) is None else int(doc[key])
-        try:
-            if doc.get("amplitudes") is not None:
-                amplitudes = tuple(_parse_amplitude(a) for a in doc["amplitudes"])
-            if doc.get("occupations") is not None:
-                occupations = tuple(int(v) for v in doc["occupations"])
-            return cls(
-                kind=str(doc["kind"]),
-                n=opt_int("n"),
-                particles=opt_int("N"),
-                k=opt_int("k"),
-                l=opt_int("l"),
-                amplitudes=amplitudes,
-                occupations=occupations,
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidStateError(f"malformed probe document: {exc}") from None
+        for key in ("n", "N", "k", "l"):
+            value = doc.get(key)
+            if value is not None and not _is_int(value):
+                raise InvalidStateError(f"probe field {key!r} must be an integer, got {value!r}")
+        occupations = doc.get("occupations")
+        if occupations is not None:
+            if not isinstance(occupations, (list, tuple)) or not all(map(_is_int, occupations)):
+                raise InvalidStateError(
+                    f"probe field 'occupations' must be a list of integers, got {occupations!r}"
+                )
+            occupations = tuple(occupations)
+        amplitudes = doc.get("amplitudes")
+        if amplitudes is not None:
+            try:
+                amplitudes = tuple(_parse_amplitude(a) for a in amplitudes)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidStateError(f"malformed probe document: {exc}") from None
+        spec = cls(
+            kind=str(doc["kind"]),
+            n=doc.get("n"),
+            particles=doc.get("N"),
+            k=doc.get("k"),
+            l=doc.get("l"),
+            amplitudes=amplitudes,
+            occupations=occupations,
+        )
+        _constructor(spec)
+        return spec
 
 
 def _parse_amplitude(entry) -> complex:
@@ -153,8 +168,6 @@ def make_su3_cyclic(k: int, l: int, cap: int = DIMENSION_CAP) -> ProbeState:
     Second-order unpolarized exactly when 4 l**2 = 3 k (k + 1); other integer
     pairs are rejected rather than silently producing an anisotropic probe.
     """
-    k = int(k)
-    l = int(l)
     if k < 1 or l == 0:
         raise ConstraintError(f"need k >= 1 and l != 0, got (k, l) = ({k}, {l})")
     if 4 * l * l != 3 * k * (k + 1):
@@ -174,7 +187,7 @@ def make_su3_cyclic(k: int, l: int, cap: int = DIMENSION_CAP) -> ProbeState:
 
 def make_fock(occupations, cap: int = DIMENSION_CAP) -> ProbeState:
     """Single occupation-number state |n_1, ..., n_modes>."""
-    occ = tuple(int(v) for v in occupations)
+    occ = tuple(occupations)
     if len(occ) < 2 or min(occ) < 0 or sum(occ) < 1:
         raise ConstraintError(f"invalid occupation list {occ}")
     rep = _symmetric_rep(len(occ), sum(occ), cap)
@@ -201,33 +214,36 @@ def make_custom(n: int, particles: int, amplitudes, cap: int = DIMENSION_CAP) ->
     return pure_state(rep, vec / norm)
 
 
-def build_probe(spec: ProbeSpec, cap: int = DIMENSION_CAP) -> ProbeState:
-    """Construct the probe a :class:`ProbeSpec` describes."""
-    kind = spec.kind
-    if kind == "ghz":
-        _require(spec, "n", "particles")
-        return make_ghz(spec.n, spec.particles, cap=cap)
-    if kind == "noon":
-        _require(spec, "particles")
-        return make_noon(spec.particles, cap=cap)
-    if kind == "tetrahedron_j2":
-        return make_tetrahedron_j2()
-    if kind == "su3_cyclic":
-        _require(spec, "k", "l")
-        return make_su3_cyclic(spec.k, spec.l, cap=cap)
-    if kind == "fock":
-        _require(spec, "occupations")
-        return make_fock(spec.occupations, cap=cap)
-    if kind == "custom":
-        _require(spec, "n", "particles", "amplitudes")
-        return make_custom(spec.n, spec.particles, spec.amplitudes, cap=cap)
-    raise InvalidStateError(f"unknown probe kind {kind!r}")
+#: Probe kind -> (constructor taking the spec and the dimension cap, fields
+#: the kind needs).
+_PROBE_KINDS = {
+    "ghz": (lambda s, cap: make_ghz(s.n, s.particles, cap=cap), ("n", "particles")),
+    "noon": (lambda s, cap: make_noon(s.particles, cap=cap), ("particles",)),
+    "tetrahedron_j2": (lambda s, cap: make_tetrahedron_j2(), ()),
+    "su3_cyclic": (lambda s, cap: make_su3_cyclic(s.k, s.l, cap=cap), ("k", "l")),
+    "fock": (lambda s, cap: make_fock(s.occupations, cap=cap), ("occupations",)),
+    "custom": (
+        lambda s, cap: make_custom(s.n, s.particles, s.amplitudes, cap=cap),
+        ("n", "particles", "amplitudes"),
+    ),
+}
 
 
-def _require(spec: ProbeSpec, *fields):
+def _constructor(spec: ProbeSpec):
+    """The constructor for ``spec``; raises InvalidStateError for an unknown
+    kind or a missing field."""
+    if spec.kind not in _PROBE_KINDS:
+        raise InvalidStateError(f"unknown probe kind {spec.kind!r}")
+    construct, fields = _PROBE_KINDS[spec.kind]
     missing = [f for f in fields if getattr(spec, f) is None]
     if missing:
         raise InvalidStateError(f"probe kind {spec.kind!r} needs fields {missing}")
+    return construct
+
+
+def build_probe(spec: ProbeSpec, cap: int = DIMENSION_CAP) -> ProbeState:
+    """Construct the probe a :class:`ProbeSpec` describes."""
+    return _constructor(spec)(spec, cap)
 
 
 def canonical_phase(vector: np.ndarray) -> np.ndarray:
@@ -243,6 +259,9 @@ class OptimizerConfig:
     """Search settings for :func:`optimize_probe`.
 
     ``seed`` is mandatory; there is no silent time-based fallback.
+    ``method`` "gradient_descent_on_sphere" runs L-BFGS-B with the analytic
+    gradient of the scale-invariant objective (the name predates it and is
+    kept for existing configs); "simplex" runs Nelder-Mead.
     """
 
     restarts: int = 20
@@ -288,19 +307,21 @@ class OptimizerConfig:
             raise InvalidElementError(f"optimizer config: {exc}") from None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     """Best probe found, its bound, and the unbeatable floor d^2/(4 c2).
 
     ``diagnostics["restarts"]`` holds one trace per restart: ``iterations``
-    (descent steps taken), ``gradient_norm`` (final tangent-gradient norm,
-    None for the simplex method) and ``stop``, one of "tolerance",
-    "line_search", "max_iters", "singular" (the restart ended in the
-    barrier region and was discarded) or "simplex".
+    (scipy's iteration count), ``gradient_norm`` (the largest component of
+    the final gradient of f(z / |z|), the figure L-BFGS-B compares with
+    ``tolerance``; None for the simplex method) and ``stop``.  For the
+    default method, L-BFGS-B, ``stop`` is "max_iters" (the iteration or
+    evaluation limit was reached; the restart counts as not converged),
+    "tolerance" (the gradient norm is below ``tolerance``) or
+    "line_search" (scipy stopped before either, e.g. on a line search that
+    found no descent).  "simplex" marks a Nelder-Mead
+    restart, and "singular" a restart that ended in the barrier region and
+    was discarded.
     """
 
     state: ProbeState
@@ -311,13 +332,17 @@ class OptimizeResult:
 
 
 def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResult:
-    """Minimize Tr[C^(-1)] over pure states of ``rep`` by restarted descent.
+    """Minimize Tr[C^(-1)] over pure states of ``rep`` from random restarts.
 
-    The search runs over real-and-imaginary stacked amplitude vectors on the
-    unit sphere, with the analytic gradient (two sparse products with the
-    generator stack per evaluation) and a barrier on near-singular
-    covariances.  Deterministic for a fixed seed and config: restarts are
-    merged by objective with ties broken by restart index.
+    Each restart minimizes the scale-invariant objective f(z / |z|) over
+    real-and-imaginary stacked amplitude vectors z with
+    ``scipy.optimize.minimize``: L-BFGS-B with the analytic gradient (two
+    sparse products with the generator stack per evaluation), stopping on a
+    gradient below ``tolerance``, after ``max_iters`` iterations or on a
+    stalled line search; or Nelder-Mead for ``method="simplex"``.  A
+    barrier replaces Tr[C^(-1)] on near-singular covariances.
+    Deterministic for a fixed seed and config: restarts are merged by
+    objective with ties broken by restart index.
 
     Raises
     ------
@@ -333,6 +358,16 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     floor = d * d / (4.0 * c2)
     barrier = BARRIER_CUTOFF * c2 / d
     objective, gradient = _objective_and_gradient(rep, barrier)
+    if config.method == "simplex":
+        method, jac = "Nelder-Mead", None
+        options = {
+            "maxiter": config.max_iters * 2 * dim,
+            "xatol": config.tolerance,
+            "fatol": config.tolerance,
+        }
+    else:
+        method, jac = "L-BFGS-B", gradient
+        options = {"maxiter": config.max_iters, "gtol": config.tolerance, "ftol": 0.0}
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -341,25 +376,20 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     for restart in range(config.restarts):
         z0 = rng.standard_normal(2 * dim)
         z0 /= np.linalg.norm(z0)
+        res = minimize(lambda z: objective(z)[0], z0, method=method, jac=jac, options=options)
+        z = res.x / np.linalg.norm(res.x)
+        value, smallest = objective(z)
         if config.method == "simplex":
-            res = minimize(
-                lambda z: objective(z)[0],
-                z0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": config.max_iters * 2 * dim,
-                    "xatol": config.tolerance,
-                    "fatol": config.tolerance,
-                },
-            )
-            z, value, converged = res.x, float(res.fun), bool(res.success)
-            smallest = objective(z)[1]
+            converged = bool(res.success)
             trace = {"iterations": int(res.nit), "gradient_norm": None, "stop": "simplex"}
         else:
-            z, value, smallest, trace = _descend(
-                z0, objective, gradient, config.max_iters, config.tolerance
-            )
-            converged = trace["stop"] != "max_iters"
+            gnorm = float(np.abs(res.jac).max())
+            if res.status == 1:
+                stop = "max_iters"
+            else:
+                stop = "tolerance" if gnorm < config.tolerance else "line_search"
+            converged = stop != "max_iters"
+            trace = {"iterations": int(res.nit), "gradient_norm": gnorm, "stop": stop}
         if smallest <= barrier:
             singular_restarts += 1
             traces.append({**trace, "stop": "singular"})
@@ -373,8 +403,7 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
             diagnostics={"singular_restarts": singular_restarts, "space_dim": dim},
         )
     z, value, converged, which = best
-    psi = z[:dim] + 1j * z[dim:]
-    psi = canonical_phase(psi / np.linalg.norm(psi))
+    psi = canonical_phase(z[:dim] + 1j * z[dim:])
     state = pure_state(rep, psi)
     return OptimizeResult(
         state=state,
@@ -397,8 +426,9 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     psi = z / |z|.  ``objective(z)`` returns ``(value, lambda_min)``: value
     is Tr[C^(-1)], or the barrier d / lambda_min once the smallest
     covariance eigenvalue lambda_min is at or below ``barrier``.
-    ``gradient(z)`` is the real gradient of that value with respect to
-    [Re psi; Im psi]; callers project it onto the sphere's tangent space.
+    ``gradient(z)`` is the gradient of that value as a function of z: the
+    real gradient g with respect to the unit [Re psi; Im psi], projected on
+    the sphere's tangent space at z and divided by |z|.
 
     With images Y_a = X_a psi, means m and G = C^(-2) (in the barrier branch
     G = (d / lambda_min^2) v v^T for the lowest eigenvector v), the
@@ -433,40 +463,9 @@ def _objective_and_gradient(rep: Representation, barrier: float):
         else:
             weight = d / max(eigs[0], 1e-18) ** 2 * np.outer(vecs[:, 0], vecs[:, 0])
         wirtinger = 2.0 * (weight @ mean) @ images - adjoint @ (weight @ images).ravel()
-        return 2.0 * np.concatenate([wirtinger.real, wirtinger.imag])
+        grad = 2.0 * np.concatenate([wirtinger.real, wirtinger.imag])
+        norm = math.sqrt(z @ z)
+        unit = z / norm
+        return (grad - (grad @ unit) * unit) / norm
 
     return objective, gradient
-
-
-def _descend(z0, objective, gradient, max_iters, tolerance):
-    """Projected gradient descent on the unit sphere with backtracking.
-
-    Returns ``(z, value, lambda_min, trace)``; ``trace`` is the restart's
-    entry in ``OptimizeResult.diagnostics["restarts"]``.
-    """
-    z = z0
-    value, smallest = objective(z)
-    for steps in range(max_iters + 1):
-        grad = gradient(z)
-        grad -= (grad @ z) * z  # tangent projection
-        gnorm = float(np.linalg.norm(grad))
-        if steps == max_iters:
-            stop = "max_iters"
-            break
-        if gnorm < tolerance:
-            stop = "tolerance"
-            break
-        step = min(1.0, 1.0 / gnorm)
-        for _ in range(40):
-            cand = z - step * grad
-            cand /= np.linalg.norm(cand)
-            cval, csmall = objective(cand)
-            if cval < value - 1e-4 * step * gnorm * gnorm:
-                z, value, smallest = cand, cval, csmall
-                break
-            step /= 2.0
-        else:
-            # no descent direction at line-search resolution; treat as converged
-            stop = "line_search"
-            break
-    return z, value, smallest, {"iterations": steps, "gradient_norm": gnorm, "stop": stop}

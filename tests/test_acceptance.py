@@ -200,7 +200,8 @@ def test_06_cyclic_probe_isotropy():
 def test_07_scan_scaling_slopes(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--n", "2", "--nmin", "8", "--nmax", "64", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     particles = np.array([float(r["N"]) for r in rows])
     ghz = np.array([float(r["cs_ghz"]) for r in rows])
     floor = np.array([float(r["cs_floor"]) for r in rows])

@@ -124,6 +124,9 @@ def test_bound_parse_failures_exit_1(files, capsys, tmp_path):
         {"kind": "custom", "n": 2, "N": 1, "amplitudes": 5},
         {"kind": "fock", "occupations": 3},
         {"kind": "ghz", "n": float("inf"), "N": 3},
+        {"kind": "noon", "N": 4.7},
+        {"kind": "noon", "N": True},
+        {"kind": "fock", "occupations": [2.5, 1, 0]},
     ],
 )
 def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
@@ -141,10 +144,14 @@ def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
         ({"kind": "exponential", "n": [2]}, "intrinsic"),
         ({"kind": "product_of_exponentials", "n": 2, "factors": 5}, "intrinsic"),
         ({"kind": "exponential", "n": float("inf")}, "intrinsic"),
+        ({"kind": "exponential", "n": 2.9}, "intrinsic"),
         ({"kind": "exponential", "n": 2}, {"a": 1}),
         ({"kind": "exponential", "n": 2}, [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]]),
     ],
-    ids=["chart-n-list", "chart-factors-int", "chart-n-inf", "weight-object", "weight-inf"],
+    ids=[
+        "chart-n-list", "chart-factors-int", "chart-n-inf", "chart-n-float", "weight-object",
+        "weight-inf",
+    ],
 )
 def test_malformed_chart_or_weight_exits_1(files, capsys, tmp_path, chart, weight):
     chart_path = tmp_path / "chart.json"
@@ -286,7 +293,8 @@ def test_scan_optimized_row_within_bracket(files, tmp_path, capsys):
     )
     assert rc == 0
     assert capsys.readouterr().out == ""
-    rows = list(csv.DictReader(out_csv.open()))
+    with out_csv.open() as fh:
+        rows = list(csv.DictReader(fh))
     row = rows[0]
     ghz, floor, opt = (float(row[k]) for k in ("cs_ghz", "cs_floor", "cs_optimized"))
     assert floor - 1e-9 <= opt <= ghz
@@ -369,6 +377,16 @@ def test_optimize_command(tmp_path, capsys):
     amps = np.array([complex(re, im) for re, im in doc["amplitudes"]])
     assert amps.shape == (5,)
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-6
+
+
+def test_optimize_reaches_the_sym35_floor(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 2}))
+    argv = ["optimize", "--n", "3", "--particles", "5", "--seed", "1018", "--config", str(config)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is True and doc["floor"] == 1.2
+    assert doc["bound_achieved"] == pytest.approx(1.2, rel=1e-6)
 
 
 def test_optimize_seed_from_config_and_flag_override(tmp_path, capsys):

@@ -153,6 +153,10 @@ def test_probe_spec_errors():
         build_probe(ProbeSpec(kind="ghz", n=3))  # particles missing
     with pytest.raises(InvalidStateError):
         build_probe(ProbeSpec(kind="wigner"))
+    with pytest.raises(InvalidStateError, match=r"probe kind 'ghz' needs fields \['particles'\]"):
+        ProbeSpec.from_json({"kind": "ghz", "n": 3})
+    with pytest.raises(InvalidStateError, match="unknown probe kind 'wigner'"):
+        ProbeSpec.from_json({"kind": "wigner"})
 
 
 def test_canonical_phase():
@@ -368,11 +372,11 @@ def test_restart_traces_name_the_stop_reason(spin2_result):
 
 
 def test_restart_trace_reports_max_iters():
-    # the optimize-small benchmark op that exits 3
-    capped = optimize_probe(sym_rep(3, 5), OptimizerConfig(seed=1018, restarts=2))
+    config = OptimizerConfig(seed=1018, restarts=2, max_iters=5)
+    capped = optimize_probe(sym_rep(3, 5), config)
     assert not capped.converged
     best = capped.diagnostics["restarts"][capped.diagnostics["best_restart"]]
-    assert best == {**best, "iterations": 400, "stop": "max_iters"}
+    assert best == {**best, "iterations": config.max_iters, "stop": "max_iters"}
     assert best["gradient_norm"] > 1e-6
 
 
