@@ -14,9 +14,10 @@ without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .exceptions import InvalidDimensionError, InvalidElementError
 
@@ -68,7 +69,9 @@ class GeneratorBasis:
         tr = np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))
         if tr > BASIS_TOL:
             raise InvalidElementError(f"basis not traceless: max |trace| {tr:.3e}")
-        gram = self.inner_product_scale * np.einsum("aij,bji->ab", mats, mats)
+        # 2 Tr(X_a X_b) as one (d, n**2) matrix product
+        flat = mats.reshape(d, self.n * self.n)
+        gram = self.inner_product_scale * flat @ mats.transpose(0, 2, 1).reshape(d, -1).T
         dev = np.max(np.abs(gram - np.eye(d)))
         if dev > 1e-10:
             raise InvalidElementError(f"basis not orthonormal: Gram deviation {dev:.3e}")
@@ -81,29 +84,16 @@ class GeneratorBasis:
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Totally antisymmetric structure constants f[j, k, l] of a basis.
+    """Non-zero structure constants of a basis, [X_j, X_k] = i sum_l f_jkl X_l.
 
-    Defined through [X_j, X_k] = i * sum_l f[j, k, l] X_l.
+    The constants are totally antisymmetric, so the entries with j < k
+    determine all of them.  ``upper`` holds those as four arrays
+    (j, k, l, f_jkl), in ascending (j, k, l) order; f_kjl = -f_jkl and
+    f_jjl = 0 give the rest.
     """
 
     n: int
-    f: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        f.setflags(write=False)
-        object.__setattr__(self, "f", f)
-        anti = np.max(np.abs(f + f.transpose(1, 0, 2)))
-        if anti > 1e-10:
-            raise InvalidElementError(f"structure constants not antisymmetric: {anti:.3e}")
-
-    @cached_property
-    def upper(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(j, k, l, f[j, k, l]) over the non-zero constants with j < k."""
-        j, k, l = np.nonzero(self.f)
-        keep = j < k
-        j, k, l = j[keep], k[keep], l[keep]
-        return j, k, l, self.f[j, k, l]
+    upper: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -149,7 +139,7 @@ def gellmann_basis(n: int) -> GeneratorBasis:
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
-    """Extract f[j, k, l] = -2i Tr([X_j, X_k] X_l) from an orthonormal basis.
+    """Extract f_jkl = -2i Tr([X_j, X_k] X_l) from an orthonormal basis.
 
     The result is real and totally antisymmetric; the imaginary residue of
     the trace formula is checked against a 1e-12 tolerance.  It is computed
@@ -161,14 +151,34 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
 
 @lru_cache(maxsize=32)
 def _structure_constants(n: int, raw: bytes) -> StructureConstants:
-    x = np.frombuffer(raw, dtype=complex).reshape(n * n - 1, n, n)
-    prod = np.einsum("aij,bjk->abik", x, x)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    f = -2j * np.einsum("abij,cji->abc", comm, x)
-    imag = np.max(np.abs(f.imag))
+    d = n * n - 1
+    x = np.frombuffer(raw, dtype=complex).reshape(d, n, n)
+    # one sparse product gives every X_j X_k: entry ((j, i), (k, p)) is (X_j X_k)[i, p]
+    side = sparse.csr_array(x.transpose(1, 0, 2).reshape(n, d * n))
+    prod = (sparse.csr_array(x.reshape(d * n, n)) @ side).tocoo()
+    j, i = np.divmod(prod.row, n)
+    k, p = np.divmod(prod.col, n)
+    # row (j, k) holds [X_j, X_k] transposed and flattened, so a product with
+    # the flattened basis takes the traces Tr([X_j, X_k] X_l)
+    col = p * n + i
+    comm = sparse.csr_array(
+        (np.concatenate([prod.data, -prod.data]),
+         (np.concatenate([j * d + k, k * d + j]), np.concatenate([col, col]))),
+        shape=(d * d, n * n),
+    )
+    f = (-2j * (comm @ sparse.csr_array(x.reshape(d, n * n)).T)).tocoo()
+    imag = np.abs(f.data.imag).max(initial=0.0)
     if imag > 1e-12:
         raise InvalidElementError(f"structure constants not real: residue {imag:.3e}")
-    return StructureConstants(n=n, f=f.real)
+    key = f.row.astype(np.int64) * d + f.col
+    keep = (f.row // d < f.row % d) & (f.data.real != 0.0)
+    key, val = key[keep], f.data.real[keep]
+    order = key.argsort()
+    jk, l = np.divmod(key[order], d)
+    upper = (*np.divmod(jk, d), l, val[order])
+    for arr in upper:
+        arr.setflags(write=False)
+    return StructureConstants(n=n, upper=upper)
 
 
 def expand(element: np.ndarray, basis: GeneratorBasis) -> np.ndarray:

@@ -18,6 +18,7 @@ a parametrization-independent property of the probe alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve
@@ -74,6 +75,16 @@ class ProbeState:
     @property
     def is_pure(self) -> bool:
         return self.vector is not None
+
+    @cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lambda, P) with rho = P diag(lambda) P^dagger, computed once.
+
+        A pure state is lambda = (1,), P = psi as one column.
+        """
+        if self.is_pure:
+            return np.ones(1), self.vector[:, None]
+        return np.linalg.eigh((self.density + self.density.conj().T) / 2.0)
 
 
 def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeState:
@@ -144,22 +155,30 @@ def covariance_mixed(
         [C]_jk = (1/2) sum_uv ((lambda_u - lambda_v)^2 / (lambda_u + lambda_v))
                  <u|X_j|v><v|X_k|u>,
 
-    with eigenvalue pairs of weight below ``support_cutoff`` dropped.  For a
-    rank-one density matrix this reduces to :func:`covariance_pure`; for the
-    maximally mixed state it vanishes.  The kernel is symmetric positive
-    semidefinite by construction.
+    with eigenvalue pairs of weight lambda_u + lambda_v at most
+    ``support_cutoff`` dropped.  Such a pair has no eigenvalue above
+    ``support_cutoff / 2``, so the matrix elements are read from the stack F
+    as P^dagger (F P_s) for the eigenvectors P_s above that, d D r entries
+    for a state of that rank r; the mean sums over the same eigenvectors.
+    For a rank-one density matrix this reduces to :func:`covariance_pure`;
+    for the maximally mixed state it vanishes.  The kernel is symmetric
+    positive semidefinite by construction.
     """
     if state.is_pure:
         raise InvalidStateError("covariance_mixed needs a density matrix")
-    g = state.rep.generators
-    rho = state.density
-    mean = np.einsum("ij,aji->a", rho, g).real
-    lam, p = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    xt = np.einsum("ip,aij,jq->apq", p.conj(), g, p)
-    pair_sum = lam[:, None] + lam[None, :]
+    lam, p = state._eigensystem
+    support = lam > support_cutoff / 2.0
+    d, dim = state.rep.basis.dim, state.rep.space_dim
+    xt = p.conj().T @ (state.rep.stack @ p[:, support]).reshape(d, dim, -1)
+    mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
+    lam_u, lam_v = lam[:, None], lam[support][None, :]
+    pair_sum = lam_u + lam_v
     keep = pair_sum > support_cutoff
     kernel = np.zeros_like(pair_sum)
-    kernel[keep] = 0.5 * (lam[:, None] - lam[None, :])[keep] ** 2 / pair_sum[keep]
+    kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
+    # a pair inside the support appears in both orders; one with u outside
+    # it appears once and stands for both
+    kernel[support] /= 2.0
     cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
     return mean, (cov + cov.T) / 2.0
 
@@ -262,14 +281,18 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix, tol: float = SATURA
     Vanishing expectations mean the scalar bound is jointly attainable; any
     first-order unpolarized probe passes for every chart.
     """
-    if state.is_pure:
-        images = gm.hmat @ _images(state)  # H_m psi for every generator row m
-        products = images.conj() @ images.T
-    else:
-        lifted = np.tensordot(gm.hmat, state.rep.generators, axes=1)
-        products = np.einsum("ij,ajk,bki->ab", state.density, lifted, lifted)
-    residual = float(np.max(np.abs(products - products.T)))
-    return residual < tol
+    return float(np.max(np.abs(_commutator_expectations(state, gm)))) < tol
+
+
+def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix) -> np.ndarray:
+    # <[H_j, H_k]> = sum_u lambda_u (<H_j u|H_k u> - <H_k u|H_j u>) over rho's eigenvectors
+    # u, leaving out those of weight at most SUPPORT_CUTOFF / 2
+    lam, p = state._eigensystem
+    support = lam > SUPPORT_CUTOFF / 2.0
+    weighted = p[:, support] * np.sqrt(lam[support])
+    images = gm.hmat @ (state.rep.stack @ weighted).reshape(state.rep.basis.dim, -1)  # H_m u
+    products = images.conj() @ images.T
+    return products - products.T
 
 
 def unpolarized_report(state: ProbeState) -> dict:

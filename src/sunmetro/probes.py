@@ -30,7 +30,7 @@ from .representation import (
     symmetric_representation,
 )
 
-OPTIMIZER_METHODS = ("gradient_descent_on_sphere", "simplex")
+OPTIMIZER_METHODS = ("gradient_descent_on_sphere",)
 
 #: Covariance eigenvalues below this fraction of the isotropic value trip
 #: the optimizer's barrier instead of entering Tr[C^(-1)].
@@ -259,9 +259,10 @@ class OptimizerConfig:
     """Search settings for :func:`optimize_probe`.
 
     ``seed`` is mandatory; there is no silent time-based fallback.
-    ``method`` "gradient_descent_on_sphere" runs L-BFGS-B with the analytic
-    gradient of the scale-invariant objective (the name predates it and is
-    kept for existing configs); "simplex" runs Nelder-Mead.
+    ``method`` has one value, "gradient_descent_on_sphere": L-BFGS-B with
+    the analytic gradient of the scale-invariant objective (the name
+    predates it and is kept for existing configs).  Any other method,
+    "simplex" included, is rejected.
     """
 
     restarts: int = 20
@@ -314,14 +315,11 @@ class OptimizeResult:
     ``diagnostics["restarts"]`` holds one trace per restart: ``iterations``
     (scipy's iteration count), ``gradient_norm`` (the largest component of
     the final gradient of f(z / |z|), the figure L-BFGS-B compares with
-    ``tolerance``; None for the simplex method) and ``stop``.  For the
-    default method, L-BFGS-B, ``stop`` is "max_iters" (the iteration or
-    evaluation limit was reached; the restart counts as not converged),
-    "tolerance" (the gradient norm is below ``tolerance``) or
-    "line_search" (scipy stopped before either, e.g. on a line search that
-    found no descent).  "simplex" marks a Nelder-Mead
-    restart, and "singular" a restart that ended in the barrier region and
-    was discarded.
+    ``tolerance``) and ``stop``: "max_iters" (the iteration or evaluation
+    limit was reached; the restart counts as not converged), "tolerance"
+    (the gradient norm is below ``tolerance``), "line_search" (scipy
+    stopped before either, e.g. on a line search that found no descent) or
+    "singular" (the restart ended in the barrier region and was discarded).
     """
 
     state: ProbeState
@@ -339,8 +337,8 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     ``scipy.optimize.minimize``: L-BFGS-B with the analytic gradient (two
     sparse products with the generator stack per evaluation), stopping on a
     gradient below ``tolerance``, after ``max_iters`` iterations or on a
-    stalled line search; or Nelder-Mead for ``method="simplex"``.  A
-    barrier replaces Tr[C^(-1)] on near-singular covariances.
+    stalled line search.  A barrier replaces Tr[C^(-1)] on near-singular
+    covariances.
     Deterministic for a fixed seed and config: restarts are merged by
     objective with ties broken by restart index.
 
@@ -358,16 +356,7 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     floor = d * d / (4.0 * c2)
     barrier = BARRIER_CUTOFF * c2 / d
     objective, gradient = _objective_and_gradient(rep, barrier)
-    if config.method == "simplex":
-        method, jac = "Nelder-Mead", None
-        options = {
-            "maxiter": config.max_iters * 2 * dim,
-            "xatol": config.tolerance,
-            "fatol": config.tolerance,
-        }
-    else:
-        method, jac = "L-BFGS-B", gradient
-        options = {"maxiter": config.max_iters, "gtol": config.tolerance, "ftol": 0.0}
+    options = {"maxiter": config.max_iters, "gtol": config.tolerance, "ftol": 0.0}
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -376,20 +365,18 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     for restart in range(config.restarts):
         z0 = rng.standard_normal(2 * dim)
         z0 /= np.linalg.norm(z0)
-        res = minimize(lambda z: objective(z)[0], z0, method=method, jac=jac, options=options)
+        res = minimize(
+            lambda z: objective(z)[0], z0, method="L-BFGS-B", jac=gradient, options=options
+        )
         z = res.x / np.linalg.norm(res.x)
         value, smallest = objective(z)
-        if config.method == "simplex":
-            converged = bool(res.success)
-            trace = {"iterations": int(res.nit), "gradient_norm": None, "stop": "simplex"}
+        gnorm = float(np.abs(res.jac).max())
+        if res.status == 1:
+            stop = "max_iters"
         else:
-            gnorm = float(np.abs(res.jac).max())
-            if res.status == 1:
-                stop = "max_iters"
-            else:
-                stop = "tolerance" if gnorm < config.tolerance else "line_search"
-            converged = stop != "max_iters"
-            trace = {"iterations": int(res.nit), "gradient_norm": gnorm, "stop": stop}
+            stop = "tolerance" if gnorm < config.tolerance else "line_search"
+        converged = stop != "max_iters"
+        trace = {"iterations": int(res.nit), "gradient_norm": gnorm, "stop": stop}
         if smallest <= barrier:
             singular_restarts += 1
             traces.append({**trace, "stop": "singular"})

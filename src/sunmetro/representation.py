@@ -28,10 +28,10 @@ from scipy import sparse
 from .algebra import GeneratorBasis, structure_constants
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
-#: Default guard on the representation dimension; raise above this.  It
-#: bounds memory: the sparse stack and its construction checks grow as
-#: O(n**2 D) and O(n**4 D), and the dense views that mixed states and
-#: lifted unitaries use hold d D**2 complex entries.
+#: Default guard on the representation dimension; raise above this.  The
+#: sparse stack and its construction checks grow as O(n**2 D) and O(n**4 D);
+#: a lifted unitary is one dense D x D matrix, and a mixed state of rank r
+#: holds its generator matrix elements as d D r complex entries.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
@@ -94,83 +94,45 @@ def fock_basis(modes: int, particles: int) -> FockBasis:
 class Representation:
     """A concrete unitary representation of the generator basis.
 
-    Give exactly one of ``generators`` and ``stack``.
+    The constructor takes the stack in any form ``scipy.sparse.csr_array``
+    accepts and runs the construction checks on it: Hermiticity, the full
+    commutator table and a scalar quadratic invariant.  It raises if one
+    fails; :func:`casimir` returns the invariant they found.
 
     Attributes
     ----------
     basis : GeneratorBasis
         The fundamental basis being represented.
     stack : scipy.sparse.csr_array
-        Complex CSR matrix of shape ``(d * D, D)`` with sorted indices; rows
-        ``a * D`` to ``(a + 1) * D - 1`` hold X_a^(R).  Its blocks are
-        Hermitian and satisfy the commutation relations of
-        ``basis.generators``.
-    generators : numpy.ndarray
-        Read-only dense ``(d, D, D)`` view of the stack, built on first
-        access.  A dense stack passed in is checked for Hermiticity within
-        1e-12 relative and kept as this view.
+        Complex CSR matrix of shape ``(d * D, D)``; rows ``a * D`` to
+        ``(a + 1) * D - 1`` hold X_a^(R).  It is the only form of the
+        generators a representation keeps.
     label : str
         Either ``"fundamental"`` or ``"symmetric(n, 𝒩)"``.
     fock : FockBasis or None
         Occupation basis for collective representations, None otherwise.
     """
 
-    def __init__(
-        self,
-        basis: GeneratorBasis,
-        generators: np.ndarray | None = None,
-        label: str = "",
-        fock: FockBasis | None = None,
-        *,
-        stack=None,
-    ):
+    def __init__(self, basis: GeneratorBasis, stack, label: str = "", fock: FockBasis | None = None):
+        stack = sparse.csr_array(stack, dtype=complex)
+        dim = stack.shape[-1]
+        if dim < 1 or stack.shape != (basis.dim * dim, dim):
+            raise InvalidElementError(f"expected a ({basis.dim} D, D) stack, got {stack.shape}")
         self.basis = basis
+        self.stack = stack
         self.label = label
         self.fock = fock
-        self._casimir: float | None = None  # set once the construction checks pass
-        d = basis.dim
-        if (generators is None) == (stack is None):
-            raise InvalidElementError("provide exactly one of generators and stack")
-        if stack is not None:
-            rows, dim = stack.shape
-            if dim < 1 or rows != d * dim:
-                raise InvalidElementError(f"expected a ({d} D, D) sparse stack, got {stack.shape}")
-            self.stack = stack
-            return
-        mats = np.asarray(generators, dtype=complex)
-        mats.setflags(write=False)
-        if mats.ndim != 3 or mats.shape[0] != d or mats.shape[1] != mats.shape[2]:
-            raise InvalidElementError(f"expected ({d}, D, D) generator stack, got {mats.shape}")
-        herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
-        if herm > HERMITIAN_RTOL * max(1.0, float(np.max(np.abs(mats)))):
-            raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
-        self.__dict__["generators"] = mats
-        self.stack = sparse.csr_array(mats.reshape(d * mats.shape[1], mats.shape[2]))
+        self._casimir = _construction_checks(self)
 
     @property
     def space_dim(self) -> int:
         return self.stack.shape[1]
 
-    @cached_property
-    def generators(self) -> np.ndarray:
-        """Dense ``(d, D, D)`` view of the stack."""
-        mats = self.stack.toarray().reshape(self.basis.dim, self.space_dim, self.space_dim)
-        mats.setflags(write=False)
-        return mats
-
-    @cached_property
-    def quadratic_invariant(self) -> np.ndarray:
-        """The matrix sum_a X_a^(R) X_a^(R) (scalar for irreducibles)."""
-        keys, sums = _invariant_entries(self.stack)
-        m = np.zeros((self.space_dim, self.space_dim), dtype=complex)
-        m.flat[keys] = sums
-        m.setflags(write=False)
-        return m
-
 
 def fundamental_representation(basis: GeneratorBasis) -> Representation:
     """The defining representation: the basis acting on C^n itself."""
-    return Representation(basis=basis, generators=basis.generators, label="fundamental")
+    stack = basis.generators.reshape(basis.dim * basis.n, basis.n)
+    return Representation(basis=basis, stack=stack, label="fundamental")
 
 
 def symmetric_representation(
@@ -199,14 +161,12 @@ def symmetric_representation(
             f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
         )
     fock = fock_basis(n, particles)
-    rep = Representation(
+    return Representation(
         basis=basis,
+        stack=_collective_stack(basis, fock),
         label=f"symmetric({n}, {particles})",
         fock=fock,
-        stack=_collective_stack(basis, fock),
     )
-    rep._casimir = _construction_checks(rep)
-    return rep
 
 
 def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_array:
@@ -275,14 +235,6 @@ def _gram_entries(block, row, col, val, dim: int):
     left = by_col.repeat(per)
     right = by_col[_ranges((count.cumsum() - count)[sorted_col], per)]
     return block[left], row[left], block[right], row[right], val[left] * val[right].conj()
-
-
-def _invariant_entries(stack: sparse.csr_array):
-    # merged (row * D + column, value) entries of sum_a X_a X_a^dagger
-    dim = stack.shape[1]
-    j, r, k, c, v = _gram_entries(*_entries(stack), dim)
-    same = j == k
-    return _merge(r[same] * dim + c[same], v[same])
 
 
 def _scalar_invariant(rep: Representation, keys: np.ndarray, sums: np.ndarray) -> float:
@@ -369,27 +321,27 @@ def _construction_checks(rep: Representation) -> float:
 def casimir(rep: Representation) -> float:
     """Scalar value of the quadratic invariant sum_a (X_a^(R))**2.
 
-    Computed as trace / D of the sparse invariant, read from the Gram product
-    of the stack; a representation built by :func:`symmetric_representation`
-    carries the value its construction checks computed.
-
-    Raises
-    ------
-    NotIrreducibleError
-        If the invariant is not proportional to the identity within a 1e-8
-        relative tolerance (the representation is reducible or corrupted).
+    It is trace / D of the invariant that the construction checks read from
+    the Gram product of the stack; a representation whose invariant is not
+    scalar within a 1e-8 relative tolerance (reducible or corrupted) raises
+    :class:`NotIrreducibleError` when it is built.
     """
-    if rep._casimir is not None:
-        return rep._casimir
-    return _scalar_invariant(rep, *_invariant_entries(rep.stack))
+    return rep._casimir
 
 
 def lift_unitary(rep: Representation, coeffs: np.ndarray) -> np.ndarray:
-    """exp(i sum_a h_a X_a^(R)), evaluated by :func:`exp_hermitian`."""
+    """exp(i sum_a h_a X_a^(R)), evaluated by :func:`exp_hermitian`.
+
+    The sum is accumulated from the entries of the sparse stack into one
+    dense D x D matrix.
+    """
     h = np.asarray(coeffs, dtype=float)
     if h.shape != (rep.basis.dim,):
         raise InvalidElementError(f"expected {rep.basis.dim} coefficients, got {h.shape}")
-    return exp_hermitian(np.tensordot(h, rep.generators, axes=1))
+    block, row, col, val = _entries(rep.stack)
+    total = np.zeros((rep.space_dim, rep.space_dim), dtype=complex)
+    np.add.at(total, (row, col), h[block] * val)
+    return exp_hermitian(total)
 
 
 def exp_hermitian(a: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from sunmetro import (
     make_su3_cyclic,
     make_tetrahedron_j2,
     pure_state,
+    structure_constants,
     symmetric_representation,
 )
 
@@ -18,6 +19,21 @@ from sunmetro import (
 def sym_rep(n: int, particles: int):
     """Memoized symmetric representation; construction is the expensive part."""
     return symmetric_representation(gellmann_basis(n), particles)
+
+
+def dense_generators(rep):
+    """The (d, D, D) array of a representation's generators, read from its stack."""
+    d, dim = rep.basis.dim, rep.space_dim
+    return rep.stack.toarray().reshape(d, dim, dim)
+
+
+def dense_structure_constants(basis):
+    """The (d, d, d) array f[j, k, l], filled from the non-zero constants with j < k."""
+    j, k, l, values = structure_constants(basis).upper
+    f = np.zeros((basis.dim,) * 3)
+    f[j, k, l] = values
+    f[k, j, l] = -values
+    return f
 
 
 def random_pure(rep, rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import dense_structure_constants
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,7 +13,6 @@ from sunmetro import (
     expand,
     from_coefficients,
     gellmann_basis,
-    structure_constants,
 )
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
@@ -45,7 +45,7 @@ def test_basis_orthonormal_hermitian_traceless(n):
 
 
 def test_su2_structure_constants_are_levi_civita():
-    f = structure_constants(gellmann_basis(2)).f
+    f = dense_structure_constants(gellmann_basis(2))
     eps = np.zeros((3, 3, 3))
     for j, k, l, s in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
                        (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)]:
@@ -54,7 +54,7 @@ def test_su2_structure_constants_are_levi_civita():
 
 
 def test_su3_structure_constants_standard_values():
-    f = structure_constants(gellmann_basis(3)).f
+    f = dense_structure_constants(gellmann_basis(3))
     p = GELLMANN_PERMUTATION
 
     def std(a, b, c):
@@ -71,7 +71,7 @@ def test_su3_structure_constants_standard_values():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_structure_constants_totally_antisymmetric(n):
-    f = structure_constants(gellmann_basis(n)).f
+    f = dense_structure_constants(gellmann_basis(n))
     assert np.max(np.abs(f + f.transpose(1, 0, 2))) < 1e-12
     assert np.max(np.abs(f + f.transpose(0, 2, 1))) < 1e-12
     assert np.max(np.abs(f - f.transpose(1, 2, 0))) < 1e-12
@@ -79,7 +79,7 @@ def test_structure_constants_totally_antisymmetric(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_jacobi_identity(n):
-    f = structure_constants(gellmann_basis(n)).f
+    f = dense_structure_constants(gellmann_basis(n))
     jac = (
         np.einsum("jkm,mlp->jklp", f, f)
         + np.einsum("klm,mjp->jklp", f, f)

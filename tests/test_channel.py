@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import sym_rep
+from conftest import dense_generators, sym_rep
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
@@ -166,7 +166,7 @@ def _rows_in_representation(chart, theta, rep, order=40):
     # representation: quadrature for the exponential kind, factor-suffix
     # conjugation for product kinds, expansion by trace ratios
     theta = np.asarray(theta, dtype=float)
-    gens = rep.generators
+    gens = dense_generators(rep)
     norms = np.einsum("aij,aji->a", gens, gens).real
     nodes, weights = roots_legendre(order)
     betas = (nodes + 1.0) / 2.0

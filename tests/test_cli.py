@@ -2,9 +2,11 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import sunmetro.cli as cli
 from sunmetro import (
@@ -218,14 +220,25 @@ def test_cap_below_one_is_usage_error(files, capsys, cap):
         assert captured.out == "" and "--cap" in captured.err
 
 
-def test_scan_bound_check_never_build_the_dense_stack(files, capsys, monkeypatch):
-    def refuse(rep):
-        raise AssertionError(f"dense generator stack of {rep.label} was built")
+@pytest.fixture
+def refuse_dense_stack(monkeypatch):
+    # a representation keeps no dense view, and densifying a tall (d D, D)
+    # sparse matrix, which only the generator stack is, fails the test
+    assert not hasattr(Representation, "generators")
+    toarray = sparse.csr_array.toarray
 
+    def refuse(self, *args, **kwargs):
+        if self.shape[0] > self.shape[1]:
+            raise AssertionError(f"a {self.shape} sparse stack was densified")
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csr_array, "toarray", refuse)
+
+
+def test_scan_bound_check_never_build_the_dense_stack(files, capsys, refuse_dense_stack):
     exp3 = files["dir"] / "exp3.json"
     exp3.write_text(json.dumps({"kind": "exponential", "n": 3}))
     theta3 = ",".join(["0.1"] * 8)
-    monkeypatch.setattr(Representation, "generators", property(refuse))
     assert main(["scan", "--n", "3", "--nmin", "2", "--nmax", "6"]) == 0
     for probe, chart, theta, code in (
         ("tetra", files["euler"], "0.1,0.2,0.3", 0),
@@ -351,19 +364,40 @@ def test_scan_validation_failures_exit_1(capsys):
     capsys.readouterr()
 
 
-def test_optimize_never_builds_the_dense_stack(tmp_path, capsys, monkeypatch):
-    def refuse(rep):
-        raise AssertionError(f"dense generator stack of {rep.label} was built")
-
-    monkeypatch.setattr(Representation, "generators", property(refuse))
+def test_optimize_never_builds_the_dense_stack(capsys, refuse_dense_stack):
     assert main(["optimize", "--n", "3", "--particles", "6", "--seed", "1"]) == 0
-    simplex = tmp_path / "simplex.json"
-    simplex.write_text(json.dumps({"method": "simplex", "restarts": 2}))
-    argv = ["optimize", "--n", "2", "--particles", "4", "--seed", "1", "--config", str(simplex)]
-    assert main(argv) == 0
     argv = ["scan", "--n", "2", "--nmin", "3", "--nmax", "5", "--states", "optimized"]
     assert main(argv + ["--seed", "1"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method, code", [("simplex", 1), ("gradient_descent_on_sphere", 0)])
+def test_optimizer_method_names(tmp_path, capsys, method, code):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"method": method, "restarts": 2}))
+    assert main(["optimize", "--n", "2", "--particles", "4", "--seed", "1", "--config", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("sunmetro: error:") and f"unknown method {method!r}" in captured.err
+    else:
+        assert json.loads(captured.out)["converged"] is True
+
+
+def test_large_n_check_ends_in_an_exit_code(tmp_path, capsys):
+    # the dense (d, d, n, n) product behind the structure constants raised
+    # MemoryError at n = 40 and peaked at 455 MB traced at n = 14
+    path = tmp_path / "ghz14.json"
+    path.write_text(json.dumps({"kind": "ghz", "n": 14, "N": 1}))
+    tracemalloc.start()
+    try:
+        rc = main(["check", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert rc in (0, 1) and "Traceback" not in captured.err
+    assert peak < 50 * 2**20
 
 
 def test_optimize_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_pure, sym_rep
+from conftest import dense_generators, random_pure, sym_rep
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -217,6 +217,97 @@ def test_mixed_kernel_symmetric_psd():
             _, cov = covariance(mixed_state(rep, _random_density(rep, rng)))
             assert np.max(np.abs(cov - cov.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
+
+
+def _dense_covariance_mixed(state, support_cutoff=metrology.SUPPORT_CUTOFF):
+    # the dense (d, D, D) route covariance_mixed replaced
+    g = dense_generators(state.rep)
+    rho = state.density
+    mean = np.einsum("ij,aji->a", rho, g).real
+    lam, p = np.linalg.eigh((rho + rho.conj().T) / 2.0)
+    xt = np.einsum("ip,aij,jq->apq", p.conj(), g, p)
+    pair_sum = lam[:, None] + lam[None, :]
+    keep = pair_sum > support_cutoff
+    kernel = np.zeros_like(pair_sum)
+    kernel[keep] = 0.5 * (lam[:, None] - lam[None, :])[keep] ** 2 / pair_sum[keep]
+    cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
+    return mean, (cov + cov.T) / 2.0
+
+
+def _dense_commutator_expectations(state, gm):
+    # the dense routes saturation_check replaced: <[H_j, H_k]> for every pair of rows
+    g = dense_generators(state.rep)
+    if state.is_pure:
+        images = gm.hmat @ (g @ state.vector)
+        products = images.conj() @ images.T
+    else:
+        lifted = np.tensordot(gm.hmat, g, axes=1)
+        products = np.einsum("ij,ajk,bki->ab", state.density, lifted, lifted)
+    return products - products.T
+
+
+SIZES = [(2, 3), (3, 2), (2, 6), (3, 4), (4, 2)]
+
+
+@pytest.mark.parametrize("n, particles", SIZES)
+def test_mixed_covariance_matches_dense_route(n, particles):
+    rep = sym_rep(n, particles)
+    rng = np.random.default_rng(100 * n + particles)
+    for _ in range(3):
+        state = mixed_state(rep, _random_density(rep, rng))
+        assert np.linalg.eigvalsh(state.density)[0] > 1e-6  # full rank
+        mean, cov = covariance_mixed(state)
+        mean_ref, cov_ref = _dense_covariance_mixed(state)
+        assert np.max(np.abs(mean - mean_ref)) < 1e-12
+        assert np.max(np.abs(cov - cov_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n, particles", SIZES)
+def test_commutator_expectations_match_dense_route(n, particles):
+    rep = sym_rep(n, particles)
+    rng = np.random.default_rng(200 * n + particles)
+    for _ in range(3):
+        gm = generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, n * n - 1))
+        for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
+            expectations = metrology._commutator_expectations(state, gm)
+            reference = _dense_commutator_expectations(state, gm)
+            assert np.max(np.abs(expectations - reference)) < 1e-12
+            residual = float(np.max(np.abs(reference)))
+            assert saturation_check(state, gm) == (residual < metrology.SATURATION_TOL)
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from([(2, 1), *SIZES, (3, 6), (5, 1)]), draw=st.integers(0, 2**32 - 1))
+def test_rank_one_mixed_state_reproduces_pure_hypothesis(size, draw):
+    n, particles = size
+    rep = sym_rep(n, particles)
+    rng = np.random.default_rng(draw)
+    pure = random_pure(rep, rng)
+    mixed = mixed_state(rep, np.outer(pure.vector, pure.vector.conj()))
+    mean_p, cov_p = covariance_pure(pure)
+    mean_m, cov_m = covariance_mixed(mixed)
+    assert np.max(np.abs(mean_m - mean_p)) < 1e-10
+    assert np.max(np.abs(cov_m - cov_p)) < 1e-10
+    gm = generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, n * n - 1))
+    expectations = metrology._commutator_expectations(mixed, gm)
+    assert np.max(np.abs(expectations - metrology._commutator_expectations(pure, gm))) < 1e-10
+
+
+def test_mixed_report_diagonalizes_rho_once(monkeypatch):
+    rep = sym_rep(2, 3)
+    state = mixed_state(rep, _random_density(rep, np.random.default_rng(3)))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = build_report(state, exponential(2), [0.3, -0.2, 0.5], weight="intrinsic")
+    assert report.flags["saturable"] is not None
+    assert calls.count((rep.space_dim, rep.space_dim)) == 1
 
 
 def test_state_validation():

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_pure, sym_rep
+from conftest import dense_generators, random_pure, sym_rep
 
 from sunmetro import (
     ConstraintError,
@@ -243,14 +243,6 @@ def test_optimizer_deterministic(sym24, spin2_result):
     assert again.diagnostics == spin2_result.diagnostics
 
 
-def test_optimizer_simplex_method(sym24):
-    result = optimize_probe(sym24, OptimizerConfig(seed=3, restarts=10, method="simplex"))
-    assert result.bound_achieved >= result.floor - 1e-9
-    assert abs(result.bound_achieved - 0.375) < 0.375 * 0.05
-    for trace in result.diagnostics["restarts"]:
-        assert trace["stop"] in ("simplex", "singular") and trace["gradient_norm"] is None
-
-
 def test_optimizer_requires_seed(sym24):
     with pytest.raises(ValueError, match="seed"):
         optimize_probe(sym24, OptimizerConfig())
@@ -316,7 +308,7 @@ def _batched_fd_gradient(rep, barrier, h=1e-6):
     vectors at once through the dense generator view.
     """
     d, dim = rep.basis.dim, rep.space_dim
-    flat = rep.generators.reshape(d * dim, dim)
+    flat = dense_generators(rep).reshape(d * dim, dim)
     identity = np.eye(2 * dim)
 
     def values(z):

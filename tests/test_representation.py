@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from conftest import random_pure, sym_rep
+from conftest import dense_generators, dense_structure_constants, random_pure, sym_rep
 
 from sunmetro import (
     DIMENSION_CAP,
@@ -13,14 +13,13 @@ from sunmetro import (
     NotIrreducibleError,
     Representation,
     casimir,
+    exp_hermitian,
     fock_basis,
     fundamental_representation,
     gellmann_basis,
     lift_unitary,
-    structure_constants,
     symmetric_representation,
 )
-from sunmetro.representation import _construction_checks
 
 
 def casimir_formula(n, particles):
@@ -70,12 +69,12 @@ def test_fock_basis_rejects_bad_sizes(modes, particles):
 def test_one_particle_sector_is_fundamental(n):
     rep = sym_rep(n, 1)
     fund = fundamental_representation(gellmann_basis(n))
-    assert np.max(np.abs(rep.generators - fund.generators)) < 1e-12
+    assert np.max(np.abs(dense_generators(rep) - dense_generators(fund))) < 1e-12
 
 
 def test_su2_diagonal_generator_spectrum(sym24):
     # collective sigma_z/2 on 4 bosons: m runs from J down to -J with J = 2
-    jz = sym24.generators[2]
+    jz = dense_generators(sym24)[2]
     np.testing.assert_allclose(np.diag(jz).real, [2.0, 1.0, 0.0, -1.0, -2.0], atol=1e-14)
     assert np.max(np.abs(jz - np.diag(np.diag(jz)))) < 1e-14
 
@@ -98,8 +97,8 @@ def test_casimir_formula_small_sectors(n):
 @pytest.mark.parametrize("n,particles", [(2, 3), (3, 2)])
 def test_commutators_close_on_structure_constants(n, particles):
     rep = sym_rep(n, particles)
-    f = structure_constants(rep.basis).f
-    g = rep.generators
+    f = dense_structure_constants(rep.basis)
+    g = dense_generators(rep)
     scale = float(np.max(np.abs(g)))
     for j in range(rep.basis.dim):
         for k in range(j + 1, rep.basis.dim):
@@ -141,7 +140,7 @@ def test_sector_conserves_particle_number(n, particles):
     assert np.all(sums == particles)
     # generators never leave the sector: they are exactly the stored matrices,
     # and each is traceless because the fundamental element is
-    assert np.max(np.abs(np.trace(rep.generators, axis1=1, axis2=2))) < 1e-10
+    assert np.max(np.abs(np.trace(dense_generators(rep), axis1=1, axis2=2))) < 1e-10
 
 
 def test_lift_unitary_diagonal_phase():
@@ -162,6 +161,18 @@ def test_lift_unitary_group_properties(sym24):
         lift_unitary(sym24, np.zeros(4))
 
 
+@pytest.mark.parametrize("n, particles", [(2, 3), (3, 2), (2, 6), (3, 4), (4, 2)])
+def test_lift_unitary_matches_dense_route(n, particles):
+    # the dense route lift_unitary replaced: sum h_a X_a over the (d, D, D) array
+    rep = sym_rep(n, particles)
+    gens = dense_generators(rep)
+    rng = np.random.default_rng(30 * n + particles)
+    for _ in range(3):
+        coeffs = rng.uniform(-2.0, 2.0, rep.basis.dim)
+        reference = exp_hermitian(np.tensordot(coeffs, gens, axes=1))
+        assert np.max(np.abs(lift_unitary(rep, coeffs) - reference)) < 1e-12
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(DimensionCapError):
         symmetric_representation(gellmann_basis(3), 9, cap=50)  # needs 55
@@ -171,9 +182,8 @@ def test_reducible_stack_fails_casimir():
     basis = gellmann_basis(2)
     gens = np.zeros((3, 3, 3), dtype=complex)
     gens[:, :2, :2] = basis.generators  # fundamental plus a trivial block
-    rep = Representation(basis=basis, generators=gens, label="fundamental+trivial")
     with pytest.raises(NotIrreducibleError):
-        casimir(rep)
+        Representation(basis=basis, stack=gens.reshape(9, 3), label="fundamental+trivial")
 
 
 def test_representation_rejects_non_hermitian_stack():
@@ -181,13 +191,15 @@ def test_representation_rejects_non_hermitian_stack():
     bad = np.zeros((3, 2, 2), dtype=complex)
     bad[0, 0, 1] = 1.0
     with pytest.raises(InvalidElementError):
-        Representation(basis=basis, generators=bad, label="broken")
+        Representation(basis=basis, stack=bad.reshape(6, 2), label="broken")
 
 
 def test_quadratic_invariant_scalar_on_random_sector():
     rep = sym_rep(3, 4)
     c2 = casimir(rep)
-    dev = np.max(np.abs(rep.quadratic_invariant - c2 * np.eye(rep.space_dim)))
+    gens = dense_generators(rep)
+    invariant = np.einsum("aij,ajk->ik", gens, gens)
+    dev = np.max(np.abs(invariant - c2 * np.eye(rep.space_dim)))
     assert dev < 1e-8 * c2
     # sanity on the fixture helper used throughout the suite
     state = random_pure(rep, np.random.default_rng(0))
@@ -199,7 +211,7 @@ def test_sparse_stack_matches_dense_reference(n):
     basis = gellmann_basis(n)
     for particles in range(1, 13):
         rep = symmetric_representation(basis, particles)
-        assert np.array_equal(rep.generators, dense_collective_stack(basis, particles))
+        assert np.array_equal(dense_generators(rep), dense_collective_stack(basis, particles))
 
 
 def test_commutator_check_covers_every_pair():
@@ -209,19 +221,26 @@ def test_commutator_check_covers_every_pair():
     # (1, 7) see it.
     rep = sym_rep(3, 16)
     assert rep.space_dim > 150
-    gens = rep.generators.copy()
+    gens = dense_generators(rep)
     last = rep.fock.index[(0, 0, 16)]
     gens[7, last, last] += 1e-6
-    bad = Representation(basis=rep.basis, generators=gens, label="perturbed")
-    f = structure_constants(rep.basis).f
+    f = dense_structure_constants(rep.basis)
     scale = float(np.max(np.abs(gens)))
     for j in range(8):
         k = (j + 1) % 8
         comm = gens[j] @ gens[k] - gens[k] @ gens[j]
         assert np.max(np.abs(comm - 1j * np.tensordot(f[j, k], gens, axes=1))) < 1e-10 * scale
     with pytest.raises(InvalidElementError, match="commutator"):
-        _construction_checks(bad)
-    _construction_checks(Representation(basis=rep.basis, generators=rep.generators, label="intact"))
+        Representation(basis=rep.basis, stack=gens.reshape(-1, rep.space_dim), label="perturbed")
+    intact = dense_generators(rep).reshape(-1, rep.space_dim)
+    Representation(basis=rep.basis, stack=intact, label="intact")
+
+
+def test_fundamental_sector_of_su40_builds():
+    # the dense (d, d, n, n) product behind the structure constants needed 61 GiB here
+    rep = symmetric_representation(gellmann_basis(40), 1)
+    assert rep.space_dim == 40
+    assert abs(casimir(rep) - casimir_formula(40, 1)) < 1e-8
 
 
 def test_large_sector_stays_sparse():
@@ -234,4 +253,4 @@ def test_large_sector_stays_sparse():
     stack = rep.stack
     assert stack.nnz <= (n - 1) * (2 * n + 1) * dim
     assert stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes < 2 * 2**20
-    assert "generators" not in vars(rep)  # the dense view was never built
+    assert not hasattr(rep, "generators")  # the stack is the only form kept
