@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isfinite
 
 import numpy as np
@@ -178,6 +179,12 @@ def _factor_axes(p: Parametrization, basis: GeneratorBasis) -> list[np.ndarray]:
     return [np.asarray(ax, dtype=float) for ax in p.factors]
 
 
+@lru_cache(maxsize=None)
+def _fundamental(n: int) -> Representation:
+    """The defining representation of su(n), built and checked once per n."""
+    return fundamental_representation(gellmann_basis(n))
+
+
 def unitary_at(p: Parametrization, theta, rep: Representation | None = None) -> np.ndarray:
     """Evaluate U(theta), in the fundamental representation by default.
 
@@ -187,7 +194,7 @@ def unitary_at(p: Parametrization, theta, rep: Representation | None = None) -> 
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
     if rep is None:
-        rep = fundamental_representation(basis)
+        rep = _fundamental(p.n)
     elif rep.basis.n != p.n:
         raise InvalidDimensionError(
             f"representation is for n = {rep.basis.n}, parametrization for n = {p.n}"

@@ -18,6 +18,8 @@ import csv
 import io
 import json
 import sys
+from functools import cache
+from math import isfinite
 
 import numpy as np
 
@@ -72,18 +74,19 @@ def _fmt(value: float) -> str:
 
 
 def _round_floats(obj):
-    """12-significant-digit rounding, applied recursively for serialization."""
-    if isinstance(obj, bool) or obj is None:
-        return obj
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
+    """12-significant-digit rounding, applied recursively for serialization.
+
+    Reports are mostly floats in lists, so those types are tested first.
+    """
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        return float(_fmt(f)) if np.isfinite(f) else repr(f)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return float(_fmt(f)) if isfinite(f) else repr(f)
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        return int(obj)
     return obj
 
 
@@ -252,7 +255,10 @@ def cmd_optimize(args) -> int:
     return 0 if result.converged else 3
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls, and
+    # the build is a large share of a small request's time
     parser = _Parser(prog="sunmetro", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

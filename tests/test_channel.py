@@ -8,6 +8,8 @@ from conftest import dense_generators, sym_rep
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
+import sunmetro.channel as channel
+
 from sunmetro import (
     InvalidDimensionError,
     InvalidElementError,
@@ -16,6 +18,7 @@ from sunmetro import (
     exponential,
     exponential_coordinates,
     from_coefficients,
+    fundamental_representation,
     gellmann_basis,
     generators_closed_form,
     generators_quadrature,
@@ -261,6 +264,28 @@ def test_unitary_at_lifted():
     np.testing.assert_allclose(u, np.eye(rep.space_dim), atol=1e-12)
     with pytest.raises(InvalidDimensionError):
         unitary_at(chart, [0.1, 0.2, 0.3], rep=sym_rep(3, 2))
+
+
+def test_unitary_at_builds_the_fundamental_representation_once(monkeypatch):
+    built = []
+
+    def counting(basis):
+        built.append(basis.n)
+        return fundamental_representation(basis)
+
+    charts = [euler_su2(), exponential(2), exponential(3), product_of_exponentials(3, np.eye(8)[:3])]
+    rng = np.random.default_rng(12)
+    points = [(chart, rng.uniform(-1.0, 1.0, chart.param_count)) for chart in charts for _ in range(5)]
+    channel._fundamental.cache_clear()
+    monkeypatch.setattr(channel, "fundamental_representation", counting)
+    try:
+        cached = [unitary_at(chart, theta) for chart, theta in points]
+    finally:
+        channel._fundamental.cache_clear()
+    assert sorted(built) == [2, 3]
+    for (chart, theta), u in zip(points, cached):
+        uncached = unitary_at(chart, theta, rep=fundamental_representation(gellmann_basis(chart.n)))
+        assert np.array_equal(u, uncached)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import sunmetro.cli as cli
@@ -618,3 +620,83 @@ def test_bound_and_check_match_the_per_function_route(tmp_path, capsys, monkeypa
         _assert_same(emitted[0], _reference_check(probe))
     # the grid reaches a report, a singular C and a singular Q
     assert outcomes == {"report", "covariance", "information"}
+
+
+def test_parser_is_built_once_and_answers_like_a_fresh_one(files, capsys, monkeypatch, tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"kind": "noon", "N": 4.7}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 2}))
+    calls = [
+        (["bound", files["tetra"]], 1),
+        (["--help"], 0),
+        (["bound", files["tetra"], files["euler"], "--theta", "0.3,1.1,-0.4"], 0),
+        (["check", files["ghz39"]], 0),
+        (["scan", "--n", "2", "--nmin", "1", "--nmax", "4"], 0),
+        (["optimize", "--n", "2", "--particles", "4", "--seed", "1", "--config", str(config)], 0),
+        (["check", str(malformed)], 1),
+        (["bound", files["stretched"], files["euler"], "--theta", "0.3,1.1,-0.4"], 2),
+    ]
+
+    def run_all():
+        outcomes = []
+        for argv, _ in calls:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((rc, captured.out, captured.err))
+        return outcomes
+
+    cli._build_parser.cache_clear()
+    reused = run_all()
+    assert cli._build_parser.cache_info().misses == 1
+    assert [rc for rc, _, _ in reused] == [code for _, code in calls]
+
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert run_all() == reused
+
+
+def _round_floats_reference(obj):
+    # the rounding as it was before floats were tested first
+    if isinstance(obj, bool) or obj is None:
+        return obj
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float(f"{f:.12g}") if np.isfinite(f) else repr(f)
+    if isinstance(obj, dict):
+        return {k: _round_floats_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats_reference(v) for v in obj]
+    return obj
+
+
+_LEAVES = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308]),
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=6),
+    ),
+    max_leaves=40,
+)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(doc=_DOCS)
+def test_round_floats_matches_the_reference_text(doc):
+    expected = json.dumps(_round_floats_reference(doc), indent=2)
+    assert json.dumps(cli._round_floats(doc), indent=2) == expected
