@@ -422,7 +422,24 @@ def test_optimize_reaches_the_sym35_floor(tmp_path, capsys):
     assert main(argv) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["converged"] is True and doc["floor"] == 1.2
-    assert doc["bound_achieved"] == pytest.approx(1.2, rel=1e-6)
+    assert doc["bound_achieved"] == 1.2  # the floor to all 12 printed digits
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_optimize_certifies_the_sym45_floor(tmp_path, capsys, seed):
+    # with {"restarts": 4} every restart used to stop at max_iters on the
+    # degenerate minimum and the run exited 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"restarts": 4}))
+    argv = ["optimize", "--n", "4", "--particles", "5", "--seed", seed, "--config", str(config)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is True and doc["bound_achieved"] == doc["floor"]
+    probe = tmp_path / "probe.json"
+    probe.write_text(json.dumps({"kind": "custom", "n": 4, "N": 5, "amplitudes": doc["amplitudes"]}))
+    assert main(["check", str(probe)]) == 0
+    graded = json.loads(capsys.readouterr().out)
+    assert graded["first_order"] is True and graded["second_order"] is True
 
 
 def test_optimize_seed_from_config_and_flag_override(tmp_path, capsys):
@@ -448,6 +465,32 @@ def test_optimize_requires_seed(capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--n", "2", "--particles", "3", "--seed", "-5"],
+        # the N = 1 row runs the optimizer with seed -2 + 1
+        ["scan", "--n", "2", "--nmin", "1", "--nmax", "3", "--states", "optimized", "--seed", "-2"],
+    ],
+    ids=["optimize", "scan"],
+)
+def test_negative_optimizer_seed_exits_1(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sunmetro: error:") and "seed" in captured.err
+
+
+def test_scan_seed_minus_one_seeds_rows_from_zero(capsys):
+    argv = ["scan", "--n", "2", "--nmin", "1", "--nmax", "3", "--states", "optimized"]
+    assert main(argv + ["--seed", "-1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "2,1,0.75,,3,singular",
+        "2,2,2,,1.125,2.25",
+        "2,3,3.75,,0.6,0.777777777778",
+    ]
 
 
 def test_optimize_failure_exits_3(capsys):

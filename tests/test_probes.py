@@ -1,10 +1,14 @@
 """Named probe constructors, spec serialization, and the probe optimizer."""
 
 import json
+from functools import cache
 
 import numpy as np
 import pytest
 from conftest import dense_generators, random_pure, sym_rep
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from sunmetro import (
     ConstraintError,
@@ -14,6 +18,7 @@ from sunmetro import (
     OptimizerConfig,
     ProbeSpec,
     build_probe,
+    build_report,
     canonical_phase,
     casimir,
     covariance,
@@ -32,7 +37,7 @@ from sunmetro import (
     unpolarized_report,
 )
 from sunmetro import probes
-from sunmetro.probes import BARRIER_CUTOFF, _objective_and_gradient
+from sunmetro.probes import BARRIER_CUTOFF, _isotropy_residual, _objective_and_gradient
 
 INV3 = 1.0 / np.sqrt(3.0)
 
@@ -176,6 +181,9 @@ def test_optimizer_config_validation():
         OptimizerConfig(seed=1, restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(seed=1, tolerance=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        OptimizerConfig(seed=-1)
+    assert OptimizerConfig(seed=0).seed == 0
     parsed = OptimizerConfig.from_json({"seed": 4, "restarts": 7, "tolerance": 1e-5})
     assert parsed.seed == 4 and parsed.restarts == 7
     assert OptimizerConfig.from_json({"seed": None, "tolerance": 1}).seed is None
@@ -191,6 +199,7 @@ def test_optimizer_config_validation():
         {"seed": "abc"},
         {"seed": 1.5},
         {"seed": False},
+        {"seed": -1},
         {"tolerance": 0},
         {"tolerance": float("nan")},
         {"tolerance": True},
@@ -263,8 +272,9 @@ def _central_differences(objective, z, h=1e-6):
 
 
 def _assert_gradient_matches(rep, z, barrier):
-    objective, gradient = _objective_and_gradient(rep, barrier)
-    analytic = gradient(z)
+    objective, value_and_gradient = _objective_and_gradient(rep, barrier)
+    value, analytic = value_and_gradient(z)
+    assert value == objective(z)[0]
     analytic -= (analytic @ z) * z
     reference = _central_differences(objective, z)
     assert np.linalg.norm(analytic - reference) <= 1e-6 * np.linalg.norm(reference)
@@ -344,7 +354,8 @@ def test_analytic_descent_matches_finite_difference_descent(n, particles, monkey
 
     def with_fd_gradient(rep, barrier):
         objective, _ = _objective_and_gradient(rep, barrier)
-        return objective, _batched_fd_gradient(rep, barrier)
+        gradient = _batched_fd_gradient(rep, barrier)
+        return objective, lambda z: (objective(z)[0], gradient(z))
 
     monkeypatch.setattr(probes, "_objective_and_gradient", with_fd_gradient)
     for config, fast in zip(configs, analytic):
@@ -353,14 +364,33 @@ def test_analytic_descent_matches_finite_difference_descent(n, particles, monkey
         assert slow.bound_achieved == pytest.approx(fast.bound_achieved, rel=1e-9)
 
 
-def test_restart_traces_name_the_stop_reason(spin2_result):
-    traces = spin2_result.diagnostics["restarts"]
-    assert len(traces) == 20
+STOPS = ("floor", "tolerance", "line_search", "max_iters", "singular")
+
+
+def _assert_trace_keys(traces):
     for trace in traces:
         assert set(trace) == {"iterations", "gradient_norm", "stop"}
-        assert trace["stop"] in ("tolerance", "line_search", "max_iters", "singular")
+        assert trace["stop"] in STOPS
         if trace["stop"] == "tolerance":
             assert trace["gradient_norm"] < 1e-6
+
+
+def test_restart_traces_name_the_stop_reason(spin2_result):
+    # the restarts run up to and including the first one certified on the floor
+    traces = spin2_result.diagnostics["restarts"]
+    assert 1 <= len(traces) <= 20
+    _assert_trace_keys(traces)
+    stops = [trace["stop"] for trace in traces]
+    assert stops.index("floor") == len(traces) - 1
+    assert spin2_result.diagnostics["best_restart"] == len(traces) - 1
+
+
+def test_restart_traces_run_to_the_end_below_the_floor():
+    result = optimize_probe(sym_rep(2, 5), OptimizerConfig(seed=7, restarts=20))
+    traces = result.diagnostics["restarts"]
+    assert len(traces) == 20
+    _assert_trace_keys(traces)
+    assert "floor" not in [trace["stop"] for trace in traces]
 
 
 def test_restart_trace_reports_max_iters():
@@ -388,3 +418,103 @@ def test_second_order_states_sit_on_the_floor(tetrahedron, cyclic33):
         floor = rep.basis.dim ** 2 / (4.0 * casimir(rep))
         _, cov = covariance(state)
         assert abs(intrinsic_bound(cov) - floor) < 1e-6
+
+
+@pytest.mark.parametrize("n, particles", [(2, 6), (3, 5), (4, 4)])
+def test_isotropy_jacobian_matches_central_differences(n, particles):
+    rep = sym_rep(n, particles)
+    residual_and_jacobian = _isotropy_residual(rep)
+    rng = np.random.default_rng(100 * n + particles)
+    h = 1e-6
+    for _ in range(2):
+        z = rng.standard_normal(2 * rep.space_dim)
+        z *= 1.7 / np.linalg.norm(z)  # off the unit sphere, so the 1/|z| factor counts
+        _, analytic = residual_and_jacobian(z)
+        reference = np.column_stack(
+            [
+                (residual_and_jacobian(z + h * e)[0] - residual_and_jacobian(z - h * e)[0])
+                / (2.0 * h)
+                for e in np.eye(z.size)
+            ]
+        )
+        assert np.linalg.norm(analytic - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_isotropy_residual_vanishes_on_the_floor(tetrahedron, cyclic33):
+    for state in (tetrahedron, cyclic33):
+        z = np.concatenate([state.vector.real, state.vector.imag])
+        residual, _ = _isotropy_residual(state.rep)(z)
+        assert np.abs(residual).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, particles, ratio", [(2, 5, 1.023104), (3, 3, 1.25)])
+def test_sectors_below_the_floor_keep_their_minima(n, particles, ratio, monkeypatch):
+    # the floor is out of reach, so no restart is polished, and one evaluation
+    # per step gives bit for bit what separate objective and gradient calls give
+    rep = sym_rep(n, particles)
+    seeds = (1, 2)
+    fast = [optimize_probe(rep, OptimizerConfig(seed=k)) for k in seeds]
+
+    def separate_calls(fun, x0, jac, **kwargs):
+        assert jac is True
+        return minimize(lambda z: fun(z)[0], x0, jac=lambda z: fun(z)[1], **kwargs)
+
+    def no_polish(rep, z):
+        raise AssertionError("a restart below the floor was polished")
+
+    monkeypatch.setattr(probes, "minimize", separate_calls)
+    monkeypatch.setattr(probes, "_polish", no_polish)
+    for k, result in zip(seeds, fast):
+        assert result.converged
+        assert result.bound_achieved / result.floor == pytest.approx(ratio, abs=1e-6)
+        assert "floor" not in [trace["stop"] for trace in result.diagnostics["restarts"]]
+        slow = optimize_probe(rep, OptimizerConfig(seed=k))
+        assert slow.bound_achieved == result.bound_achieved
+        np.testing.assert_array_equal(slow.state.vector, result.state.vector)
+        assert slow.diagnostics == result.diagnostics
+
+
+def test_certified_restart_ends_the_search(monkeypatch):
+    rep = sym_rep(3, 5)
+    result = optimize_probe(rep, OptimizerConfig(seed=1018, restarts=20))
+    assert result.converged
+    assert f"{result.bound_achieved:.12g}" == f"{result.floor:.12g}" == "1.2"
+    assert build_report(result.state).unpolarized["second_order"]
+    traces = result.diagnostics["restarts"]
+    assert traces[-1]["stop"] == "floor" and len(traces) < 20
+    assert result.diagnostics["best_restart"] == len(traces) - 1
+
+    # a polish that does not certify leaves every restart as L-BFGS-B ends it
+    # without the gap test
+    config = OptimizerConfig(seed=1018, restarts=3)
+    monkeypatch.setattr(probes, "_polish", lambda rep, z: z)
+    uncertified = optimize_probe(rep, config)
+    monkeypatch.setattr(probes, "FLOOR_GAP", -1.0)
+    plain = optimize_probe(rep, config)
+    assert len(plain.diagnostics["restarts"]) == 3
+    assert "floor" not in [trace["stop"] for trace in plain.diagnostics["restarts"]]
+    assert plain.bound_achieved == pytest.approx(1.2, rel=1e-6)
+    assert uncertified.bound_achieved == plain.bound_achieved
+    np.testing.assert_array_equal(uncertified.state.vector, plain.state.vector)
+    assert uncertified.diagnostics == plain.diagnostics
+
+
+@cache
+def _invariance_states():
+    certified = optimize_probe(sym_rep(3, 5), OptimizerConfig(seed=1018)).state
+    return make_tetrahedron_j2(), random_pure(sym_rep(3, 3), np.random.default_rng(31)), certified
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 2), draw=st.integers(0, 2**32 - 1))
+def test_bound_and_grade_are_su_n_invariant_hypothesis(which, draw):
+    # U(g) psi has mean R m and covariance R C R^T for R = Ad(g) orthogonal,
+    # so Tr[C^(-1)] and unpolarization, a certificate included, survive
+    state = _invariance_states()[which]
+    rep = state.rep
+    h = np.random.default_rng(draw).uniform(-np.pi, np.pi, rep.basis.dim)
+    moved = pure_state(rep, lift_unitary(rep, h) @ state.vector, normalize=True)
+    before, after = build_report(state), build_report(moved)
+    assert after.intrinsic_bound == pytest.approx(before.intrinsic_bound, rel=1e-9)
+    assert after.unpolarized["second_order"] == before.unpolarized["second_order"]
