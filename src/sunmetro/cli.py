@@ -185,8 +185,15 @@ def cmd_scan(args) -> int:
         raise InvalidElementError(f"unknown scan states {sorted(unknown)}")
     if args.nmin < 1 or args.nmax < args.nmin:
         raise InvalidElementError(f"bad particle range [{args.nmin}, {args.nmax}]")
-    if "optimized" in wanted and args.seed is None:
-        raise InvalidElementError("--seed is required when scanning optimized probes")
+    if "optimized" in wanted:
+        if args.seed is None:
+            raise InvalidElementError("--seed is required when scanning optimized probes")
+        # row N runs the optimizer with seed S + N; the first row has the smallest
+        if args.seed + args.nmin < 0:
+            raise InvalidElementError(
+                f"--seed {args.seed} gives row N = {args.nmin} the negative seed "
+                f"{args.seed + args.nmin}; seeds S + N must be >= 0"
+            )
     rows = [
         _scan_row(args.n, p, wanted, args.cap, args.seed)
         for p in range(args.nmin, args.nmax + 1)

@@ -13,25 +13,35 @@ Each X^(R) is a diagonal plus hops a_i^dagger a_j with amplitudes
 sqrt(n_j (n_i + 1)), so it has O(n**2 D) non-zeros out of D**2.  The d
 collective generators are therefore stored as one sparse stack: a CSR matrix
 of shape (d D, D) whose a-th block of D rows is X_a^(R).
+
+Every stack is checked when a representation is built: Hermiticity, the full
+commutator table and a scalar quadratic invariant.  The last two come from
+one sparse product Z F, whose rows are [X_j, X_k] - i f_jkl X_l for every pair
+and sum_a X_a X_a, where the generators couple densely; where they do not
+(large n, few particles) they come from the grouped terms of the Gram product
+F F^dagger, which are then fewer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 
 import numpy as np
 from scipy import sparse
 
-from .algebra import GeneratorBasis, structure_constants
+from .algebra import GeneratorBasis, StructureConstants, structure_constants
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
 #: Default guard on the representation dimension; raise above this.  The
-#: sparse stack and its construction checks grow as O(n**2 D) and O(n**4 D);
-#: a lifted unitary is one dense D x D matrix, and a mixed state of rank r
-#: holds its generator matrix elements as d D r complex entries.
+#: sparse stack holds O(n**2 D) entries.  Its construction checks hold either
+#: the product matrix Z, about (d - 1) nnz = O(n**4 D) entries on
+#: d (d - 1) D / 2 rows, or the sum_m L_m**2 <= O(n**4 D) Gram terms (L_m the
+#: entries in column m), whichever is fewer; a lifted unitary is one dense
+#: D x D matrix, and a mixed state of rank r holds its generator matrix
+#: elements as d D r complex entries.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
@@ -122,7 +132,8 @@ class Representation:
         self.stack = stack
         self.label = label
         self.fock = fock
-        self._casimir = _construction_checks(self)
+        kernel = _choose_kernel(stack)
+        self._casimir = _construction_checks(basis, stack, label, kernel)
 
     @property
     def space_dim(self) -> int:
@@ -237,24 +248,153 @@ def _gram_entries(block, row, col, val, dim: int):
     return block[left], row[left], block[right], row[right], val[left] * val[right].conj()
 
 
-def _scalar_invariant(rep: Representation, keys: np.ndarray, sums: np.ndarray) -> float:
-    # trace / D of the quadratic invariant; raises unless it is scalar
-    dim = rep.space_dim
-    row, col = divmod(keys, dim)
-    on_diag = row == col
-    diag = np.zeros(dim, dtype=complex)
-    diag[row[on_diag]] = sums[on_diag]
-    c = float(diag.real.sum()) / dim
-    dev = max(np.abs(sums[~on_diag]).max(initial=0.0), np.abs(diag - c).max())
-    if dev > CASIMIR_RTOL * max(1.0, abs(c)):
-        raise NotIrreducibleError(
-            f"quadratic invariant of {rep.label} deviates from scalar by {dev:.3e}"
-        )
-    return c
+def _check_hermitian(stack: sparse.csr_array, scale: float) -> None:
+    # each block merged with its conjugate transpose sums to X_a - X_a^dagger
+    dim = stack.shape[1]
+    block, row, col, val = _entries(stack)
+    _, sums = _merge(
+        np.concatenate([(block * dim + row) * dim + col, (block * dim + col) * dim + row]),
+        np.concatenate([val, -val.conj()]),
+    )
+    herm = np.abs(sums).max(initial=0.0)
+    if herm > HERMITIAN_RTOL * scale:
+        raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
 
 
-def _construction_checks(rep: Representation) -> float:
-    """Check a representation's stack in one grouped pass; return its Casimir.
+def _merged_residuals(stack: sparse.csr_array, constants: StructureConstants):
+    """Commutator and invariant residuals from the grouped Gram terms.
+
+    The terms of the Gram product F F^dagger, whose (j, k) block is X_j X_k
+    for a Hermitian stack, and those of -i f_jkl X_l are summed in one sort:
+    the invariant in one range of keys, the commutators in the next.  Returns
+    the worst commutator deviation, its pair (j, k), and the row, column and
+    value of each stored entry of the invariant.
+    """
+    dim = stack.shape[1]
+    width = stack.shape[0]
+    block, row, col, val = _entries(stack)
+    j, r, k, c, v = _gram_entries(block, row, col, val, dim)
+    tj, tk, tl, f = constants.upper
+    # entries of X_l for each constant f_jkl, j < k
+    starts = stack.indptr[tl * dim].astype(np.int64)
+    counts = stack.indptr[(tl + 1) * dim] - starts
+    entry = _ranges(starts, counts)
+    term = np.arange(tl.size).repeat(counts)
+
+    comm0 = dim * dim
+    same = j == k
+    apart = ~same
+    lo, hi = np.minimum(j, k)[apart], np.maximum(j, k)[apart]
+    keys, sums = _merge(
+        np.concatenate([
+            r[same] * dim + c[same],
+            comm0 + (lo * dim + r[apart]) * width + hi * dim + c[apart],
+            comm0 + (tj[term] * dim + row[entry]) * width + tk[term] * dim + col[entry],
+        ]),
+        np.concatenate([
+            v[same],
+            np.where(j < k, v, -v)[apart],  # [X_j, X_k] = X_j X_k - X_k X_j
+            -1j * f[term] * val[entry],
+        ]),
+    )
+    comm_at = np.searchsorted(keys, comm0)
+    comm, pair = 0.0, None
+    if comm_at < keys.size:
+        resid = np.abs(sums[comm_at:])
+        at = resid.argmax()
+        worst = int(keys[comm_at + at] - comm0)
+        comm, pair = resid[at], (worst // width // dim, worst % width // dim)
+    return comm, pair, *divmod(keys[:comm_at], dim), sums[:comm_at]
+
+
+def _product_matrix(stack: sparse.csr_array, constants: StructureConstants) -> sparse.csr_array:
+    """The matrix Z of :func:`_product_residuals`, in CSR form.
+
+    Each row of Z is a run of segments; a segment copies a run of source
+    entries and shifts their columns.  The sources are the stack's own
+    arrays, their negative and the -i f_jkl: each row (p, r) takes three
+    segments, each invariant row d.
+    """
+    dim = stack.shape[1]
+    d = stack.shape[0] // dim
+    nnz = stack.nnz
+    tj, tk, tl, f = constants.upper
+    pj, pk = _pairs(d)
+    npair = pj.size
+    # constants per pair; upper is sorted in the same (j, k) order
+    per_pair = np.bincount(tj * (2 * d - tj - 1) // 2 + tk - tj - 1, minlength=npair)
+    count = (stack.indptr[1:] - stack.indptr[:-1]).reshape(d, dim)
+    start = stack.indptr[:-1].reshape(d, dim)
+
+    ncomm = 3 * npair * dim
+    seg = np.empty((3, ncomm + d * dim), dtype=np.int64)  # length, source start, shift
+    length, first, shift = seg[:, :ncomm].reshape(3, npair, dim, 3).transpose(0, 3, 1, 2)
+    length[0], length[1], length[2] = count[pj], count[pk], per_pair[:, None]
+    first[0], first[1] = start[pj], start[pk] + nnz
+    first[2] = (per_pair.cumsum() - per_pair + 2 * nnz)[:, None]
+    shift[0], shift[1], shift[2] = pk[:, None] * dim, pj[:, None] * dim, np.arange(dim)
+    invariant = seg[:, ncomm:].reshape(3, dim, d)
+    invariant[0], invariant[1], invariant[2] = count.T, start.T, np.arange(0, d * dim, dim)
+    length, first, shift = seg
+    bounds = np.concatenate(([0], length.cumsum()))
+    source = (first - bounds[:-1]).repeat(length) + np.arange(bounds[-1])  # as _ranges
+    return sparse.csr_array(
+        (
+            np.concatenate([stack.data, -stack.data, -1j * f])[source],
+            np.concatenate([stack.indices, stack.indices, tl * dim])[source]
+            + shift.repeat(length),
+            np.concatenate([bounds[:ncomm:3], bounds[ncomm::d]]),
+        ),
+        shape=((npair + 1) * dim, d * dim),
+    )
+
+
+def _product_residuals(stack: sparse.csr_array, constants: StructureConstants):
+    """Commutator and invariant residuals from one sparse product Z F.
+
+    Row (p, r) of Z, for the p-th pair j < k, holds X_j[r, :] in column block
+    k, -X_k[r, :] in block j and -i f_jkl at column (l, r), so row (p, r) of
+    Z F is row r of [X_j, X_k] - i f_jkl X_l.  D more rows hold X_a[r, :] in
+    block a; their product is row r of sum_a X_a X_a.  Returns what
+    :func:`_merged_residuals` returns.
+    """
+    dim = stack.shape[1]
+    pj, pk = _pairs(stack.shape[0] // dim)
+    prod = _product_matrix(stack, constants) @ stack
+
+    split = prod.indptr[pj.size * dim]
+    comm, pair = 0.0, None
+    if split:
+        resid = np.abs(prod.data[:split])
+        at = resid.argmax()
+        p = (np.searchsorted(prod.indptr, at, side="right") - 1) // dim
+        comm, pair = resid[at], (int(pj[p]), int(pk[p]))
+    inv_row = np.arange(dim).repeat(np.diff(prod.indptr[pj.size * dim :]))
+    return comm, pair, inv_row, prod.indices[split:], prod.data[split:]
+
+
+@lru_cache(maxsize=None)
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    # the pairs j < k of d generators in (j, k) order
+    pj, pk = np.triu_indices(d, 1)
+    pj.setflags(write=False)
+    pk.setflags(write=False)
+    return pj, pk
+
+
+def _choose_kernel(stack: sparse.csr_array):
+    # the merge sorts sum_m L_m**2 Gram terms, L_m the entries in column m;
+    # Z holds about (d - 1) nnz entries, and the product reads a row of the
+    # stack for each.  Where generators couple densely the terms are more.
+    d = stack.shape[0] // stack.shape[1]
+    load = np.bincount(stack.indices, minlength=stack.shape[1])
+    return _product_residuals if load @ load >= (d - 1) * stack.nnz else _merged_residuals
+
+
+def _construction_checks(
+    basis: GeneratorBasis, stack: sparse.csr_array, label: str, kernel
+) -> float:
+    """Check a representation's stack; return its Casimir.
 
     1. Every X_a^(R) is Hermitian within ``HERMITIAN_RTOL`` relative to the
        largest entry (or 1).
@@ -263,59 +403,28 @@ def _construction_checks(rep: Representation) -> float:
     3. sum_a X_a^(R)**2 is scalar within ``CASIMIR_RTOL`` (else
        :class:`NotIrreducibleError`).
 
-    Checks 2 and 3 read the Gram product F F^dagger of the stack F, whose
-    (j, k) block is X_j X_k once check 1 holds.  The terms of all three
-    checks are summed in one sort, each check in its own range of keys, and
-    only the deviations are kept.
+    Check 1 merges the stack with its blockwise conjugate transpose.
+    ``kernel`` computes the residuals of checks 2 and 3:
+    :func:`_product_residuals` (one sparse product) or
+    :func:`_merged_residuals` (grouped Gram terms), as :func:`_choose_kernel`
+    picks from the stack's column loads.
     """
-    stack = rep.stack
-    dim = rep.space_dim
-    width = stack.shape[0]
-    block, row, col, val = _entries(stack)
-    j, r, k, c, v = _gram_entries(block, row, col, val, dim)
-    tj, tk, tl, f = structure_constants(rep.basis).upper
-    # entries of X_l for each constant f_jkl, j < k
-    starts = stack.indptr[tl * dim].astype(np.int64)
-    counts = stack.indptr[(tl + 1) * dim] - starts
-    entry = _ranges(starts, counts)
-    term = np.arange(tl.size).repeat(counts)
-
-    # key ranges: X - X^dagger, then sum_a X_a X_a^dagger, then the commutators
-    inv0 = width * dim
-    comm0 = inv0 + dim * dim
-    same = j == k
-    apart = ~same
-    lo, hi = np.minimum(j, k)[apart], np.maximum(j, k)[apart]
-    keys, sums = _merge(
-        np.concatenate([
-            (block * dim + row) * dim + col,
-            (block * dim + col) * dim + row,
-            inv0 + r[same] * dim + c[same],
-            comm0 + (lo * dim + r[apart]) * width + hi * dim + c[apart],
-            comm0 + (tj[term] * dim + row[entry]) * width + tk[term] * dim + col[entry],
-        ]),
-        np.concatenate([
-            val,
-            -val.conj(),
-            v[same],
-            np.where(j < k, v, -v)[apart],  # [X_j, X_k] = X_j X_k - X_k X_j
-            -1j * f[term] * val[entry],
-        ]),
-    )
-    inv_at, comm_at = np.searchsorted(keys, [inv0, comm0])
-    scale = max(1.0, np.abs(val).max(initial=0.0))
-
-    herm = np.abs(sums[:inv_at]).max(initial=0.0)
-    if herm > HERMITIAN_RTOL * scale:
-        raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
-    comm = np.abs(sums[comm_at:])
-    if comm.size and comm.max() > COMMUTATOR_RTOL * scale:
-        worst = int(keys[comm_at + np.argmax(comm)] - comm0)
-        pair = (worst // width // dim, worst % width // dim)
-        raise InvalidElementError(
-            f"commutator {pair} deviates by {comm.max():.3e} in {rep.label}"
+    scale = max(1.0, np.abs(stack.data).max(initial=0.0))
+    _check_hermitian(stack, scale)
+    comm, pair, row, col, val = kernel(stack, structure_constants(basis))
+    if comm > COMMUTATOR_RTOL * scale:
+        raise InvalidElementError(f"commutator {pair} deviates by {comm:.3e} in {label}")
+    dim = stack.shape[1]
+    on_diag = row == col
+    diag = np.zeros(dim, dtype=complex)
+    diag[row[on_diag]] = val[on_diag]
+    c = float(diag.real.sum()) / dim
+    dev = max(np.abs(val[~on_diag]).max(initial=0.0), np.abs(diag - c).max())
+    if dev > CASIMIR_RTOL * max(1.0, abs(c)):
+        raise NotIrreducibleError(
+            f"quadratic invariant of {label} deviates from scalar by {dev:.3e}"
         )
-    return _scalar_invariant(rep, keys[inv_at:comm_at] - inv0, sums[inv_at:comm_at])
+    return c
 
 
 def casimir(rep: Representation) -> float:

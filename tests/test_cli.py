@@ -3,6 +3,7 @@
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -298,6 +299,17 @@ def test_scan_frozen_rows(files, capsys):
     assert lines[3] == "2,4,6,0.5625,0.375,"
 
 
+@pytest.mark.parametrize("n, nmax", [(2, 40), (3, 24), (4, 9), (5, 6), (6, 4)])
+def test_scan_matches_the_golden_csv(capsys, n, nmax):
+    # the rows span both construction-check kernels: the grouped merge takes
+    # sym(3, 1), sym(4, 1..2), sym(5, 1..3) and sym(6, 1..4), the sparse
+    # product the rest
+    argv = ["scan", "--n", str(n), "--nmin", "1", "--nmax", str(nmax), "--states", "ghz,floor"]
+    assert main(argv) == 0
+    golden = (Path(__file__).parent / "data" / f"scan_n{n}.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_scan_optimized_row_within_bracket(files, tmp_path, capsys):
     out_csv = tmp_path / "scan.csv"
     rc = main(
@@ -481,6 +493,18 @@ def test_negative_optimizer_seed_exits_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sunmetro: error:") and "seed" in captured.err
+
+
+def test_scan_rejects_a_negative_row_seed_before_any_row(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a representation was built")
+
+    monkeypatch.setattr(cli, "symmetric_representation", refuse)
+    argv = ["scan", "--n", "2", "--nmin", "1", "--nmax", "3", "--states", "ghz,optimized"]
+    assert main(argv + ["--seed", "-2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sunmetro: error: --seed -2 ")
 
 
 def test_scan_seed_minus_one_seeds_rows_from_zero(capsys):

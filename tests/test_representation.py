@@ -1,9 +1,12 @@
 """Fock sectors, collective generators, Casimir values, lifted unitaries."""
 
+import re
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
+from scipy import sparse
 from conftest import dense_generators, dense_structure_constants, random_pure, sym_rep
 
 from sunmetro import (
@@ -18,8 +21,10 @@ from sunmetro import (
     fundamental_representation,
     gellmann_basis,
     lift_unitary,
+    structure_constants,
     symmetric_representation,
 )
+from sunmetro import representation
 
 
 def casimir_formula(n, particles):
@@ -237,20 +242,96 @@ def test_commutator_check_covers_every_pair():
 
 
 def test_fundamental_sector_of_su40_builds():
-    # the dense (d, d, n, n) product behind the structure constants needed 61 GiB here
-    rep = symmetric_representation(gellmann_basis(40), 1)
+    # the dense (d, d, n, n) product behind the structure constants needed 61 GiB
+    # here.  The construction checks take the grouped merge, about 89 MB traced;
+    # the sparse product would hold 1599 * 1598 / 2 pair rows, about 6 GB.
+    basis = gellmann_basis(40)
+    structure_constants(basis)
+    tracemalloc.start()
+    try:
+        rep = symmetric_representation(basis, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.space_dim == 40
     assert abs(casimir(rep) - casimir_formula(40, 1)) < 1e-8
+    assert peak < 200 * 2**20
 
 
 def test_large_sector_stays_sparse():
     n, particles = 3, 60
-    rep = symmetric_representation(gellmann_basis(n), particles)
+    basis = gellmann_basis(n)
+    structure_constants(basis)
+    tracemalloc.start()
+    try:
+        rep = symmetric_representation(basis, particles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     dim = rep.space_dim
     assert dim == 1891 and dim <= DIMENSION_CAP
     assert abs(casimir(rep) - casimir_formula(n, particles)) < 1e-8
     assert casimir_formula(n, particles) == 1260.0
     stack = rep.stack
     assert stack.nnz <= (n - 1) * (2 * n + 1) * dim
-    assert stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes < 2 * 2**20
+    stack_bytes = stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes
+    assert stack_bytes < 2 * 2**20
+    # the sparse-product checks peak near 27 stacks; the grouped merge took 75
+    assert peak < 40 * stack_bytes
     assert not hasattr(rep, "generators")  # the stack is the only form kept
+
+
+# the construction checks with either residual kernel, as the differential
+# tests below run them
+KERNELS = (representation._product_residuals, representation._merged_residuals)
+_checks = representation._construction_checks
+
+
+def test_check_kernels_agree_on_intact_stacks():
+    sectors = [(n, particles) for n in (2, 3, 4, 5) for particles in range(1, 9)] + [(3, 24)]
+    chosen = set()
+    for n, particles in sectors:
+        rep = symmetric_representation(gellmann_basis(n), particles)
+        chosen.add(representation._choose_kernel(rep.stack))
+        product, merged = (_checks(rep.basis, rep.stack, rep.label, kernel) for kernel in KERNELS)
+        assert abs(product - merged) <= 1e-12 * merged
+        expected = casimir_formula(n, particles)
+        assert abs(product - expected) <= 1e-10 * expected
+    assert chosen == set(KERNELS)  # the sectors lie on both sides of the selection
+
+
+def _stack(gens):
+    return sparse.csr_array(gens.reshape(-1, gens.shape[-1]))
+
+
+def _commutator_pair(message):
+    return re.match(r"commutator \((\d+), (\d+)\) deviates", message).groups()
+
+
+def test_check_kernels_reject_the_same_corrupted_stacks():
+    # the lambda_8 shift of test_commutator_check_covers_every_pair
+    rep = sym_rep(3, 16)
+    gens = dense_generators(rep)
+    last = rep.fock.index[(0, 0, 16)]
+    gens[7, last, last] += 1e-6
+    pairs = []
+    for kernel in KERNELS:
+        with pytest.raises(InvalidElementError, match="commutator") as err:
+            _checks(rep.basis, _stack(gens), "shifted", kernel)
+        pairs.append(_commutator_pair(str(err.value)))
+    assert pairs[0] == pairs[1]
+
+    # a non-Hermitian entry
+    gens = dense_generators(sym_rep(3, 4))
+    gens[2, 0, 3] += 1e-3
+    for kernel in KERNELS:
+        with pytest.raises(InvalidElementError, match="Hermitian"):
+            _checks(rep.basis, _stack(gens), "skewed", kernel)
+
+    # a reducible block stack, sym(3, 1) + sym(3, 2): every commutator holds
+    small, large = dense_generators(sym_rep(3, 1)), dense_generators(sym_rep(3, 2))
+    gens = np.zeros((8, 9, 9), dtype=complex)
+    gens[:, :3, :3], gens[:, 3:, 3:] = small, large
+    for kernel in KERNELS:
+        with pytest.raises(NotIrreducibleError):
+            _checks(rep.basis, _stack(gens), "reducible", kernel)
