@@ -21,8 +21,6 @@ from functools import lru_cache
 from math import isfinite
 
 import numpy as np
-from scipy.linalg import expm, schur
-from scipy.special import roots_legendre
 
 from .algebra import GeneratorBasis, expand, from_coefficients, gellmann_basis
 from .exceptions import InvalidDimensionError, InvalidElementError
@@ -82,6 +80,8 @@ class Parametrization:
                     raise InvalidElementError(
                         f"axis length {len(ax)} does not match d = {d}"
                     )
+                if not all(map(isfinite, ax)):
+                    raise InvalidElementError("factor axis entries must be finite")
                 if not any(c != 0.0 for c in ax):
                     raise InvalidElementError("factor axis is identically zero")
             object.__setattr__(self, "factors", factors)
@@ -285,6 +285,10 @@ def generators_quadrature(p: Parametrization, theta, order: int = 32) -> Generat
     """
     if order < 2:
         raise InvalidElementError(f"quadrature order must be >= 2, got {order}")
+    # local: scipy.linalg and scipy.special load only where quadrature runs
+    from scipy.linalg import expm
+    from scipy.special import roots_legendre
+
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
     x = basis.generators
@@ -349,6 +353,8 @@ def exponential_coordinates(u: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
         raise InvalidElementError("matrix is not unitary")
     if abs(np.linalg.det(u) - 1.0) > 1e-8:
         raise InvalidElementError("matrix is not special (det != 1)")
+    from scipy.linalg import schur  # local: scipy.linalg loads only where it is called
+
     tmat, z = schur(u, output="complex")
     phases = np.angle(np.diag(tmat))
     total = float(np.sum(phases))

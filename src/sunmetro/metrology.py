@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve
 
 from .channel import (
     CONDITION_THRESHOLD,
@@ -272,6 +271,8 @@ def weighted_bound(
     _, rank, cond = _spectrum(q, cond_threshold)
     if rank < q.shape[0]:
         raise _information_error(rank, q.shape[0], cond)
+    from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
+
     return float(np.trace(solve(q, w, assume_a="pos")))
 
 
@@ -389,17 +390,26 @@ def build_report(
                 f"su({state.rep.basis.n}) generators"
             )
         gm = generators_closed_form(parametrization, theta)
-        metric = gm.hmat @ gm.hmat.T
-        metric = (metric + metric.T) / 2.0
+        try:
+            with np.errstate(over="raise"):
+                metric = gm.hmat @ gm.hmat.T
+                metric = (metric + metric.T) / 2.0
+                qmat = qfim(gm, cov)
+                saturable = saturation_check(state, gm)
+        except FloatingPointError:
+            raise InvalidElementError(
+                f"the chart's generator rows (largest entry {np.abs(gm.hmat).max():.3e}) "
+                "overflow the metric or the information matrix"
+            ) from None
         if isinstance(weight, str) and weight in ("intrinsic", "identity"):
             wmat = metric if weight == "intrinsic" else np.eye(metric.shape[0])
         elif weight is not None:
             wmat = _check_weight(weight, metric.shape)
-        qmat = qfim(gm, cov)
         _, q_rank, q_cond = _spectrum(qmat, cond_threshold)
         q_singular = q_rank < qmat.shape[0]
-        saturable = saturation_check(state, gm)
         if wmat is not None and not q_singular:
+            from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
+
             weighted = float(np.trace(solve(qmat, wmat, assume_a="pos")))
         elif wmat is metric and not cov_singular:
             # the metric weight cancels the chart, so the bound

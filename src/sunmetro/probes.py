@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lstsq
-from scipy.optimize import minimize
 
 from .exceptions import (
     ConstraintError,
@@ -233,7 +231,10 @@ def make_custom(n: int, particles: int, amplitudes, cap: int = DIMENSION_CAP) ->
         raise InvalidStateError(
             f"expected {rep.space_dim} amplitudes for {rep.label}, got {vec.shape[0]}"
         )
-    norm = float(np.linalg.norm(vec))
+    if not np.isfinite(vec).all():
+        raise InvalidStateError("amplitudes must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-6:
         raise InvalidStateError(f"amplitudes have norm {norm!r}, expected 1 within 1e-6")
     return pure_state(rep, vec / norm)
@@ -391,6 +392,8 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     """
     if config.seed is None:
         raise ValueError("optimizer seed is required for reproducibility")
+    from scipy.optimize import minimize  # local: only optimizer requests load scipy.optimize
+
     d = rep.basis.dim
     dim = rep.space_dim
     c2 = casimir(rep)
@@ -565,6 +568,8 @@ def _polish(rep: Representation, z: np.ndarray) -> np.ndarray:
     iterate.  Each step is the minimum-norm least-squares solution with the
     Jacobian's rank cut at ``POLISH_RCOND`` (gelsy, a pivoted QR).
     """
+    from scipy.linalg import lstsq  # local: scipy.linalg loads only where a polish runs
+
     d = rep.basis.dim
     residual_and_jacobian = _isotropy_residual(rep)
     for _ in range(POLISH_STEPS):

@@ -14,12 +14,13 @@ sqrt(n_j (n_i + 1)), so it has O(n**2 D) non-zeros out of D**2.  The d
 collective generators are therefore stored as one sparse stack: a CSR matrix
 of shape (d D, D) whose a-th block of D rows is X_a^(R).
 
-Every stack is checked when a representation is built: Hermiticity, the full
-commutator table and a scalar quadratic invariant.  The last two come from
-one sparse product Z F, whose rows are [X_j, X_k] - i f_jkl X_l for every pair
-and sum_a X_a X_a, where the generators couple densely; where they do not
-(large n, few particles) they come from the grouped terms of the Gram product
-F F^dagger, which are then fewer.
+Every stack is checked when a representation is built: finite entries,
+Hermiticity, the full commutator table and a scalar quadratic invariant.  The
+last two come from one sparse product Z F, whose rows are
+[X_j, X_k] - i f_jkl X_l for every pair and sum_a X_a X_a, where the
+generators couple densely; where they do not (large n, few particles) they
+come from the grouped terms of the Gram product F F^dagger, which are then
+fewer.
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ class Representation:
     """A concrete unitary representation of the generator basis.
 
     The constructor takes the stack in any form ``scipy.sparse.csr_array``
-    accepts and runs the construction checks on it: Hermiticity, the full
-    commutator table and a scalar quadratic invariant.  It raises if one
-    fails; :func:`casimir` returns the invariant they found.
+    accepts and runs the construction checks on it: finite entries,
+    Hermiticity, the full commutator table and a scalar quadratic invariant.
+    It raises if one fails; :func:`casimir` returns the invariant they found.
 
     Attributes
     ----------
@@ -128,6 +129,12 @@ class Representation:
         dim = stack.shape[-1]
         if dim < 1 or stack.shape != (basis.dim * dim, dim):
             raise InvalidElementError(f"expected a ({basis.dim} D, D) stack, got {stack.shape}")
+        # every residual test below is False for NaN, so non-finite entries
+        # would pass them; reject those before any residual is formed
+        if not np.isfinite(stack.data).all():
+            raise InvalidElementError(
+                f"stack of {label or 'the representation'} has non-finite entries"
+            )
         self.basis = basis
         self.stack = stack
         self.label = label

@@ -1,6 +1,8 @@
 """End-to-end command behavior: JSON reports, CSV scans, SVG plots, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -132,6 +134,8 @@ def test_bound_parse_failures_exit_1(files, capsys, tmp_path):
         {"kind": "noon", "N": 4.7},
         {"kind": "noon", "N": True},
         {"kind": "fock", "occupations": [2.5, 1, 0]},
+        {"kind": "custom", "n": 2, "N": 1, "amplitudes": [float("nan"), 0]},
+        {"kind": "custom", "n": 2, "N": 1, "amplitudes": [1e300, 1e300]},
     ],
 )
 def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
@@ -143,6 +147,10 @@ def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
     assert err.startswith("sunmetro: error:") and "Traceback" not in err
 
 
+def _product_chart(last_axis):
+    return {"kind": "product_of_exponentials", "n": 2, "factors": [[0, 0, 1], [0, 1, 0], last_axis]}
+
+
 @pytest.mark.parametrize(
     "chart, weight",
     [
@@ -152,10 +160,13 @@ def test_malformed_probe_fields_exit_1(files, capsys, tmp_path, doc):
         ({"kind": "exponential", "n": 2.9}, "intrinsic"),
         ({"kind": "exponential", "n": 2}, {"a": 1}),
         ({"kind": "exponential", "n": 2}, [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (_product_chart([0, float("nan"), 1]), "intrinsic"),
+        (_product_chart([0, 0, float("inf")]), "intrinsic"),
+        (_product_chart([0, 0, 1.35e154]), "intrinsic"),  # the metric overflows
     ],
     ids=[
         "chart-n-list", "chart-factors-int", "chart-n-inf", "chart-n-float", "weight-object",
-        "weight-inf",
+        "weight-inf", "chart-axis-nan", "chart-axis-inf", "chart-axis-overflows",
     ],
 )
 def test_malformed_chart_or_weight_exits_1(files, capsys, tmp_path, chart, weight):
@@ -767,3 +778,115 @@ _DOCS = st.recursive(
 def test_round_floats_matches_the_reference_text(doc):
     expected = json.dumps(_round_floats_reference(doc), indent=2)
     assert json.dumps(cli._round_floats(doc), indent=2) == expected
+
+
+# Documents for the exit-code property: arbitrary JSON, and documents of each
+# role with fields in range, some of them then replaced by arbitrary JSON or
+# dropped.  Integers stay small: a valid document's cost grows with n, N and
+# the restarts, and the su(n) basis is built before --cap is consulted.
+_NUMBER = st.one_of(st.integers(-2, 6), st.floats())
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-4, 12), st.floats(), st.text(max_size=6)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=10,
+)
+_AMPLITUDES = st.lists(
+    st.one_of(_NUMBER, st.lists(_NUMBER, min_size=2, max_size=2)), max_size=6
+)
+_PROBE_DOCS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("ghz"), "n": st.integers(1, 5), "N": st.integers(-1, 6)}
+    ),
+    st.fixed_dictionaries({"kind": st.just("noon"), "N": st.integers(-1, 8)}),
+    st.just({"kind": "tetrahedron_j2"}),
+    st.fixed_dictionaries(
+        {"kind": st.just("su3_cyclic"), "k": st.integers(-1, 5), "l": st.integers(-1, 5)}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.just("fock"), "occupations": st.lists(st.integers(-1, 5), max_size=4)}
+    ),
+    st.fixed_dictionaries({
+        "kind": st.just("custom"),
+        "n": st.integers(1, 3),
+        "N": st.integers(0, 3),
+        "amplitudes": _AMPLITUDES,
+    }),
+    st.sampled_from([
+        {"kind": "custom", "n": 2, "N": 1, "amplitudes": [[0.6, 0], [0, 0.8]]},
+        {"kind": "custom", "n": 2, "N": 3, "amplitudes": [0.5, 0.5, 0.5, 0.5]},
+    ]),
+)
+_CHART_DOCS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("exponential"), "n": st.integers(1, 4)}),
+    st.fixed_dictionaries({"kind": st.just("euler_su2"), "n": st.integers(1, 3)}),
+    st.fixed_dictionaries({
+        "kind": st.just("product_of_exponentials"),
+        "n": st.integers(1, 3),
+        "factors": st.lists(
+            st.one_of(st.lists(_NUMBER, min_size=3, max_size=3), st.lists(_NUMBER, max_size=4)),
+            max_size=4,
+        ),
+    }),
+)
+_CONFIG_DOCS = st.fixed_dictionaries(
+    {"seed": st.one_of(st.none(), st.integers(-1, 5))},
+    optional={
+        "restarts": st.integers(-1, 4),
+        "max_iters": st.integers(-1, 60),
+        "tolerance": _NUMBER,
+        "method": st.sampled_from(["gradient_descent_on_sphere", "simplex"]),
+    },
+)
+
+
+@st.composite
+def _corrupted(draw, docs):
+    # one field replaced by arbitrary JSON, or dropped
+    doc = dict(draw(docs))
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        doc[key] = draw(_ANY_JSON)
+    else:
+        del doc[key]
+    return doc
+
+
+def _role(name, docs):
+    return st.tuples(st.just(name), st.one_of(docs, _corrupted(docs), _ANY_JSON))
+
+
+_ROLES = st.one_of(
+    _role("check probe", _PROBE_DOCS),
+    _role("bound probe", _PROBE_DOCS),
+    _role("bound chart", _CHART_DOCS),
+    _role("optimize config", _CONFIG_DOCS),
+)
+
+
+@pytest.fixture(scope="module")
+def property_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("documents")
+    (path / "probe.json").write_text(json.dumps({"kind": "tetrahedron_j2"}))
+    (path / "chart.json").write_text(json.dumps({"kind": "euler_su2", "n": 2}))
+    return path
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(role_and_doc=_ROLES)
+def test_any_json_document_ends_in_a_documented_exit_code(role_and_doc, property_dir):
+    role, doc = role_and_doc
+    path = property_dir / "doc.json"
+    path.write_text(json.dumps(doc))
+    probe, chart = str(property_dir / "probe.json"), str(property_dir / "chart.json")
+    argv = {
+        "check probe": ["check", str(path)],
+        "bound probe": ["bound", str(path), chart, "--theta", "0.3,1.1,-0.4"],
+        "bound chart": ["bound", probe, str(path), "--theta", "0.3,1.1,-0.4"],
+        "optimize config": ["optimize", "--n", "2", "--particles", "4", "--config", str(path)],
+    }[role]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main([*argv, "--cap", "200"])
+    assert rc in (0, 1, 2, 3)

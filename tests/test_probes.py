@@ -8,6 +8,7 @@ import pytest
 from conftest import dense_generators, random_pure, sym_rep
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+import scipy.optimize
 from scipy.optimize import minimize
 
 from sunmetro import (
@@ -462,7 +463,8 @@ def test_sectors_below_the_floor_keep_their_minima(n, particles, ratio, monkeypa
     def no_polish(rep, z):
         raise AssertionError("a restart below the floor was polished")
 
-    monkeypatch.setattr(probes, "minimize", separate_calls)
+    # optimize_probe imports minimize when it runs, so the patch goes on scipy.optimize
+    monkeypatch.setattr(scipy.optimize, "minimize", separate_calls)
     monkeypatch.setattr(probes, "_polish", no_polish)
     for k, result in zip(seeds, fast):
         assert result.converged

@@ -199,6 +199,31 @@ def test_representation_rejects_non_hermitian_stack():
         Representation(basis=basis, stack=bad.reshape(6, 2), label="broken")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (-1, -2)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize(
+    "build, kernel",
+    [
+        (lambda: sym_rep(2, 3), representation._product_residuals),
+        (lambda: fundamental_representation(gellmann_basis(3)), representation._merged_residuals),
+    ],
+    ids=["sym(2,3)", "fundamental(3)"],
+)
+def test_representation_rejects_non_finite_stack(build, kernel, entry, value, monkeypatch):
+    # each residual test is False for NaN, so the check must come before them
+    rep = build()
+    assert representation._choose_kernel(rep.stack) is kernel
+    bad = rep.stack.toarray()
+    bad[entry] = value
+
+    def no_residuals(*args):
+        raise AssertionError("residuals were formed from a non-finite stack")
+
+    monkeypatch.setattr(representation, "_construction_checks", no_residuals)
+    with pytest.raises(InvalidElementError, match=r"stack of corrupted has non-finite entries"):
+        Representation(basis=rep.basis, stack=bad, label="corrupted")
+
+
 def test_quadratic_invariant_scalar_on_random_sector():
     rep = sym_rep(3, 4)
     c2 = casimir(rep)
