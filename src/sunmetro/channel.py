@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite
 
 import numpy as np
@@ -121,19 +121,27 @@ class GeneratorMatrix:
     """Rows of generator coefficients at a parameter point.
 
     ``hmat[j]`` holds the expansion of H_j = i U^dagger dU/dtheta_j in the
-    orthonormal fundamental basis; ``condition_number`` is the ratio of the
-    extreme singular values of ``hmat`` (inf when rank deficient).
+    orthonormal fundamental basis.  ``condition_number``, the ratio of the
+    extreme singular values of ``hmat`` (inf when rank deficient), is
+    computed on first access, so a caller that never reads it pays for no
+    SVD.
     """
 
     hmat: np.ndarray
     theta: np.ndarray
-    condition_number: float
 
     def __post_init__(self):
         for name in ("hmat", "theta"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def condition_number(self) -> float:
+        s = np.linalg.svd(self.hmat, compute_uv=False)
+        if s[-1] <= s[0] * np.finfo(float).eps:
+            return np.inf
+        return float(s[0] / s[-1])
 
 
 def exponential(n: int) -> Parametrization:
@@ -166,17 +174,12 @@ def _check_theta(p: Parametrization, theta) -> np.ndarray:
     return t
 
 
-def _factor_axes(p: Parametrization, basis: GeneratorBasis) -> list[np.ndarray]:
-    # Per-factor axis vectors for the product-type kinds; the euler chart is
-    # the z-y-z product in disguise.
-    d = basis.dim
+def _factor_axes(p: Parametrization, basis: GeneratorBasis) -> np.ndarray:
+    # (m, d) axis vectors for the product-type kinds; the euler chart is the
+    # z-y-z product in disguise
     if p.kind == "euler_su2":
-        ez = np.zeros(d)
-        ez[2] = 1.0
-        ey = np.zeros(d)
-        ey[1] = 1.0
-        return [ez, ey, ez]
-    return [np.asarray(ax, dtype=float) for ax in p.factors]
+        return np.eye(basis.dim)[[2, 1, 2]]
+    return np.array(p.factors, dtype=float)
 
 
 @lru_cache(maxsize=None)
@@ -227,17 +230,12 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _rows_from_elements(elements: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    # Batched expand(); elements is (m, n, n), already Hermitian up to rounding.
-    elements = (elements + elements.conj().transpose(0, 2, 1)) / 2.0
-    rows = basis.inner_product_scale * np.einsum("aij,cji->ca", basis.generators, elements)
-    return rows.real
-
-
-def _condition_number(hmat: np.ndarray) -> float:
-    s = np.linalg.svd(hmat, compute_uv=False)
-    if s[-1] <= s[0] * np.finfo(float).eps:
-        return np.inf
-    return float(s[0] / s[-1])
+    # Batched expand(): one (m, n^2) x (n^2, d) product gives 2 Re Tr(X_a E_c),
+    # the trace form against E_c's Hermitian part, so E_c is not symmetrized;
+    # conj(X_a) is X_a transposed, as X_a is Hermitian
+    m, d = len(elements), basis.dim
+    rows = elements.reshape(m, -1) @ basis.generators.conj().reshape(d, -1).T
+    return basis.inner_product_scale * rows.real
 
 
 def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
@@ -247,33 +245,25 @@ def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
     theta . X = V diag(lambda) V^dagger and Phi_ab = phi(i (lambda_b -
     lambda_a)).  For product charts each factor contributes its axis
     conjugated by the factors at and after it, with no integral left over.
+    Every step is a product over the whole (m, n, n) stack of elements, bar
+    the running product of the factors.
     """
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
-    x = basis.generators
     if p.kind == "exponential":
-        a = from_coefficients(t, basis)
-        vals, vecs = np.linalg.eigh(a)
-        delta = vals[None, :] - vals[:, None]
-        phi = _phi1(1j * delta)
-        xt = np.einsum("pi,aij,jq->apq", vecs.conj().T, x, vecs)
-        elements = -np.einsum("pi,aij,jq->apq", vecs, xt * phi[None, :, :], vecs.conj().T)
+        vals, vecs = np.linalg.eigh(from_coefficients(t, basis))
+        phi = _phi1(1j * (vals[None, :] - vals[:, None]))
+        vh = vecs.conj().T
+        elements = -(vecs @ ((vh @ basis.generators @ vecs) * phi) @ vh)
     else:
-        axes = _factor_axes(p, basis)
-        m = len(axes)
-        factors = [
-            exp_hermitian(-t[k] * from_coefficients(axes[k], basis))
-            for k in range(m)
-        ]
+        axes = np.tensordot(_factor_axes(p, basis), basis.generators, axes=1)  # (m, n, n)
+        factors = exp_hermitian(-t[:, None, None] * axes)
+        suffixes = np.empty_like(factors)  # product of the factors from k on
         suffix = np.eye(p.n, dtype=complex)
-        conjugated = [None] * m
-        for k in range(m - 1, -1, -1):
-            suffix = factors[k] @ suffix
-            b = from_coefficients(axes[k], basis)
-            conjugated[k] = suffix.conj().T @ b @ suffix
-        elements = np.array(conjugated)
-    hmat = _rows_from_elements(elements, basis)
-    return GeneratorMatrix(hmat=hmat, theta=t, condition_number=_condition_number(hmat))
+        for k in range(len(axes) - 1, -1, -1):
+            suffix = suffixes[k] = factors[k] @ suffix
+        elements = suffixes.conj().transpose(0, 2, 1) @ axes @ suffixes
+    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis), theta=t)
 
 
 def generators_quadrature(p: Parametrization, theta, order: int = 32) -> GeneratorMatrix:
@@ -318,8 +308,7 @@ def generators_quadrature(p: Parametrization, theta, order: int = 32) -> Generat
             integral = averaged_conjugation(-1j * t[k] * bmats[k], bmats[k][None])[0]
             elements[k] = suffix.conj().T @ integral @ suffix
             suffix = expm(-1j * t[k] * bmats[k]) @ suffix
-    hmat = _rows_from_elements(elements, basis)
-    return GeneratorMatrix(hmat=hmat, theta=t, condition_number=_condition_number(hmat))
+    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis), theta=t)
 
 
 def metric_at(p: Parametrization, theta) -> np.ndarray:

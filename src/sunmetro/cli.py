@@ -23,8 +23,7 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import gellmann_basis
-from .channel import Parametrization, exponential
+from .channel import Parametrization
 from .exceptions import (
     ConstraintError,
     DimensionCapError,
@@ -35,7 +34,7 @@ from .exceptions import (
     OptimizationFailedError,
     SingularInformationError,
 )
-from .metrology import build_report
+from .metrology import build_report, saturation_check
 from .probes import (
     OptimizerConfig,
     ProbeSpec,
@@ -43,7 +42,7 @@ from .probes import (
     make_ghz,
     optimize_probe,
 )
-from .representation import DIMENSION_CAP, casimir, symmetric_representation
+from .representation import DIMENSION_CAP, casimir, symmetric_sector
 from .svg import render_loglog
 
 CSV_COLUMNS = ("n", "N", "casimir", "cs_ghz", "cs_floor", "cs_optimized")
@@ -69,8 +68,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+#: 12 significant digits, the precision of every number the CLI prints
+_fmt = "{:.12g}".format
 
 
 def _round_floats(obj):
@@ -90,8 +89,67 @@ def _round_floats(obj):
     return obj
 
 
+_INDENT = "  "
+_FLOAT_TYPES = frozenset((float, np.float64))
+
+
+def _float_texts(values) -> list[str] | None:
+    """Each value rounded to 12 digits and printed as json prints a finite
+    float, by repr; None unless every value is a finite float or float64."""
+    if not _FLOAT_TYPES.issuperset(map(type, values)):
+        return None
+    rounded = list(map(float, map(_fmt, map(float, values))))
+    return list(map(repr, rounded)) if all(map(isfinite, rounded)) else None
+
+
+def _write_json(obj, depth: int, out: list) -> None:
+    """Append the text json.dumps(_round_floats(obj), indent=2) gives at ``depth``.
+
+    Containers are laid out here.  The floats of a flat list, or of a list
+    of such lists (a matrix, amplitude pairs), are printed in one pass;
+    every other leaf goes through json.dumps on its own.
+    """
+    close = "\n" + _INDENT * depth
+    pad = close + _INDENT
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        sep = "{" + pad
+        for key, value in obj.items():
+            out.append(sep + json.dumps(key) + ": ")
+            _write_json(value, depth + 1, out)
+            sep = "," + pad
+        out.append(close + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(type(row) is list and row for row in obj):
+            texts = _float_texts([v for row in obj for v in row])
+            if texts is not None:
+                inner, start, rows = pad + _INDENT, 0, []
+                for row in obj:
+                    items = ("," + inner).join(texts[start:start + len(row)])
+                    rows.append("[" + inner + items + pad + "]")
+                    start += len(row)
+                out.append("[" + pad + ("," + pad).join(rows) + close + "]")
+                return
+        texts = _float_texts(obj)
+        if texts is not None:
+            out.append("[" + pad + ("," + pad).join(texts) + close + "]")
+            return
+        sep = "[" + pad
+        for value in obj:
+            out.append(sep)
+            _write_json(value, depth + 1, out)
+            sep = "," + pad
+        out.append(close + "]")
+    elif isinstance(obj, dict) and obj:
+        # keys that are not strings follow json's own key rules
+        out.append(json.dumps(_round_floats(obj), indent=2).replace("\n", close))
+    else:
+        out.append(json.dumps(_round_floats(obj)))
+
+
 def _emit(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(doc), indent=2) + "\n"
+    out: list = []
+    _write_json(doc, 0, out)
+    text = "".join(out) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -143,13 +201,13 @@ def cmd_bound(args) -> int:
 def cmd_check(args) -> int:
     spec = ProbeSpec.from_json(_load_json(args.probe))
     state = build_probe(spec, cap=args.cap)
-    n, d = state.rep.basis.n, state.rep.basis.dim
-    report = build_report(state, exponential(n), np.zeros(d))
+    d = state.rep.basis.dim
+    report = build_report(state)
     doc = {
         **report.unpolarized,
         "intrinsic_bound": report.intrinsic_bound,
         "floor": d * d / (4.0 * casimir(state.rep)),
-        "saturable": report.flags["saturable"],
+        "saturable": saturation_check(state),
     }
     _emit(doc, args.out)
     return 0
@@ -158,7 +216,7 @@ def cmd_check(args) -> int:
 def _scan_row(n: int, particles: int, wanted: set, cap: int, seed: int | None) -> dict:
     row: dict = {"n": n, "N": particles}
     try:
-        rep = symmetric_representation(gellmann_basis(n), particles, cap=cap)
+        rep = symmetric_sector(n, particles, cap=cap)
     except DimensionCapError:
         return {**row, **dict.fromkeys(CSV_COLUMNS[2:], "skipped")}
     d = n * n - 1
@@ -247,7 +305,7 @@ def cmd_optimize(args) -> int:
     config = OptimizerConfig.from_json(doc)
     if config.seed is None:
         raise InvalidElementError("a seed is required: pass --seed or put one in the config")
-    rep = symmetric_representation(gellmann_basis(args.n), args.particles, cap=args.cap)
+    rep = symmetric_sector(args.n, args.particles, cap=args.cap)
     result = optimize_probe(rep, config)
     amplitudes = [[z.real, z.imag] for z in result.state.vector]
     _emit(

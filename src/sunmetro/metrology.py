@@ -98,13 +98,19 @@ def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeSta
         )
     if not np.all(np.isfinite(v.view(float))):
         raise InvalidStateError("amplitudes must be finite")
-    norm = float(np.linalg.norm(v))
     if normalize:
-        if norm == 0.0:
+        peak = float(np.max(np.abs(v.view(float)), initial=0.0))
+        if peak == 0.0:
             raise InvalidStateError("cannot normalize the zero vector")
-        v = v / norm
-    elif abs(norm - 1.0) > 1e-12:
-        raise InvalidStateError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
+        # scaling by a power of two near the largest entry is exact, so the
+        # norm neither overflows nor underflows and the result is unchanged
+        # wherever it did neither before
+        v = np.ldexp(v.view(float), -np.frexp(peak)[1]).view(complex)
+        v = v / np.linalg.norm(v)
+    else:
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-12:
+            raise InvalidStateError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
     return ProbeState(rep=rep, vector=v)
 
 
@@ -276,22 +282,28 @@ def weighted_bound(
     return float(np.trace(solve(q, w, assume_a="pos")))
 
 
-def saturation_check(state: ProbeState, gm: GeneratorMatrix, tol: float = SATURATION_TOL) -> bool:
+def saturation_check(
+    state: ProbeState, gm: GeneratorMatrix | None = None, tol: float = SATURATION_TOL
+) -> bool:
     """Whether all commutator expectations <[H_j, H_k]> vanish on the probe.
 
     Vanishing expectations mean the scalar bound is jointly attainable; any
-    first-order unpolarized probe passes for every chart.
+    first-order unpolarized probe passes for every chart.  Without ``gm``
+    the H_j are the basis generators themselves: the exponential chart's
+    rows at the origin are -I, and the sign cancels in every product.
     """
     return float(np.max(np.abs(_commutator_expectations(state, gm)))) < tol
 
 
-def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix) -> np.ndarray:
+def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
     # <[H_j, H_k]> = sum_u lambda_u (<H_j u|H_k u> - <H_k u|H_j u>) over rho's eigenvectors
     # u, leaving out those of weight at most SUPPORT_CUTOFF / 2
     lam, p = state._eigensystem
     support = lam > SUPPORT_CUTOFF / 2.0
     weighted = p[:, support] * np.sqrt(lam[support])
-    images = gm.hmat @ (state.rep.stack @ weighted).reshape(state.rep.basis.dim, -1)  # H_m u
+    images = (state.rep.stack @ weighted).reshape(state.rep.basis.dim, -1)  # X_a u
+    if gm is not None:
+        images = gm.hmat @ images  # H_m u
     products = images.conj() @ images.T
     return products - products.T
 

@@ -20,7 +20,6 @@ from .exceptions import (
     InvalidStateError,
     OptimizationFailedError,
 )
-from .algebra import gellmann_basis
 from .channel import _is_int
 from .metrology import (
     FIRST_ORDER_TOL,
@@ -33,7 +32,7 @@ from .representation import (
     DIMENSION_CAP,
     Representation,
     casimir,
-    symmetric_representation,
+    symmetric_sector,
 )
 
 OPTIMIZER_METHODS = ("gradient_descent_on_sphere",)
@@ -140,10 +139,6 @@ def _parse_amplitude(entry) -> complex:
     raise InvalidStateError(f"amplitude entries are numbers or [re, im] pairs, got {entry!r}")
 
 
-def _symmetric_rep(n: int, particles: int, cap: int) -> Representation:
-    return symmetric_representation(gellmann_basis(n), particles, cap=cap)
-
-
 def make_ghz(
     n: int, particles: int, cap: int = DIMENSION_CAP, rep: Representation | None = None
 ) -> ProbeState:
@@ -156,7 +151,7 @@ def make_ghz(
     if particles < 1:
         raise ConstraintError(f"need at least one particle, got {particles}")
     if rep is None:
-        rep = _symmetric_rep(n, particles, cap)
+        rep = symmetric_sector(n, particles, cap)
     elif rep.fock is None or (rep.fock.modes, rep.fock.particles) != (n, particles):
         raise InvalidStateError(f"{rep.label} is not symmetric({n}, {particles})")
     vec = np.zeros(rep.space_dim, dtype=complex)
@@ -178,7 +173,7 @@ def make_tetrahedron_j2() -> ProbeState:
     In occupation amplitudes on symmetric(2, 4): (|4,0> + sqrt(2) |1,3>)/sqrt(3).
     Its covariance is isotropic, so it attains the minimum of Tr[C^(-1)].
     """
-    rep = _symmetric_rep(2, 4, DIMENSION_CAP)
+    rep = symmetric_sector(2, 4, DIMENSION_CAP)
     vec = np.zeros(rep.space_dim, dtype=complex)
     vec[rep.fock.index[(4, 0)]] = 1.0 / np.sqrt(3.0)
     vec[rep.fock.index[(1, 3)]] = np.sqrt(2.0 / 3.0)
@@ -200,7 +195,7 @@ def make_su3_cyclic(k: int, l: int, cap: int = DIMENSION_CAP) -> ProbeState:
     base = (k - l, k, k + l)
     if min(base) < 0:
         raise ConstraintError(f"occupations {base} are not all nonnegative")
-    rep = _symmetric_rep(3, 3 * k, cap)
+    rep = symmetric_sector(3, 3 * k, cap)
     vec = np.zeros(rep.space_dim, dtype=complex)
     for shift in range(3):
         occ = tuple(base[(i - shift) % 3] for i in range(3))
@@ -213,7 +208,7 @@ def make_fock(occupations, cap: int = DIMENSION_CAP) -> ProbeState:
     occ = tuple(occupations)
     if len(occ) < 2 or min(occ) < 0 or sum(occ) < 1:
         raise ConstraintError(f"invalid occupation list {occ}")
-    rep = _symmetric_rep(len(occ), sum(occ), cap)
+    rep = symmetric_sector(len(occ), sum(occ), cap)
     vec = np.zeros(rep.space_dim, dtype=complex)
     vec[rep.fock.index[occ]] = 1.0
     return pure_state(rep, vec)
@@ -225,7 +220,7 @@ def make_custom(n: int, particles: int, amplitudes, cap: int = DIMENSION_CAP) ->
     The vector must be normalized to within 1e-6 (it is renormalized exactly;
     the loose tolerance admits round-tripped 12-digit serializations).
     """
-    rep = _symmetric_rep(n, particles, cap)
+    rep = symmetric_sector(n, particles, cap)
     vec = np.asarray(list(amplitudes), dtype=complex)
     if vec.shape != (rep.space_dim,):
         raise InvalidStateError(

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 from scipy import sparse
 
-from .algebra import GeneratorBasis, StructureConstants, structure_constants
+from .algebra import GeneratorBasis, StructureConstants, gellmann_basis, structure_constants
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
 #: Default guard on the representation dimension; raise above this.  The
@@ -173,11 +173,7 @@ def symmetric_representation(
         request raises :class:`DimensionCapError` instead of allocating.
     """
     n = basis.n
-    dim = comb(particles + n - 1, n - 1)
-    if dim > cap:
-        raise DimensionCapError(
-            f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
-        )
+    _check_cap(n, particles, cap)
     fock = fock_basis(n, particles)
     return Representation(
         basis=basis,
@@ -185,6 +181,25 @@ def symmetric_representation(
         label=f"symmetric({n}, {particles})",
         fock=fock,
     )
+
+
+def symmetric_sector(n: int, particles: int, cap: int = DIMENSION_CAP) -> Representation:
+    """:func:`symmetric_representation` on ``gellmann_basis(n)``.
+
+    The sector dimension is compared with ``cap`` before the basis is built,
+    so a refused request costs nothing that grows with n.
+    """
+    if n >= 2:  # a smaller n is refused by gellmann_basis, with its own message
+        _check_cap(n, particles, cap)
+    return symmetric_representation(gellmann_basis(n), particles, cap=cap)
+
+
+def _check_cap(n: int, particles: int, cap: int) -> None:
+    dim = comb(particles + n - 1, n - 1)
+    if dim > cap:
+        raise DimensionCapError(
+            f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
+        )
 
 
 def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_array:
@@ -461,11 +476,11 @@ def lift_unitary(rep: Representation, coeffs: np.ndarray) -> np.ndarray:
 
 
 def exp_hermitian(a: np.ndarray) -> np.ndarray:
-    """exp(i A) for a Hermitian matrix A through its eigendecomposition.
+    """exp(i A) for a Hermitian matrix A, or for each of a (..., n, n) stack.
 
     Eigendecomposition is used instead of a series or Pade expansion so the
     result is exactly unitary up to rounding even for large norms.
     """
-    a = (a + a.conj().T) / 2.0
+    a = (a + np.swapaxes(a.conj(), -1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(a)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)

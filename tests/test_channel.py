@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from conftest import dense_generators, sym_rep
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
@@ -15,6 +17,8 @@ from sunmetro import (
     InvalidElementError,
     Parametrization,
     euler_su2,
+    exp_hermitian,
+    expand,
     exponential,
     exponential_coordinates,
     from_coefficients,
@@ -118,6 +122,104 @@ def test_quadrature_matches_closed_form_product_charts():
         )
     )
     assert dev < 1e-8
+
+
+def _reference_rows(chart, theta):
+    # the closed form term by term: three-operand einsums for the exponential
+    # chart, one exponential and one expansion per factor for product charts
+    basis = gellmann_basis(chart.n)
+    x = basis.generators
+    theta = np.asarray(theta, dtype=float)
+    if chart.kind == "exponential":
+        vals, vecs = np.linalg.eigh(from_coefficients(theta, basis))
+        phi = channel._phi1(1j * (vals[None, :] - vals[:, None]))
+        xt = np.einsum("pi,aij,jq->apq", vecs.conj().T, x, vecs)
+        elements = -np.einsum("pi,aij,jq->apq", vecs, xt * phi[None, :, :], vecs.conj().T)
+    else:
+        if chart.kind == "euler_su2":
+            axes = [np.eye(3)[2], np.eye(3)[1], np.eye(3)[2]]
+        else:
+            axes = [np.asarray(ax) for ax in chart.factors]
+        suffix = np.eye(chart.n, dtype=complex)
+        conjugated = [None] * len(axes)
+        for k in range(len(axes) - 1, -1, -1):
+            b = from_coefficients(axes[k], basis)
+            suffix = exp_hermitian(-theta[k] * b) @ suffix
+            conjugated[k] = suffix.conj().T @ b @ suffix
+        elements = np.array(conjugated)
+    elements = (elements + elements.conj().transpose(0, 2, 1)) / 2.0
+    return basis.inner_product_scale * np.einsum("aij,cji->ca", x, elements).real
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_batched_rows_match_the_term_by_term_reference(n):
+    rng = np.random.default_rng(400 + n)
+    d = n * n - 1
+    charts = [exponential(n)] * 3 + [euler_su2()] * (n == 2)
+    for m in (1, 3, d):
+        axes = rng.standard_normal((m, d))
+        charts.append(product_of_exponentials(n, axes / np.linalg.norm(axes, axis=1)[:, None]))
+    for chart in charts:
+        theta = rng.uniform(-1.5, 1.5, chart.param_count)
+        if chart.kind == "exponential":
+            theta *= rng.uniform(0.1, 2.5) / np.linalg.norm(theta)
+        rows = generators_closed_form(chart, theta).hmat
+        assert np.max(np.abs(rows - _reference_rows(chart, theta))) < 1e-12
+
+
+# factor angles whose exponent eigenvalue gaps fall on both sides of the cutoff
+_ANGLES = st.one_of(
+    st.floats(1e-7, 1e-5), st.floats(1e-5, 1e-3), st.floats(1e-3, 1.2)
+).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    angles=st.lists(_ANGLES, min_size=1, max_size=5),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_matches_closed_form_on_product_charts_hypothesis(n, angles, draw):
+    axes = np.random.default_rng(draw).standard_normal((len(angles), n * n - 1))
+    chart = product_of_exponentials(n, axes / np.linalg.norm(axes, axis=1)[:, None])
+    dev = np.max(
+        np.abs(
+            generators_quadrature(chart, angles, order=32).hmat
+            - generators_closed_form(chart, angles).hmat
+        )
+    )
+    assert dev < 1e-8
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None)
+@given(
+    gaps=st.lists(
+        st.one_of(st.floats(1e-7, 1e-5), st.floats(1e-5, 1e-3), st.floats(1e-3, 0.6)),
+        min_size=1,
+        max_size=3,
+    ),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_matches_closed_form_across_the_series_cutoff_hypothesis(gaps, draw):
+    # an exponential-chart point with prescribed eigenvalue gaps, so that the
+    # divided difference takes its series and its direct branch together
+    n = len(gaps) + 1
+    rng = np.random.default_rng(draw)
+    vals = np.concatenate([[0.0], np.cumsum(gaps)])
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    v, _ = np.linalg.qr(z)
+    a = (v * (vals - vals.mean())) @ v.conj().T
+    theta = expand((a + a.conj().T) / 2.0, gellmann_basis(n))
+    chart = exponential(n)
+    dev = np.max(
+        np.abs(
+            generators_quadrature(chart, theta, order=32).hmat
+            - generators_closed_form(chart, theta).hmat
+        )
+    )
+    assert dev < (1e-10 if n == 2 else 1e-8)
 
 
 def test_quadrature_error_decreases_with_order():

@@ -4,6 +4,8 @@ import contextlib
 import csv
 import io
 import json
+import re
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +15,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import sunmetro.channel as channel
 import sunmetro.cli as cli
+import sunmetro.metrology as metrology
+import sunmetro.representation as representation
 from sunmetro import (
     Parametrization,
     ProbeSpec,
@@ -24,6 +29,7 @@ from sunmetro import (
     casimir,
     covariance,
     exponential,
+    gellmann_basis,
     generators_closed_form,
     intrinsic_bound,
     qfim,
@@ -321,6 +327,67 @@ def test_scan_matches_the_golden_csv(capsys, n, nmax):
     assert capsys.readouterr().out.encode() == golden
 
 
+BOUND_GOLDEN = Path(__file__).parent / "data" / "bound_golden.json"
+
+# a JSON number as the CLI prints it
+_NUMERAL = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?")
+
+
+def _run_bound_case(case: dict, work: Path) -> dict:
+    """One pinned ``bound`` request: its exit code, stdout and stderr."""
+    for role in ("probe", "chart", "weight"):
+        (work / f"{role}.json").write_text(json.dumps(case[role]))
+    weight = case["weight"] if isinstance(case["weight"], str) else str(work / "weight.json")
+    argv = ["bound", str(work / "probe.json"), str(work / "chart.json"),
+            "--theta=" + ",".join(repr(t) for t in case["theta"]), "--weight", weight]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return {"rc": rc, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def write_bound_golden() -> None:
+    """Rerun every case of ``BOUND_GOLDEN`` and store what ``bound`` printed.
+
+    Run after a deliberate change of ``bound``'s output, from the repository
+    root: ``PYTHONPATH=src:tests python -c "import test_cli; test_cli.write_bound_golden()"``
+    """
+    cases = json.loads(BOUND_GOLDEN.read_text())
+    with tempfile.TemporaryDirectory() as work:
+        for case in cases:
+            case.update(_run_bound_case(case, Path(work)))
+    BOUND_GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+
+
+def _assert_field_close(actual, expected):
+    # each number to 1e-10 of the largest entry of its field: entries at
+    # rounding noise (1e-17 where a mean vanishes) vary with the BLAS kernel
+    a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert a.shape == e.shape
+    scale = max(float(np.max(np.abs(e), initial=0.0)), 1e-300)
+    assert np.max(np.abs(a - e), initial=0.0) <= 1e-10 * scale
+
+
+def test_bound_matches_the_pinned_outputs(tmp_path):
+    # the bound-mix probes on each chart kind with each kind of weight, at
+    # fixed points; the euler chart on an SU(3) or SU(4) probe exits 1 and
+    # the stretched Fock probe exits 2
+    cases = json.loads(BOUND_GOLDEN.read_text())
+    codes = set()
+    for case in cases:
+        got = _run_bound_case(case, tmp_path)
+        assert (got["rc"], got["err"]) == (case["rc"], case["err"])
+        # the layout and every byte outside a number exactly
+        assert _NUMERAL.sub("#", got["out"]) == _NUMERAL.sub("#", case["out"])
+        if case["rc"] == 0:
+            doc, pinned = json.loads(got["out"]), json.loads(case["out"])
+            assert doc["flags"] == pinned["flags"]
+            for key in ("mean", "covariance", "qfim", "metric", "intrinsic_bound", "weighted_bound"):
+                _assert_field_close(doc[key], pinned[key])
+        codes.add(case["rc"])
+    assert len(cases) == 47 and codes == {0, 1, 2}
+
+
 def test_scan_optimized_row_within_bracket(files, tmp_path, capsys):
     out_csv = tmp_path / "scan.csv"
     rc = main(
@@ -425,6 +492,34 @@ def test_large_n_check_ends_in_an_exit_code(tmp_path, capsys):
     assert peak < 50 * 2**20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "PROBE", "--cap", "20"],
+        ["optimize", "--n", "40", "--particles", "1", "--seed", "1", "--cap", "20"],
+        ["scan", "--n", "40", "--nmin", "1", "--nmax", "1", "--cap", "20"],
+    ],
+)
+def test_cap_refuses_before_the_basis_is_built(tmp_path, capsys, argv):
+    # the su(40) basis alone is 1599 dense 40 x 40 matrices, 41 MB
+    path = tmp_path / "ghz40.json"
+    path.write_text(json.dumps({"kind": "ghz", "n": 40, "N": 1}))
+    argv = [str(path) if arg == "PROBE" else arg for arg in argv]
+    gellmann_basis.cache_clear()
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    if argv[0] == "scan":
+        assert rc == 0 and captured.out.splitlines()[1] == "40,1,skipped,skipped,skipped,skipped"
+    else:
+        assert rc == 1 and "symmetric(40, 1) has dimension 40 > cap 20" in captured.err
+    assert peak < 2**20
+
+
 def test_optimize_command(tmp_path, capsys):
     rc = main(["optimize", "--n", "2", "--particles", "4", "--seed", "7"])
     out = capsys.readouterr().out
@@ -510,7 +605,7 @@ def test_scan_rejects_a_negative_row_seed_before_any_row(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a representation was built")
 
-    monkeypatch.setattr(cli, "symmetric_representation", refuse)
+    monkeypatch.setattr(representation, "symmetric_representation", refuse)
     argv = ["scan", "--n", "2", "--nmin", "1", "--nmax", "3", "--states", "ghz,optimized"]
     assert main(argv + ["--seed", "-2"]) == 1
     captured = capsys.readouterr()
@@ -700,6 +795,27 @@ def test_bound_and_check_match_the_per_function_route(tmp_path, capsys, monkeypa
     assert outcomes == {"report", "covariance", "information"}
 
 
+def test_check_builds_no_chart(tmp_path, monkeypatch):
+    # check reads the commutator expectations from the basis generators; the
+    # reference still takes them from the exponential chart at the origin
+    expected = {name: _reference_check(probe) for name, probe in GRID_PROBES.items()}
+    assert {doc["saturable"] for doc in expected.values()} == {True, False}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("check built generator rows")
+
+    monkeypatch.setattr(channel, "generators_closed_form", refuse)
+    monkeypatch.setattr(metrology, "generators_closed_form", refuse)
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: emitted.append(doc))
+    for name, probe in GRID_PROBES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(probe))
+        emitted.clear()
+        assert main(["check", str(path)]) == 0
+        _assert_same(emitted[0], expected[name])
+
+
 def test_parser_is_built_once_and_answers_like_a_fresh_one(files, capsys, monkeypatch, tmp_path):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"kind": "noon", "N": 4.7}))
@@ -780,10 +896,48 @@ def test_round_floats_matches_the_reference_text(doc):
     assert json.dumps(cli._round_floats(doc), indent=2) == expected
 
 
+def _written(doc) -> str:
+    out = []
+    cli._write_json(doc, 0, out)
+    return "".join(out)
+
+
+ADVERSARIAL_DOCS = [
+    {"nan": [float("nan"), 1.0], "inf": [float("inf"), -float("inf")], "one": float("-inf")},
+    {"zero": [-0.0, 0.0, -0.0], "sub": [5e-324, 2.2250738585072014e-308, -1e-310]},
+    {"numpy": [np.float64(0.1), np.float32(0.1), np.float16(0.5), np.int64(-3)]},
+    {"numpy_flat": [np.float64(1.0) / 3, np.float64(2.0)], "scalar": np.float64(1e300)},
+    {"empty": [], "empty_dict": {}, "nested": [[], [[]], {}, [{}], {"a": []}]},
+    {"rows": [[np.float64(0.1), 0.2], [1.0]], "nan_row": [[1.0], [2.0, float("nan")]]},
+    {"ragged": [[1.0, 2.0], []], "tuple_rows": [(1.0, 2.0), (3.0,)], "deep": [[[1.0]], [[2.0]]]},
+    {"ключ": {"κλειδί": [1.0, "ü\n\"\t"], "键": None}, "\u2028": True},
+    {1: [0.5], None: 2.0, 2.5: "x", True: [], False: {"k": 1e-5}},
+    [[1.0, 2.0], [3.0, None], (4.0, 5.0), [True, 1.0], [1, 2.0]],
+    [],
+    {},
+    0.1 + 0.2,
+    "top",
+    None,
+    [123456789012.0, 1234567890123.0, 1e16, 1e-5, 1e22, -2.0],
+]
+
+
+@pytest.mark.parametrize("doc", ADVERSARIAL_DOCS)
+def test_writer_matches_json_dumps_on_adversarial_documents(doc):
+    assert _written(doc) == json.dumps(cli._round_floats(doc), indent=2)
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None)
+@given(doc=_DOCS)
+def test_writer_matches_json_dumps_hypothesis(doc):
+    assert _written(doc) == json.dumps(cli._round_floats(doc), indent=2)
+
+
 # Documents for the exit-code property: arbitrary JSON, and documents of each
 # role with fields in range, some of them then replaced by arbitrary JSON or
 # dropped.  Integers stay small: a valid document's cost grows with n, N and
-# the restarts, and the su(n) basis is built before --cap is consulted.
+# the restarts.
 _NUMBER = st.one_of(st.integers(-2, 6), st.floats())
 _ANY_JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-4, 12), st.floats(), st.text(max_size=6)),

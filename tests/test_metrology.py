@@ -276,6 +276,25 @@ def test_commutator_expectations_match_dense_route(n, particles):
             assert saturation_check(state, gm) == (residual < metrology.SATURATION_TOL)
 
 
+@pytest.mark.parametrize("n, particles", SIZES)
+def test_chart_free_saturation_matches_the_origin_chart(n, particles):
+    # without a chart the images are X_a u; the exponential chart's rows at
+    # the origin, -I up to rounding, only flip their sign
+    rep = sym_rep(n, particles)
+    rng = np.random.default_rng(300 * n + particles)
+    origin = generators_closed_form(exponential(n), np.zeros(n * n - 1))
+    states = [mixed_state(rep, _random_density(rep, rng)) for _ in range(3)]
+    states += [random_pure(rep, rng), mixed_state(rep, np.eye(rep.space_dim) / rep.space_dim)]
+    outcomes = set()
+    for state in states:
+        free = metrology._commutator_expectations(state, None)
+        charted = metrology._commutator_expectations(state, origin)
+        assert np.max(np.abs(free - charted)) < 1e-12
+        outcomes.add(saturation_check(state))
+        assert saturation_check(state) == saturation_check(state, origin)
+    assert outcomes == {True, False}
+
+
 @seed(20261018)
 @settings(max_examples=30, deadline=None)
 @given(size=st.sampled_from([(2, 1), *SIZES, (3, 6), (5, 1)]), draw=st.integers(0, 2**32 - 1))
@@ -308,6 +327,22 @@ def test_mixed_report_diagonalizes_rho_once(monkeypatch):
     report = build_report(state, exponential(2), [0.3, -0.2, 0.5], weight="intrinsic")
     assert report.flags["saturable"] is not None
     assert calls.count((rep.space_dim, rep.space_dim)) == 1
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-170, 5e-324])
+def test_normalize_survives_overflow_and_underflow(scale):
+    # the plain norm overflows to inf at 1e300 and underflows to 0 at 1e-170
+    rep = sym_rep(2, 1)
+    state = pure_state(rep, [scale, scale], normalize=True)
+    np.testing.assert_allclose(state.vector, np.array([1.0, 1.0]) / np.sqrt(2.0), rtol=0, atol=1e-15)
+
+
+def test_normalize_keeps_every_bit_where_the_norm_is_finite():
+    rep = sym_rep(3, 3)
+    rng = np.random.default_rng(17)
+    for exponent in (-150, -3, 0, 5, 150):
+        v = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) * 10.0**exponent
+        assert np.array_equal(pure_state(rep, v, normalize=True).vector, v / np.linalg.norm(v))
 
 
 def test_state_validation():

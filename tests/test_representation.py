@@ -178,9 +178,24 @@ def test_lift_unitary_matches_dense_route(n, particles):
         assert np.max(np.abs(lift_unitary(rep, coeffs) - reference)) < 1e-12
 
 
+def test_exp_hermitian_on_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((4, 3, 5, 5)) + 1j * rng.standard_normal((4, 3, 5, 5))
+    stack = z + z.conj().swapaxes(-1, -2)
+    unitaries = exp_hermitian(stack)
+    assert unitaries.shape == stack.shape
+    for index in np.ndindex(stack.shape[:2]):
+        assert np.array_equal(unitaries[index], exp_hermitian(stack[index]))
+    eye = np.eye(5)
+    assert np.max(np.abs(unitaries @ unitaries.conj().swapaxes(-1, -2) - eye)) < 1e-12
+
+
 def test_dimension_cap_enforced():
     with pytest.raises(DimensionCapError):
         symmetric_representation(gellmann_basis(3), 9, cap=50)  # needs 55
+    with pytest.raises(DimensionCapError, match="symmetric\\(3, 9\\) has dimension 55 > cap 50"):
+        representation.symmetric_sector(3, 9, cap=50)
+    assert representation.symmetric_sector(3, 9, cap=55).space_dim == 55
 
 
 def test_reducible_stack_fails_casimir():
