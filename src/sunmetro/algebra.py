@@ -42,15 +42,12 @@ class GeneratorBasis:
     generators : numpy.ndarray
         Complex array of shape ``(d, n, n)`` with ``d = n**2 - 1``.  Each
         slice is Hermitian and traceless, and the family satisfies
-        ``2 Tr(X_a X_b) = delta_ab``.
-    inner_product_scale : float
-        Constant in front of the trace form.  Fixed to 2 so that the su(2)
-        basis coincides with the spin operators.
+        ``2 Tr(X_a X_b) = delta_ab``, the trace form scaled by
+        ``INNER_PRODUCT_SCALE``.
     """
 
     n: int
     generators: np.ndarray
-    inner_product_scale: float = INNER_PRODUCT_SCALE
 
     def __post_init__(self):
         mats = np.asarray(self.generators, dtype=complex)
@@ -71,7 +68,7 @@ class GeneratorBasis:
             raise InvalidElementError(f"basis not traceless: max |trace| {tr:.3e}")
         # 2 Tr(X_a X_b) as one (d, n**2) matrix product
         flat = mats.reshape(d, self.n * self.n)
-        gram = self.inner_product_scale * flat @ mats.transpose(0, 2, 1).reshape(d, -1).T
+        gram = INNER_PRODUCT_SCALE * flat @ mats.transpose(0, 2, 1).reshape(d, -1).T
         dev = np.max(np.abs(gram - np.eye(d)))
         if dev > 1e-10:
             raise InvalidElementError(f"basis not orthonormal: Gram deviation {dev:.3e}")
@@ -201,7 +198,7 @@ def expand(element: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     tr = abs(np.trace(h))
     if tr > ELEMENT_TOL:
         raise InvalidElementError(f"element not traceless: |trace| = {tr:.3e}")
-    coeffs = basis.inner_product_scale * np.einsum("aij,ji->a", basis.generators, h)
+    coeffs = INNER_PRODUCT_SCALE * np.einsum("aij,ji->a", basis.generators, h)
     return coeffs.real
 
 

@@ -22,13 +22,13 @@ from math import isfinite
 
 import numpy as np
 
-from .algebra import GeneratorBasis, expand, from_coefficients, gellmann_basis
+from .algebra import INNER_PRODUCT_SCALE, GeneratorBasis, expand, from_coefficients, gellmann_basis
 from .exceptions import InvalidDimensionError, InvalidElementError
 from .representation import Representation, exp_hermitian, fundamental_representation, lift_unitary
 
 PARAMETRIZATION_KINDS = ("exponential", "euler_su2", "product_of_exponentials")
 
-#: Condition number of 𝗛 above which the parametrization counts as singular.
+#: Condition number of 𝗛, C or Q at which the matrix counts as singular.
 CONDITION_THRESHOLD = 1e8
 
 #: Below this |z| the divided difference phi(z) switches to its Taylor series.
@@ -122,19 +122,24 @@ class GeneratorMatrix:
 
     ``hmat[j]`` holds the expansion of H_j = i U^dagger dU/dtheta_j in the
     orthonormal fundamental basis.  ``condition_number``, the ratio of the
-    extreme singular values of ``hmat`` (inf when rank deficient), is
-    computed on first access, so a caller that never reads it pays for no
-    SVD.
+    extreme singular values of ``hmat`` (inf when rank deficient), and
+    ``metric``, the pulled-back metric 𝗛 𝗛^T, are computed on first access,
+    so a caller that never reads them pays for neither.
     """
 
     hmat: np.ndarray
-    theta: np.ndarray
 
     def __post_init__(self):
-        for name in ("hmat", "theta"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        hmat = np.asarray(self.hmat, dtype=float)
+        hmat.setflags(write=False)
+        object.__setattr__(self, "hmat", hmat)
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        g = self.hmat @ self.hmat.T
+        g = (g + g.T) / 2.0
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def condition_number(self) -> float:
@@ -235,7 +240,7 @@ def _rows_from_elements(elements: np.ndarray, basis: GeneratorBasis) -> np.ndarr
     # conj(X_a) is X_a transposed, as X_a is Hermitian
     m, d = len(elements), basis.dim
     rows = elements.reshape(m, -1) @ basis.generators.conj().reshape(d, -1).T
-    return basis.inner_product_scale * rows.real
+    return INNER_PRODUCT_SCALE * rows.real
 
 
 def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
@@ -263,7 +268,7 @@ def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
         for k in range(len(axes) - 1, -1, -1):
             suffix = suffixes[k] = factors[k] @ suffix
         elements = suffixes.conj().transpose(0, 2, 1) @ axes @ suffixes
-    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis), theta=t)
+    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis))
 
 
 def generators_quadrature(p: Parametrization, theta, order: int = 32) -> GeneratorMatrix:
@@ -308,22 +313,18 @@ def generators_quadrature(p: Parametrization, theta, order: int = 32) -> Generat
             integral = averaged_conjugation(-1j * t[k] * bmats[k], bmats[k][None])[0]
             elements[k] = suffix.conj().T @ integral @ suffix
             suffix = expm(-1j * t[k] * bmats[k]) @ suffix
-    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis), theta=t)
+    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis))
 
 
 def metric_at(p: Parametrization, theta) -> np.ndarray:
     """Pulled-back invariant metric g = 𝗛 𝗛^T at a parameter point."""
-    hmat = generators_closed_form(p, theta).hmat
-    g = hmat @ hmat.T
-    return (g + g.T) / 2.0
+    return generators_closed_form(p, theta).metric
 
 
-def singularity_report(
-    p: Parametrization, theta, cond_threshold: float = CONDITION_THRESHOLD
-) -> dict:
+def singularity_report(p: Parametrization, theta) -> dict:
     """Classify a parameter point by the conditioning of its generator rows."""
     cond = generators_closed_form(p, theta).condition_number
-    return {"singular": bool(not cond < cond_threshold), "condition_number": cond}
+    return {"singular": bool(not cond < CONDITION_THRESHOLD), "condition_number": cond}
 
 
 def exponential_coordinates(u: np.ndarray, basis: GeneratorBasis) -> np.ndarray:

@@ -129,9 +129,28 @@ def mixed_state(rep: Representation, density) -> ProbeState:
     return ProbeState(rep=rep, density=rho)
 
 
-def _images(state: ProbeState) -> np.ndarray:
-    # X_a^(R) psi for every generator a, one sparse mat-vec: shape (d, D)
-    return (state.rep.stack @ state.vector).reshape(state.rep.basis.dim, state.rep.space_dim)
+def _images(rep: Representation, columns: np.ndarray) -> np.ndarray:
+    # X_a u for every generator a and column u, one product with the stack F
+    return (rep.stack @ columns).reshape(-1, *columns.shape)
+
+
+def _support_images(state: ProbeState, scaled: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    # the mask of rho's eigenvalues above SUPPORT_CUTOFF / 2 and F P_s for their
+    # eigenvectors P_s, scaled by sqrt(lambda) if asked (a no-op for a pure state)
+    lam, p = state._eigensystem
+    support = lam > SUPPORT_CUTOFF / 2.0
+    columns = p[:, support] * np.sqrt(lam[support]) if scaled else p[:, support]
+    return support, _images(state.rep, columns)
+
+
+def _pure_moments(rep: Representation, psi: np.ndarray):
+    # images Y_a = X_a psi, mean m and symmetrized covariance C of a unit
+    # vector psi: the kernel of covariance_pure and of the optimizer
+    images = _images(rep, psi)
+    bras = images.conj()
+    mean = (bras @ psi).real
+    cov = (bras @ images.T).real - mean[:, None] * mean
+    return images, mean, (cov + cov.T) / 2.0
 
 
 def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
@@ -142,17 +161,10 @@ def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """
     if not state.is_pure:
         raise InvalidStateError("covariance_pure needs a pure state")
-    psi = state.vector
-    images = _images(state)
-    mean = (images @ psi.conj()).real
-    gram = np.einsum("ai,bi->ab", images.conj(), images)
-    cov = gram.real - np.outer(mean, mean)
-    return mean, (cov + cov.T) / 2.0
+    return _pure_moments(state.rep, state.vector)[1:]
 
 
-def covariance_mixed(
-    state: ProbeState, support_cutoff: float = SUPPORT_CUTOFF
-) -> tuple[np.ndarray, np.ndarray]:
+def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance kernel of the generators in a mixed state.
 
     In the eigenbasis rho = sum_u lambda_u |u><u|,
@@ -161,8 +173,8 @@ def covariance_mixed(
                  <u|X_j|v><v|X_k|u>,
 
     with eigenvalue pairs of weight lambda_u + lambda_v at most
-    ``support_cutoff`` dropped.  Such a pair has no eigenvalue above
-    ``support_cutoff / 2``, so the matrix elements are read from the stack F
+    ``SUPPORT_CUTOFF`` dropped.  Such a pair has no eigenvalue above
+    ``SUPPORT_CUTOFF / 2``, so the matrix elements are read from the stack F
     as P^dagger (F P_s) for the eigenvectors P_s above that, d D r entries
     for a state of that rank r; the mean sums over the same eigenvectors.
     For a rank-one density matrix this reduces to :func:`covariance_pure`;
@@ -172,13 +184,12 @@ def covariance_mixed(
     if state.is_pure:
         raise InvalidStateError("covariance_mixed needs a density matrix")
     lam, p = state._eigensystem
-    support = lam > support_cutoff / 2.0
-    d, dim = state.rep.basis.dim, state.rep.space_dim
-    xt = p.conj().T @ (state.rep.stack @ p[:, support]).reshape(d, dim, -1)
+    support, images = _support_images(state)
+    xt = p.conj().T @ images
     mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
     lam_u, lam_v = lam[:, None], lam[support][None, :]
     pair_sum = lam_u + lam_v
-    keep = pair_sum > support_cutoff
+    keep = pair_sum > SUPPORT_CUTOFF
     kernel = np.zeros_like(pair_sum)
     kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
     # a pair inside the support appears in both orders; one with u outside
@@ -193,12 +204,12 @@ def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     return covariance_pure(state) if state.is_pure else covariance_mixed(state)
 
 
-def _spectrum(matrix: np.ndarray, cond_threshold: float):
+def _spectrum(matrix: np.ndarray):
     eigs = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
     top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     if top == 0.0:
         return eigs, 0, np.inf
-    rank = int(np.sum(eigs > top / cond_threshold))
+    rank = int(np.sum(eigs > top / CONDITION_THRESHOLD))
     smallest = float(np.min(eigs))
     cond = top / smallest if smallest > 0.0 else np.inf
     return eigs, rank, cond
@@ -240,32 +251,50 @@ def _check_weight(weight, shape: tuple) -> np.ndarray:
         raise InvalidElementError(f"weight shape {w.shape} does not match Q {shape}")
     if not np.all(np.isfinite(w)):
         raise InvalidElementError("weight matrix has non-finite entries")
-    if np.max(np.abs(w - w.T)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-        raise InvalidElementError("weight matrix is not symmetric")
-    if np.min(np.linalg.eigvalsh((w + w.T) / 2.0)) <= 0.0:
-        raise InvalidElementError("weight matrix is not positive definite")
+    with np.errstate(over="raise"):
+        try:
+            if np.max(np.abs(w - w.T)) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
+                raise InvalidElementError("weight matrix is not symmetric")
+            if np.min(np.linalg.eigvalsh((w + w.T) / 2.0)) <= 0.0:
+                raise InvalidElementError("weight matrix is not positive definite")
+        except FloatingPointError:
+            raise InvalidElementError("weight matrix entries overflow its checks") from None
     return w
 
 
-def intrinsic_bound(cov: np.ndarray, cond_threshold: float = CONDITION_THRESHOLD) -> float:
+def _intrinsic(cov: np.ndarray):
+    # (1/4) Tr[C^(-1)], None when C is singular, and C's rank and condition number
+    eigs, rank, cond = _spectrum(cov)
+    return (0.25 * float(np.sum(1.0 / eigs)) if rank == len(cov) else None), rank, cond
+
+
+def _weighted(qmat: np.ndarray, weight: np.ndarray | None):
+    # Tr[W Q^(-1)], None when Q is singular or W absent, and Q's rank and condition number
+    _, rank, cond = _spectrum(qmat)
+    if weight is None or rank < len(qmat):
+        return None, rank, cond
+    from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
+
+    return float(np.trace(solve(qmat, weight, assume_a="pos"))), rank, cond
+
+
+def intrinsic_bound(cov: np.ndarray) -> float:
     """Chart-independent scalar bound (1/4) Tr[C^(-1)] of a probe covariance.
 
     Raises
     ------
     SingularCovarianceError
-        If C is rank deficient at the condition threshold: some generator
+        If C is rank deficient at ``CONDITION_THRESHOLD``: some generator
         direction carries no signal, so not every parameter is estimable.
     """
     c = np.asarray(cov, dtype=float)
-    eigs, rank, cond = _spectrum(c, cond_threshold)
-    if rank < c.shape[0]:
+    value, rank, cond = _intrinsic(c)
+    if value is None:
         raise _covariance_error(rank, c.shape[0], cond)
-    return 0.25 * float(np.sum(1.0 / eigs))
+    return value
 
 
-def weighted_bound(
-    weight: np.ndarray, qfim_matrix: np.ndarray, cond_threshold: float = CONDITION_THRESHOLD
-) -> float:
+def weighted_bound(weight: np.ndarray, qfim_matrix: np.ndarray) -> float:
     """Scalar lower bound Tr[W Q^(-1)] on the weighted estimation error.
 
     Evaluated through a symmetric linear solve; Q is never inverted
@@ -273,18 +302,13 @@ def weighted_bound(
     :func:`intrinsic_bound` whenever Q is regular.
     """
     q = np.asarray(qfim_matrix, dtype=float)
-    w = _check_weight(weight, q.shape)
-    _, rank, cond = _spectrum(q, cond_threshold)
-    if rank < q.shape[0]:
+    value, rank, cond = _weighted(q, _check_weight(weight, q.shape))
+    if value is None:
         raise _information_error(rank, q.shape[0], cond)
-    from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
-
-    return float(np.trace(solve(q, w, assume_a="pos")))
+    return value
 
 
-def saturation_check(
-    state: ProbeState, gm: GeneratorMatrix | None = None, tol: float = SATURATION_TOL
-) -> bool:
+def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bool:
     """Whether all commutator expectations <[H_j, H_k]> vanish on the probe.
 
     Vanishing expectations mean the scalar bound is jointly attainable; any
@@ -292,16 +316,13 @@ def saturation_check(
     the H_j are the basis generators themselves: the exponential chart's
     rows at the origin are -I, and the sign cancels in every product.
     """
-    return float(np.max(np.abs(_commutator_expectations(state, gm)))) < tol
+    return float(np.max(np.abs(_commutator_expectations(state, gm)))) < SATURATION_TOL
 
 
 def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
     # <[H_j, H_k]> = sum_u lambda_u (<H_j u|H_k u> - <H_k u|H_j u>) over rho's eigenvectors
     # u, leaving out those of weight at most SUPPORT_CUTOFF / 2
-    lam, p = state._eigensystem
-    support = lam > SUPPORT_CUTOFF / 2.0
-    weighted = p[:, support] * np.sqrt(lam[support])
-    images = (state.rep.stack @ weighted).reshape(state.rep.basis.dim, -1)  # X_a u
+    images = _support_images(state, scaled=True)[1].reshape(state.rep.basis.dim, -1)  # X_a u
     if gm is not None:
         images = gm.hmat @ images  # H_m u
     products = images.conj() @ images.T
@@ -377,7 +398,6 @@ def build_report(
     parametrization: Parametrization | None = None,
     theta=None,
     weight=None,
-    cond_threshold: float = CONDITION_THRESHOLD,
 ) -> BoundReport:
     """Assemble a :class:`BoundReport` for a probe and an optional chart.
 
@@ -389,9 +409,7 @@ def build_report(
     a singular matrix is recorded in the report, not raised.
     """
     mean, cov = covariance(state)
-    cov_eigs, cov_rank, cov_cond = _spectrum(cov, cond_threshold)
-    cov_singular = cov_rank < cov.shape[0]
-    intrinsic = None if cov_singular else 0.25 * float(np.sum(1.0 / cov_eigs))
+    intrinsic, cov_rank, cov_cond = _intrinsic(cov)
 
     qmat = metric = wmat = weighted = saturable = None
     q_rank = q_cond = q_singular = None
@@ -404,8 +422,7 @@ def build_report(
         gm = generators_closed_form(parametrization, theta)
         try:
             with np.errstate(over="raise"):
-                metric = gm.hmat @ gm.hmat.T
-                metric = (metric + metric.T) / 2.0
+                metric = gm.metric
                 qmat = qfim(gm, cov)
                 saturable = saturation_check(state, gm)
         except FloatingPointError:
@@ -417,13 +434,9 @@ def build_report(
             wmat = metric if weight == "intrinsic" else np.eye(metric.shape[0])
         elif weight is not None:
             wmat = _check_weight(weight, metric.shape)
-        _, q_rank, q_cond = _spectrum(qmat, cond_threshold)
+        weighted, q_rank, q_cond = _weighted(qmat, wmat)
         q_singular = q_rank < qmat.shape[0]
-        if wmat is not None and not q_singular:
-            from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
-
-            weighted = float(np.trace(solve(qmat, wmat, assume_a="pos")))
-        elif wmat is metric and not cov_singular:
+        if weighted is None and wmat is metric:
             # the metric weight cancels the chart, so the bound
             # survives a degenerate Q as long as C is regular
             weighted = intrinsic
@@ -434,7 +447,7 @@ def build_report(
     first = bool(np.linalg.norm(mean) < FIRST_ORDER_TOL)
     second = bool(first and deviation < SECOND_ORDER_TOL)
     flags = {
-        "covariance_singular": bool(cov_singular),
+        "covariance_singular": intrinsic is None,
         "qfim_singular": q_singular if q_singular is None else bool(q_singular),
         "saturable": saturable,
         "unpolarized_order": 2 if second else (1 if first else 0),

@@ -25,6 +25,7 @@ from .metrology import (
     FIRST_ORDER_TOL,
     SECOND_ORDER_TOL,
     ProbeState,
+    _pure_moments,
     build_report,
     pure_state,
 )
@@ -139,6 +140,14 @@ def _parse_amplitude(entry) -> complex:
     raise InvalidStateError(f"amplitude entries are numbers or [re, im] pairs, got {entry!r}")
 
 
+def _superposition(rep: Representation, amplitudes: dict) -> ProbeState:
+    # the pure state sum amplitude |occupation> over {occupation: amplitude}
+    vec = np.zeros(rep.space_dim, dtype=complex)
+    for occupation, amplitude in amplitudes.items():
+        vec[rep.fock.index[occupation]] = amplitude
+    return pure_state(rep, vec)
+
+
 def make_ghz(
     n: int, particles: int, cap: int = DIMENSION_CAP, rep: Representation | None = None
 ) -> ProbeState:
@@ -154,12 +163,8 @@ def make_ghz(
         rep = symmetric_sector(n, particles, cap)
     elif rep.fock is None or (rep.fock.modes, rep.fock.particles) != (n, particles):
         raise InvalidStateError(f"{rep.label} is not symmetric({n}, {particles})")
-    vec = np.zeros(rep.space_dim, dtype=complex)
-    for mode in range(n):
-        occ = [0] * n
-        occ[mode] = particles
-        vec[rep.fock.index[tuple(occ)]] = 1.0 / np.sqrt(n)
-    return pure_state(rep, vec)
+    stretched = (tuple(particles if m == mode else 0 for m in range(n)) for mode in range(n))
+    return _superposition(rep, dict.fromkeys(stretched, 1.0 / np.sqrt(n)))
 
 
 def make_noon(particles: int, cap: int = DIMENSION_CAP) -> ProbeState:
@@ -174,10 +179,7 @@ def make_tetrahedron_j2() -> ProbeState:
     Its covariance is isotropic, so it attains the minimum of Tr[C^(-1)].
     """
     rep = symmetric_sector(2, 4, DIMENSION_CAP)
-    vec = np.zeros(rep.space_dim, dtype=complex)
-    vec[rep.fock.index[(4, 0)]] = 1.0 / np.sqrt(3.0)
-    vec[rep.fock.index[(1, 3)]] = np.sqrt(2.0 / 3.0)
-    return pure_state(rep, vec)
+    return _superposition(rep, {(4, 0): 1.0 / np.sqrt(3.0), (1, 3): np.sqrt(2.0 / 3.0)})
 
 
 def make_su3_cyclic(k: int, l: int, cap: int = DIMENSION_CAP) -> ProbeState:
@@ -196,11 +198,8 @@ def make_su3_cyclic(k: int, l: int, cap: int = DIMENSION_CAP) -> ProbeState:
     if min(base) < 0:
         raise ConstraintError(f"occupations {base} are not all nonnegative")
     rep = symmetric_sector(3, 3 * k, cap)
-    vec = np.zeros(rep.space_dim, dtype=complex)
-    for shift in range(3):
-        occ = tuple(base[(i - shift) % 3] for i in range(3))
-        vec[rep.fock.index[occ]] += 1.0 / np.sqrt(3.0)
-    return pure_state(rep, vec)
+    shifts = (tuple(base[(i - shift) % 3] for i in range(3)) for shift in range(3))
+    return _superposition(rep, dict.fromkeys(shifts, 1.0 / np.sqrt(3.0)))
 
 
 def make_fock(occupations, cap: int = DIMENSION_CAP) -> ProbeState:
@@ -208,10 +207,7 @@ def make_fock(occupations, cap: int = DIMENSION_CAP) -> ProbeState:
     occ = tuple(occupations)
     if len(occ) < 2 or min(occ) < 0 or sum(occ) < 1:
         raise ConstraintError(f"invalid occupation list {occ}")
-    rep = symmetric_sector(len(occ), sum(occ), cap)
-    vec = np.zeros(rep.space_dim, dtype=complex)
-    vec[rep.fock.index[occ]] = 1.0
-    return pure_state(rep, vec)
+    return _superposition(symmetric_sector(len(occ), sum(occ), cap), {occ: 1.0})
 
 
 def make_custom(n: int, particles: int, amplitudes, cap: int = DIMENSION_CAP) -> ProbeState:
@@ -280,22 +276,16 @@ class OptimizerConfig:
     """Search settings for :func:`optimize_probe`.
 
     ``seed`` is mandatory and non-negative; there is no silent time-based
-    fallback.
-    ``method`` has one value, "gradient_descent_on_sphere": L-BFGS-B with
-    the analytic gradient of the scale-invariant objective (the name
-    predates it and is kept for existing configs).  Any other method,
-    "simplex" included, is rejected.
+    fallback.  The search is L-BFGS-B with the analytic gradient of the
+    scale-invariant objective.
     """
 
     restarts: int = 20
     max_iters: int = 400
     tolerance: float = 1e-6
     seed: int | None = None
-    method: str = "gradient_descent_on_sphere"
 
     def __post_init__(self):
-        if self.method not in OPTIMIZER_METHODS:
-            raise ValueError(f"unknown method {self.method!r}, options: {OPTIMIZER_METHODS}")
         if self.restarts < 1 or self.max_iters < 1 or self.tolerance <= 0:
             raise ValueError("restarts, max_iters must be >= 1 and tolerance > 0")
         if self.seed is not None and self.seed < 0:
@@ -307,13 +297,14 @@ class OptimizerConfig:
 
         ``restarts``, ``max_iters`` and ``seed`` must be integers (not
         booleans; ``seed`` may be null), ``tolerance`` a finite positive
-        number.
+        number; ``method``, the name kept for existing configs, no other than
+        "gradient_descent_on_sphere".
         """
         if not isinstance(doc, dict):
             raise InvalidElementError(
                 f"optimizer config must be a JSON object, got {type(doc).__name__}"
             )
-        known = {f: doc[f] for f in ("restarts", "max_iters", "tolerance", "seed", "method") if f in doc}
+        known = {f: doc[f] for f in ("restarts", "max_iters", "tolerance", "seed") if f in doc}
         for key in ("restarts", "max_iters", "seed"):
             value = known.get(key)
             if key in known and not _is_int(value) and not (key == "seed" and value is None):
@@ -326,6 +317,10 @@ class OptimizerConfig:
                 raise InvalidElementError(
                     f"optimizer config 'tolerance' must be a finite positive number, got {tol!r}"
                 )
+        if doc.get("method", OPTIMIZER_METHODS[0]) not in OPTIMIZER_METHODS:
+            raise InvalidElementError(
+                f"optimizer config: unknown method {doc['method']!r}, options: {OPTIMIZER_METHODS}"
+            )
         try:
             return cls(**known)
         except ValueError as exc:
@@ -462,15 +457,10 @@ def _unit_state(rep: Representation, z: np.ndarray) -> ProbeState:
     return pure_state(rep, canonical_phase(z[:dim] + 1j * z[dim:]))
 
 
-def _moments(stack, d: int, z: np.ndarray):
+def _moments(rep: Representation, z: np.ndarray):
     """Images Y_a = X_a psi, mean m and covariance C of psi = z / |z|."""
     dim = z.size // 2
-    psi = (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z)
-    images = (stack @ psi).reshape(d, dim)
-    bras = images.conj()
-    mean = (bras @ psi).real
-    cov = (bras @ images.T).real - mean[:, None] * mean
-    return images, mean, (cov + cov.T) / 2.0
+    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))
 
 
 def _objective_and_gradient(rep: Representation, barrier: float):
@@ -494,8 +484,7 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     with the sparse stack F for Y and one with F^dagger for the sum.
     """
     d = rep.basis.dim
-    stack = rep.stack
-    adjoint = stack.conj().T.tocsr()
+    adjoint = rep.stack.conj().T.tocsr()
 
     def value(cov):
         eigs = np.linalg.eigvalsh(cov)
@@ -505,10 +494,10 @@ def _objective_and_gradient(rep: Representation, barrier: float):
         return d / max(smallest, 1e-18), smallest
 
     def objective(z):
-        return value(_moments(stack, d, z)[2])
+        return value(_moments(rep, z)[2])
 
     def value_and_gradient(z):
-        images, mean, cov = _moments(stack, d, z)
+        images, mean, cov = _moments(rep, z)
         eigs, vecs = np.linalg.eigh(cov)
         if eigs[0] > barrier:
             weight = (vecs / eigs**2) @ vecs.T
@@ -535,13 +524,12 @@ def _isotropy_residual(rep: Representation):
     divided by |z|.
     """
     d = rep.basis.dim
-    stack = rep.stack
     rows, cols = np.triu_indices(d)
     target = np.where(rows == cols, casimir(rep) / d, 0.0)
 
     def residual_and_jacobian(z):
-        images, mean, cov = _moments(stack, d, z)
-        pairs = (stack @ images.T).reshape(d, -1, d)
+        images, mean, cov = _moments(rep, z)
+        pairs = (rep.stack @ images.T).reshape(d, -1, d)
         dmean = 2.0 * np.concatenate([images.real, images.imag], axis=1)
         sums = pairs[rows, :, cols] + pairs[cols, :, rows]
         dgram = np.concatenate([sums.real, sums.imag], axis=1)

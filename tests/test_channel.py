@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 from conftest import dense_generators, sym_rep
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import roots_legendre
@@ -31,6 +31,7 @@ from sunmetro import (
     singularity_report,
     unitary_at,
 )
+from sunmetro.algebra import INNER_PRODUCT_SCALE
 
 
 def euler_rows(phi, theta, psi):
@@ -148,7 +149,7 @@ def _reference_rows(chart, theta):
             conjugated[k] = suffix.conj().T @ b @ suffix
         elements = np.array(conjugated)
     elements = (elements + elements.conj().transpose(0, 2, 1)) / 2.0
-    return basis.inner_product_scale * np.einsum("aij,cji->ca", x, elements).real
+    return INNER_PRODUCT_SCALE * np.einsum("aij,cji->ca", x, elements).real
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -400,6 +401,25 @@ def test_exponential_coordinates_round_trip(n):
         omega *= rng.uniform(0.1, 1.4) / np.linalg.norm(omega)
         recovered = exponential_coordinates(unitary_at(chart, omega), basis)
         assert np.max(np.abs(recovered - omega)) < 1e-9
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=15, max_size=15),
+    radius=st.floats(0.0, 0.95 * np.pi),
+)
+def test_exponential_coordinates_round_trip_hypothesis(n, direction, radius):
+    # omega . X scaled to spectral radius at most 0.95 pi: every eigenphase of
+    # exp(i omega . X) stays clear of the branch cut at +/- pi
+    basis = gellmann_basis(n)
+    direction = np.array(direction[: basis.dim])
+    top = np.max(np.abs(np.linalg.eigvalsh(from_coefficients(direction, basis))))
+    assume(top > 1e-6)
+    omega = direction * (radius / top)
+    recovered = exponential_coordinates(unitary_at(exponential(n), omega), basis)
+    assert np.max(np.abs(recovered - omega)) < 1e-9
 
 
 def test_exponential_coordinates_rejects_bad_input():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -995,6 +995,21 @@ _CONFIG_DOCS = st.fixed_dictionaries(
 )
 
 
+# weight matrices for the property's euler chart, which has three parameters:
+# any shape, 3 x 3 with any entries (asymmetric, non-finite), symmetric but
+# possibly indefinite, and symmetric positive definite (A A^T + I)
+_WEIGHT_DOCS = st.one_of(
+    st.lists(st.lists(_NUMBER, max_size=4), max_size=4),
+    st.lists(st.lists(_NUMBER, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9).map(
+        lambda a: (np.reshape(a, (3, 3)) + np.reshape(a, (3, 3)).T).tolist()
+    ),
+    st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9).map(
+        lambda a: (np.reshape(a, (3, 3)) @ np.reshape(a, (3, 3)).T + np.eye(3)).tolist()
+    ),
+)
+
+
 @st.composite
 def _corrupted(draw, docs):
     # one field replaced by arbitrary JSON, or dropped
@@ -1016,6 +1031,7 @@ _ROLES = st.one_of(
     _role("bound probe", _PROBE_DOCS),
     _role("bound chart", _CHART_DOCS),
     _role("optimize config", _CONFIG_DOCS),
+    st.tuples(st.just("bound weight"), st.one_of(_WEIGHT_DOCS, _ANY_JSON)),
 )
 
 
@@ -1030,6 +1046,9 @@ def property_dir(tmp_path_factory):
 @seed(20261018)
 @settings(max_examples=300, deadline=None)
 @given(role_and_doc=_ROLES)
+# weights whose symmetry check overflows, by w - w^T and by w + w^T
+@example(role_and_doc=("bound weight", [[1e308, -1e308, 0.0], [1e308, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+@example(role_and_doc=("bound weight", [[1.7e308, 0.0, 0.0], [0.0, 1.7e308, 0.0], [0.0, 0.0, 1.0]]))
 def test_any_json_document_ends_in_a_documented_exit_code(role_and_doc, property_dir):
     role, doc = role_and_doc
     path = property_dir / "doc.json"
@@ -1039,6 +1058,7 @@ def test_any_json_document_ends_in_a_documented_exit_code(role_and_doc, property
         "check probe": ["check", str(path)],
         "bound probe": ["bound", str(path), chart, "--theta", "0.3,1.1,-0.4"],
         "bound chart": ["bound", probe, str(path), "--theta", "0.3,1.1,-0.4"],
+        "bound weight": ["bound", probe, chart, "--theta", "0.3,1.1,-0.4", "--weight", str(path)],
         "optimize config": ["optimize", "--n", "2", "--particles", "4", "--config", str(path)],
     }[role]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
