@@ -14,7 +14,7 @@ without rescaling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -66,10 +66,17 @@ class GeneratorBasis:
         tr = np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))
         if tr > BASIS_TOL:
             raise InvalidElementError(f"basis not traceless: max |trace| {tr:.3e}")
-        # 2 Tr(X_a X_b) as one (d, n**2) matrix product
-        flat = mats.reshape(d, self.n * self.n)
-        gram = INNER_PRODUCT_SCALE * flat @ mats.transpose(0, 2, 1).reshape(d, -1).T
-        dev = np.max(np.abs(gram - np.eye(d)))
+        # 2 Tr(X_a X_b) as one sparse (d, n**2) x (n**2, d) product, the right
+        # factor holding each X_b transposed: entry (i, p) moved to (p, i)
+        flat = sparse.csr_array(mats.reshape(d, self.n * self.n))
+        i, p = np.divmod(flat.indices, self.n)
+        flipped = sparse.csr_array((flat.data, p * self.n + i, flat.indptr), shape=flat.shape)
+        gram = (INNER_PRODUCT_SCALE * (flat @ flipped.T)).tocoo()
+        off = gram.row != gram.col
+        dev = max(
+            float(np.max(np.abs(gram.data[off]), initial=0.0)),
+            float(np.max(np.abs(gram.diagonal() - 1.0))),
+        )
         if dev > 1e-10:
             raise InvalidElementError(f"basis not orthonormal: Gram deviation {dev:.3e}")
 
@@ -77,6 +84,11 @@ class GeneratorBasis:
     def dim(self) -> int:
         """Number of generators, n**2 - 1."""
         return self.n**2 - 1
+
+    @cached_property
+    def _structure_constants(self) -> StructureConstants:
+        # computed at the first structure_constants(self) call, then kept here
+        return _extract_structure_constants(self.generators)
 
 
 @dataclass(frozen=True)
@@ -89,7 +101,6 @@ class StructureConstants:
     f_jjl = 0 give the rest.
     """
 
-    n: int
     upper: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -140,16 +151,14 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
 
     The result is real and totally antisymmetric; the imaginary residue of
     the trace formula is checked against a 1e-12 tolerance.  It is computed
-    once per basis (keyed by its matrix entries) and shared thereafter, like
-    :func:`gellmann_basis`.
+    at the first call on a basis and kept on that basis, so later calls
+    return the same object.
     """
-    return _structure_constants(basis.n, basis.generators.tobytes())
+    return basis._structure_constants
 
 
-@lru_cache(maxsize=32)
-def _structure_constants(n: int, raw: bytes) -> StructureConstants:
-    d = n * n - 1
-    x = np.frombuffer(raw, dtype=complex).reshape(d, n, n)
+def _extract_structure_constants(x: np.ndarray) -> StructureConstants:
+    d, n = x.shape[:2]
     # one sparse product gives every X_j X_k: entry ((j, i), (k, p)) is (X_j X_k)[i, p]
     side = sparse.csr_array(x.transpose(1, 0, 2).reshape(n, d * n))
     prod = (sparse.csr_array(x.reshape(d * n, n)) @ side).tocoo()
@@ -175,7 +184,7 @@ def _structure_constants(n: int, raw: bytes) -> StructureConstants:
     upper = (*np.divmod(jk, d), l, val[order])
     for arr in upper:
         arr.setflags(write=False)
-    return StructureConstants(n=n, upper=upper)
+    return StructureConstants(upper=upper)
 
 
 def expand(element: np.ndarray, basis: GeneratorBasis) -> np.ndarray:

@@ -91,6 +91,7 @@ def _round_floats(obj):
 
 _INDENT = "  "
 _FLOAT_TYPES = frozenset((float, np.float64))
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _float_texts(values) -> list[str] | None:
@@ -106,8 +107,10 @@ def _write_json(obj, depth: int, out: list) -> None:
     """Append the text json.dumps(_round_floats(obj), indent=2) gives at ``depth``.
 
     Containers are laid out here.  The floats of a flat list, or of a list
-    of such lists (a matrix, amplitude pairs), are printed in one pass;
-    every other leaf goes through json.dumps on its own.
+    of such lists (a matrix, amplitude pairs), are printed in one pass, and
+    finite floats, ints, booleans and None one by one; every other leaf
+    (a string, a non-finite float, an empty container) goes through
+    json.dumps on its own.
     """
     close = "\n" + _INDENT * depth
     pad = close + _INDENT
@@ -142,8 +145,13 @@ def _write_json(obj, depth: int, out: list) -> None:
     elif isinstance(obj, dict) and obj:
         # keys that are not strings follow json's own key rules
         out.append(json.dumps(_round_floats(obj), indent=2).replace("\n", close))
+    elif obj is None or type(obj) is bool:
+        out.append(_LITERALS[obj])
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     else:
-        out.append(json.dumps(_round_floats(obj)))
+        texts = _float_texts((obj,))
+        out.append(texts[0] if texts is not None else json.dumps(_round_floats(obj)))
 
 
 def _emit(doc: dict, out_path: str | None) -> None:

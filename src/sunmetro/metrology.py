@@ -124,9 +124,11 @@ def mixed_state(rep: Representation, density) -> ProbeState:
         raise InvalidStateError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise InvalidStateError("density matrix trace deviates from 1 beyond 1e-12")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)) < -1e-10:
+    state = ProbeState(rep=rep, density=rho)
+    # the eigensystem the covariance reads, so rho is decomposed once
+    if np.min(state._eigensystem[0]) < -1e-10:
         raise InvalidStateError("density matrix has a negative eigenvalue")
-    return ProbeState(rep=rep, density=rho)
+    return state
 
 
 def _images(rep: Representation, columns: np.ndarray) -> np.ndarray:
@@ -204,15 +206,37 @@ def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     return covariance_pure(state) if state.is_pure else covariance_mixed(state)
 
 
-def _spectrum(matrix: np.ndarray):
-    eigs = np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
+def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
+    """Tr[W M^(-1)] of a symmetric M, None when M is singular, and M's rank and
+    condition number, all from one decomposition of M.
+
+    Without a weight W is the identity and the eigenvalues alone give
+    sum_i 1 / lambda_i; with one, M = V diag(lambda) V^T gives
+    sum_i (V^T W V)_ii / lambda_i.
+    """
+    sym = (matrix + matrix.T) / 2.0
+    if weight is None:
+        eigs = np.linalg.eigvalsh(sym)
+    else:
+        eigs, vecs = np.linalg.eigh(sym)
     top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    if top == 0.0:
-        return eigs, 0, np.inf
-    rank = int(np.sum(eigs > top / CONDITION_THRESHOLD))
-    smallest = float(np.min(eigs))
-    cond = top / smallest if smallest > 0.0 else np.inf
-    return eigs, rank, cond
+    rank, cond = 0, np.inf
+    if top > 0.0:
+        rank = int(np.sum(eigs > top / CONDITION_THRESHOLD))
+        smallest = float(np.min(eigs))
+        cond = top / smallest if smallest > 0.0 else np.inf
+    if rank < len(matrix):
+        return None, rank, cond
+    if weight is None:
+        return float(np.sum(1.0 / eigs)), rank, cond
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.sum((vecs * (weight @ vecs)).sum(axis=0) / eigs))
+    if not np.isfinite(value):
+        raise InvalidElementError(
+            f"the weighted bound Tr[W Q^-1] overflows: weight entries up to "
+            f"{np.abs(weight).max():.3e} against Q's smallest eigenvalue {eigs[0]:.3e}"
+        )
+    return value, rank, cond
 
 
 def qfim(gm: GeneratorMatrix, cov: np.ndarray) -> np.ndarray:
@@ -262,22 +286,6 @@ def _check_weight(weight, shape: tuple) -> np.ndarray:
     return w
 
 
-def _intrinsic(cov: np.ndarray):
-    # (1/4) Tr[C^(-1)], None when C is singular, and C's rank and condition number
-    eigs, rank, cond = _spectrum(cov)
-    return (0.25 * float(np.sum(1.0 / eigs)) if rank == len(cov) else None), rank, cond
-
-
-def _weighted(qmat: np.ndarray, weight: np.ndarray | None):
-    # Tr[W Q^(-1)], None when Q is singular or W absent, and Q's rank and condition number
-    _, rank, cond = _spectrum(qmat)
-    if weight is None or rank < len(qmat):
-        return None, rank, cond
-    from scipy.linalg import solve  # local: scipy.linalg loads at the first solve
-
-    return float(np.trace(solve(qmat, weight, assume_a="pos"))), rank, cond
-
-
 def intrinsic_bound(cov: np.ndarray) -> float:
     """Chart-independent scalar bound (1/4) Tr[C^(-1)] of a probe covariance.
 
@@ -288,21 +296,29 @@ def intrinsic_bound(cov: np.ndarray) -> float:
         direction carries no signal, so not every parameter is estimable.
     """
     c = np.asarray(cov, dtype=float)
-    value, rank, cond = _intrinsic(c)
+    value, rank, cond = _inverse_trace(c)
     if value is None:
         raise _covariance_error(rank, c.shape[0], cond)
-    return value
+    return 0.25 * value
 
 
 def weighted_bound(weight: np.ndarray, qfim_matrix: np.ndarray) -> float:
     """Scalar lower bound Tr[W Q^(-1)] on the weighted estimation error.
 
-    Evaluated through a symmetric linear solve; Q is never inverted
+    Evaluated from one eigendecomposition of Q; Q is never inverted
     explicitly.  With W equal to the pulled-back metric this reproduces
     :func:`intrinsic_bound` whenever Q is regular.
+
+    Raises
+    ------
+    SingularInformationError
+        If Q is rank deficient at ``CONDITION_THRESHOLD``.
+    InvalidElementError
+        If W is not a finite symmetric positive definite matrix of Q's
+        shape, or if Tr[W Q^(-1)] overflows.
     """
     q = np.asarray(qfim_matrix, dtype=float)
-    value, rank, cond = _weighted(q, _check_weight(weight, q.shape))
+    value, rank, cond = _inverse_trace(q, _check_weight(weight, q.shape))
     if value is None:
         raise _information_error(rank, q.shape[0], cond)
     return value
@@ -409,7 +425,8 @@ def build_report(
     a singular matrix is recorded in the report, not raised.
     """
     mean, cov = covariance(state)
-    intrinsic, cov_rank, cov_cond = _intrinsic(cov)
+    inverse_trace, cov_rank, cov_cond = _inverse_trace(cov)
+    intrinsic = None if inverse_trace is None else 0.25 * inverse_trace
 
     qmat = metric = wmat = weighted = saturable = None
     q_rank = q_cond = q_singular = None
@@ -434,7 +451,8 @@ def build_report(
             wmat = metric if weight == "intrinsic" else np.eye(metric.shape[0])
         elif weight is not None:
             wmat = _check_weight(weight, metric.shape)
-        weighted, q_rank, q_cond = _weighted(qmat, wmat)
+        value, q_rank, q_cond = _inverse_trace(qmat, wmat)
+        weighted = None if wmat is None else value
         q_singular = q_rank < qmat.shape[0]
         if weighted is None and wmat is metric:
             # the metric weight cancels the chart, so the bound

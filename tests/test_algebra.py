@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sunmetro import (
+    GeneratorBasis,
     InvalidDimensionError,
     InvalidElementError,
     expand,
@@ -67,6 +68,28 @@ def test_su3_structure_constants_standard_values():
     for a, b, c, v in [(1, 4, 7, 0.5), (2, 4, 6, 0.5), (2, 5, 7, 0.5),
                        (3, 4, 5, 0.5), (1, 5, 6, -0.5), (3, 6, 7, -0.5)]:
         assert abs(std(a, b, c) - v) < 1e-12, (a, b, c)
+
+
+def _dense_gram_deviation(x: np.ndarray) -> float:
+    return float(np.max(np.abs(2.0 * np.einsum("aij,bji->ab", x, x) - np.eye(len(x)))))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_basis_check_refuses_families_that_are_not_orthonormal(n):
+    # the sparse Gram check reports the deviation the dense Gram has
+    x = gellmann_basis(n).generators
+    rng = np.random.default_rng(n)
+    rotation, _ = np.linalg.qr(rng.standard_normal((len(x), len(x))))
+    rotated = np.tensordot(rotation, x, axes=1)
+    GeneratorBasis(n=n, generators=rotated)
+    skewed = x.copy()
+    skewed[1] = (x[0] + x[1]) / np.sqrt(2.0)
+    zeroed = x.copy()
+    zeroed[-1] = 0.0  # its diagonal entry of the Gram is no stored entry
+    for bad in (1.001 * x, skewed, zeroed, rotated * (1.0 + 1e-9)):
+        with pytest.raises(InvalidElementError, match="not orthonormal") as err:
+            GeneratorBasis(n=n, generators=bad)
+        assert str(err.value).endswith(f"Gram deviation {_dense_gram_deviation(bad):.3e}")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

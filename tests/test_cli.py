@@ -7,6 +7,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,21 @@ def test_bound_singular_chart_intrinsic_weight_survives(files, capsys):
     doc = json.loads(out)
     assert doc["weighted_bound"] == 0.375
     assert doc["flags"]["qfim_singular"] is True
+
+
+def test_bound_overflowing_weighted_bound_exits_1(files, capsys, tmp_path):
+    # a finite positive definite weight passes every check of its own, but
+    # Tr[W Q^-1] overflows near the euler chart's pole
+    wpath = tmp_path / "huge.json"
+    wpath.write_text(json.dumps(np.diag([8e307] * 3).tolist()))
+    argv = ["bound", files["tetra"], files["euler"], "--theta", "0.3,0.05,-0.4",
+            "--weight", str(wpath)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("sunmetro: error: the weighted bound Tr[W Q^-1] overflows")
 
 
 def test_bound_parse_failures_exit_1(files, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Covariances, information matrices, scalar bounds, probe grading."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from sunmetro import (
     make_ghz,
     make_noon,
     mixed_state,
+    product_of_exponentials,
     pure_state,
     qfim,
     saturation_check,
@@ -162,6 +164,64 @@ def test_weighted_bound_validation(tetrahedron):
     with pytest.raises(SingularInformationError) as err:
         weighted_bound(np.eye(3), np.diag([4.0, 4.0, 0.0]))
     assert err.value.rank == 2
+
+
+def _solve_trace(q: np.ndarray, w: np.ndarray) -> float:
+    # Tr[W Q^(-1)] by a Cholesky solve, the route the eigendecomposition replaced
+    from scipy.linalg import solve
+
+    return float(np.trace(solve(q, w, assume_a="pos")))
+
+
+@pytest.mark.parametrize("size", [2, 3, 8, 15])
+def test_inverse_trace_matches_a_cholesky_solve(size):
+    rng = np.random.default_rng(60 + size)
+    for cond in 10.0 ** np.arange(8):
+        axes, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        spectrum = rng.uniform(0.1, 10.0) * np.geomspace(1.0, 1.0 / cond, size)
+        q = (axes * spectrum) @ axes.T
+        a = rng.standard_normal((size, size))
+        w = a @ a.T + 0.1 * np.eye(size)
+        value, rank, q_cond = metrology._inverse_trace(q, w)
+        reference = _solve_trace(q, w)
+        assert rank == size
+        assert abs(q_cond - np.linalg.cond(q)) <= 1e-6 * q_cond
+        assert abs(value - reference) <= 1e-12 * cond * abs(reference)
+        assert weighted_bound(w, q) == value
+
+
+def test_weighted_bound_overflow_raises():
+    q = np.diag([1.0, 0.5, 1e-3])
+    with pytest.raises(InvalidElementError, match="overflows"):
+        weighted_bound(np.diag([8e307] * 3), q)
+
+
+def test_mixed_report_decomposes_each_matrix_once(monkeypatch):
+    # rho, C, Q and the weight's positivity check: one symmetric
+    # eigendecomposition each
+    rep = sym_rep(3, 2)
+    rng = np.random.default_rng(8)
+    axes = rng.standard_normal((5, 8))
+    chart = product_of_exponentials(3, axes)
+    a = rng.standard_normal((5, 5))
+    weight = a @ a.T + np.eye(5)
+    calls = []
+
+    def counted(routine):
+        def wrapper(matrix, *args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == "sunmetro.metrology":
+                calls.append((routine.__name__, np.shape(matrix)))
+            return routine(matrix, *args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    state = mixed_state(rep, _random_density(rep, rng))
+    report = build_report(state, chart, rng.uniform(-0.5, 0.5, 5), weight=weight)
+    assert report.weighted_bound is not None
+    assert sorted(calls) == [
+        ("eigh", (5, 5)), ("eigh", (6, 6)), ("eigvalsh", (5, 5)), ("eigvalsh", (8, 8))
+    ]
 
 
 def test_intrinsic_bound_singular_diagnostics(stretched):
@@ -315,7 +375,6 @@ def test_rank_one_mixed_state_reproduces_pure_hypothesis(size, draw):
 
 def test_mixed_report_diagonalizes_rho_once(monkeypatch):
     rep = sym_rep(2, 3)
-    state = mixed_state(rep, _random_density(rep, np.random.default_rng(3)))
     calls = []
     eigh = np.linalg.eigh
 
@@ -324,6 +383,8 @@ def test_mixed_report_diagonalizes_rho_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    # mixed_state checks positivity on the eigensystem the report then reads
+    state = mixed_state(rep, _random_density(rep, np.random.default_rng(3)))
     report = build_report(state, exponential(2), [0.3, -0.2, 0.5], weight="intrinsic")
     assert report.flags["saturable"] is not None
     assert calls.count((rep.space_dim, rep.space_dim)) == 1

@@ -286,13 +286,18 @@ def test_fundamental_sector_of_su40_builds():
     # here.  The construction checks take the grouped merge, about 89 MB traced;
     # the sparse product would hold 1599 * 1598 / 2 pair rows, about 6 GB.
     basis = gellmann_basis(40)
-    structure_constants(basis)
+    constants = structure_constants(basis)
     tracemalloc.start()
     try:
+        # the constants are kept on the basis: a warm call copies nothing
+        assert structure_constants(basis) is constants
+        warm = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         rep = symmetric_representation(basis, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert warm < 2**20
     assert rep.space_dim == 40
     assert abs(casimir(rep) - casimir_formula(40, 1)) < 1e-8
     assert peak < 200 * 2**20
