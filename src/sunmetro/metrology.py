@@ -54,7 +54,7 @@ class ProbeState:
     """A pure or mixed state carried by a concrete representation.
 
     Exactly one of ``vector`` (unit norm) and ``density`` (unit trace,
-    positive semidefinite) is set.
+    positive semidefinite) is set; the state keeps a read-only copy of it.
     """
 
     rep: Representation
@@ -67,7 +67,7 @@ class ProbeState:
         for name in ("vector", "density"):
             arr = getattr(self, name)
             if arr is not None:
-                arr = np.asarray(arr, dtype=complex)
+                arr = np.array(arr, dtype=complex)
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 
@@ -77,13 +77,38 @@ class ProbeState:
 
     @cached_property
     def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lambda, P) with rho = P diag(lambda) P^dagger, computed once.
+        """(lambda, P) with rho = P diag(lambda) P^dagger, computed once."""
+        return np.linalg.eigh((self.density + self.density.conj().T) / 2.0)
 
-        A pure state is lambda = (1,), P = psi as one column.
+    @cached_property
+    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean m, covariance C and second moments S_jk = Tr[rho X_j X_k], read-only.
+
+        From one product with the stack: F psi, or F P_s (see :func:`covariance_mixed`).
         """
         if self.is_pure:
-            return np.ones(1), self.vector[:, None]
-        return np.linalg.eigh((self.density + self.density.conj().T) / 2.0)
+            moments = _pure_moments(self.rep, self.vector)[1:]
+        else:
+            lam, p = self._eigensystem
+            support = lam > SUPPORT_CUTOFF / 2.0
+            images = _images(self.rep, p[:, support])
+            xt = p.conj().T @ images
+            mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
+            lam_u, lam_v = lam[:, None], lam[support][None, :]
+            pair_sum = lam_u + lam_v
+            keep = pair_sum > SUPPORT_CUTOFF
+            kernel = np.zeros_like(pair_sum)
+            kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
+            # a pair inside the support appears in both orders; one with u outside
+            # it appears once and stands for both
+            kernel[support] /= 2.0
+            cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
+            bras = (images.conj() * lam[support]).reshape(len(images), -1)  # lambda_u <X_a u|
+            second = bras @ images.reshape(len(images), -1).T  # sum_u lambda_u <X_j u|X_k u>
+            moments = mean, (cov + cov.T) / 2.0, second
+        for arr in moments:
+            arr.setflags(write=False)
+        return moments
 
 
 def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeState:
@@ -136,23 +161,15 @@ def _images(rep: Representation, columns: np.ndarray) -> np.ndarray:
     return (rep.stack @ columns).reshape(-1, *columns.shape)
 
 
-def _support_images(state: ProbeState, scaled: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    # the mask of rho's eigenvalues above SUPPORT_CUTOFF / 2 and F P_s for their
-    # eigenvectors P_s, scaled by sqrt(lambda) if asked (a no-op for a pure state)
-    lam, p = state._eigensystem
-    support = lam > SUPPORT_CUTOFF / 2.0
-    columns = p[:, support] * np.sqrt(lam[support]) if scaled else p[:, support]
-    return support, _images(state.rep, columns)
-
-
 def _pure_moments(rep: Representation, psi: np.ndarray):
-    # images Y_a = X_a psi, mean m and symmetrized covariance C of a unit
-    # vector psi: the kernel of covariance_pure and of the optimizer
+    # images Y_a = X_a psi, mean m, symmetrized covariance C and second moments
+    # S = Y^* Y^T of a unit vector psi: the kernel of pure states and the optimizer
     images = _images(rep, psi)
     bras = images.conj()
     mean = (bras @ psi).real
-    cov = (bras @ images.T).real - mean[:, None] * mean
-    return images, mean, (cov + cov.T) / 2.0
+    second = bras @ images.T
+    cov = second.real - mean[:, None] * mean
+    return images, mean, (cov + cov.T) / 2.0, second
 
 
 def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +180,7 @@ def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """
     if not state.is_pure:
         raise InvalidStateError("covariance_pure needs a pure state")
-    return _pure_moments(state.rep, state.vector)[1:]
+    return state._moments[:2]
 
 
 def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
@@ -185,25 +202,12 @@ def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """
     if state.is_pure:
         raise InvalidStateError("covariance_mixed needs a density matrix")
-    lam, p = state._eigensystem
-    support, images = _support_images(state)
-    xt = p.conj().T @ images
-    mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
-    lam_u, lam_v = lam[:, None], lam[support][None, :]
-    pair_sum = lam_u + lam_v
-    keep = pair_sum > SUPPORT_CUTOFF
-    kernel = np.zeros_like(pair_sum)
-    kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
-    # a pair inside the support appears in both orders; one with u outside
-    # it appears once and stands for both
-    kernel[support] /= 2.0
-    cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
-    return mean, (cov + cov.T) / 2.0
+    return state._moments[:2]
 
 
 def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the pure or mixed covariance by state type."""
-    return covariance_pure(state) if state.is_pure else covariance_mixed(state)
+    """Mean vector and covariance of a pure or mixed state, read-only and computed once."""
+    return state._moments[:2]
 
 
 def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
@@ -336,13 +340,9 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bo
 
 
 def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
-    # <[H_j, H_k]> = sum_u lambda_u (<H_j u|H_k u> - <H_k u|H_j u>) over rho's eigenvectors
-    # u, leaving out those of weight at most SUPPORT_CUTOFF / 2
-    images = _support_images(state, scaled=True)[1].reshape(state.rep.basis.dim, -1)  # X_a u
-    if gm is not None:
-        images = gm.hmat @ images  # H_m u
-    products = images.conj() @ images.T
-    return products - products.T
+    # <[H_j, H_k]> = 𝗛 (S - S^T) 𝗛^T from the state's second moments S
+    commutators = state._moments[2] - state._moments[2].T
+    return commutators if gm is None else gm.hmat @ commutators @ gm.hmat.T
 
 
 def unpolarized_report(state: ProbeState) -> dict:

@@ -46,6 +46,10 @@ BARRIER_CUTOFF = 1e-9
 #: d^2 / c2 is stopped and polished towards the floor's states.
 FLOOR_GAP = 1e-6
 
+#: Restarts within this relative gap of each other tie and the earliest wins:
+#: those at a shared minimum differ by rounding (1.6e-12 relative on sym(2,5)).
+RESTART_TIE = 1e-10
+
 #: Gauss-Newton steps a polish may take.  Convergence is linear on the
 #: degenerate minima of sym(3,5) and sym(4,5), at up to about 20 steps.
 POLISH_STEPS = 40
@@ -358,9 +362,9 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     Each restart minimizes the scale-invariant objective f(z / |z|) over
     real-and-imaginary stacked amplitude vectors z with
     ``scipy.optimize.minimize``: L-BFGS-B with the analytic gradient (one
-    evaluation of the moments per step, and two sparse products with the
-    generator stack), stopping on a gradient below ``tolerance``,
-    after ``max_iters`` iterations or on a stalled line search.  A barrier
+    evaluation of the moments and one ``eigh`` of C per step, and two sparse
+    products with the generator stack), stopping on a gradient below
+    ``tolerance``, after ``max_iters`` iterations or on a stalled line search.  A barrier
     replaces Tr[C^(-1)] on near-singular covariances.
 
     Tr[C^(-1)] >= d^2 / c2 for every pure state, with equality exactly when
@@ -372,7 +376,8 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     restart runs.  If not, the restart runs again from its start without
     the gap test, so its result is the one L-BFGS-B alone gives.
     Deterministic for a fixed seed and config: restarts are merged by
-    objective with ties broken by restart index.
+    objective, and of those within ``RESTART_TIE`` of each other (relative)
+    the earliest wins.
 
     Raises
     ------
@@ -430,7 +435,7 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
             traces.append({**trace, "stop": "singular"})
             continue
         traces.append(trace)
-        if best is None or value < best[1] - 1e-15:
+        if best is None or value < best[1] * (1.0 - RESTART_TIE):
             best = (z, value, converged, restart)
     if best is None:
         raise OptimizationFailedError(
@@ -460,7 +465,7 @@ def _unit_state(rep: Representation, z: np.ndarray) -> ProbeState:
 def _moments(rep: Representation, z: np.ndarray):
     """Images Y_a = X_a psi, mean m and covariance C of psi = z / |z|."""
     dim = z.size // 2
-    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))
+    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))[:3]
 
 
 def _objective_and_gradient(rep: Representation, barrier: float):
@@ -473,10 +478,8 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     ``value_and_gradient(z)`` returns that value and its gradient as a
     function of z from one evaluation of the moments: the real gradient g
     with respect to the unit [Re psi; Im psi], projected on the sphere's
-    tangent space at z and divided by |z|.  The value comes from the
-    eigenvalue-only decomposition ``objective`` uses, not from the ``eigh``
-    that weights the gradient: the two differ in the last bits, and on
-    flat minima such bits decide which restart wins.
+    tangent space at z and divided by |z|.  Each call makes one ``eigh``
+    of C, which gives the value, lambda_min and the gradient's weight.
 
     With images Y_a = X_a psi, means m and G = C^(-2) (in the barrier branch
     G = (d / lambda_min^2) v v^T for the lowest eigenvector v), the
@@ -486,28 +489,25 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     d = rep.basis.dim
     adjoint = rep.stack.conj().T.tocsr()
 
-    def value(cov):
-        eigs = np.linalg.eigvalsh(cov)
+    def spectral(cov):
+        eigs, vecs = np.linalg.eigh(cov)
         smallest = float(eigs[0])
         if smallest > barrier:
-            return float((1.0 / eigs).sum()), smallest
-        return d / max(smallest, 1e-18), smallest
+            return float((1.0 / eigs).sum()), smallest, (vecs / eigs**2) @ vecs.T
+        floor = max(smallest, 1e-18)
+        return d / floor, smallest, d / floor**2 * np.outer(vecs[:, 0], vecs[:, 0])
 
     def objective(z):
-        return value(_moments(rep, z)[2])
+        return spectral(_moments(rep, z)[2])[:2]
 
     def value_and_gradient(z):
         images, mean, cov = _moments(rep, z)
-        eigs, vecs = np.linalg.eigh(cov)
-        if eigs[0] > barrier:
-            weight = (vecs / eigs**2) @ vecs.T
-        else:
-            weight = d / max(eigs[0], 1e-18) ** 2 * np.outer(vecs[:, 0], vecs[:, 0])
+        value, _, weight = spectral(cov)
         wirtinger = 2.0 * (weight @ mean) @ images - adjoint @ (weight @ images).ravel()
         grad = 2.0 * np.concatenate([wirtinger.real, wirtinger.imag])
         norm = math.sqrt(z @ z)
         unit = z / norm
-        return value(cov)[0], (grad - (grad @ unit) * unit) / norm
+        return value, (grad - (grad @ unit) * unit) / norm
 
     return objective, value_and_gradient
 

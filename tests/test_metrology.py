@@ -390,6 +390,66 @@ def test_mixed_report_diagonalizes_rho_once(monkeypatch):
     assert calls.count((rep.space_dim, rep.space_dim)) == 1
 
 
+def test_a_state_forms_one_stack_product(monkeypatch):
+    # the report's covariance and the saturation check read the moments the
+    # state computed from one product F P, for bound and for check alike
+    rep = sym_rep(3, 2)
+    rng = np.random.default_rng(12)
+    chart = product_of_exponentials(3, rng.standard_normal((4, 8)))
+    calls = []
+    images = metrology._images
+
+    def counted(*args):
+        calls.append(1)
+        return images(*args)
+
+    monkeypatch.setattr(metrology, "_images", counted)
+    for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
+        calls.clear()
+        build_report(state, chart, rng.uniform(-0.5, 0.5, 4), weight="intrinsic")
+        saturation_check(state, generators_closed_form(chart, np.zeros(4)))
+        assert len(calls) == 1
+    for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
+        calls.clear()
+        build_report(state)
+        saturation_check(state)
+        assert len(calls) == 1
+
+
+def test_cached_moments_are_read_only():
+    rep = sym_rep(2, 3)
+    rng = np.random.default_rng(13)
+    for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
+        first = covariance(state)
+        second = covariance(state)
+        for a, b in zip(first, second):
+            assert not a.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            first[1][0, 0] = 0.0
+
+
+def test_mixed_state_leaves_the_callers_density_writable():
+    rep = sym_rep(2, 3)
+    rho = _random_density(rep, np.random.default_rng(14))
+    state = mixed_state(rep, rho)
+    assert rho.flags.writeable
+    rho[0, 0] = 5.0
+    assert state.density[0, 0] != 5.0
+
+
+def test_pure_state_does_not_follow_later_edits_of_its_vector():
+    rep = sym_rep(2, 3)
+    v = np.zeros(rep.space_dim, dtype=complex)
+    v[0] = 1.0
+    state = pure_state(rep, v)
+    mean = covariance(state)[0].copy()
+    v[:] = 0.0
+    v[-1] = 1.0
+    assert state.vector[0] == 1.0 and state.vector[-1] == 0.0
+    np.testing.assert_array_equal(covariance(pure_state(rep, state.vector))[0], mean)
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-170, 5e-324])
 def test_normalize_survives_overflow_and_underflow(scale):
     # the plain norm overflows to inf at 1e300 and underflows to 0 at 1e-170

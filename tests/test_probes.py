@@ -486,6 +486,37 @@ def test_isotropy_residual_vanishes_on_the_floor(tetrahedron, cyclic33):
         assert np.abs(residual).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, particles", [(3, 3), (4, 3), (2, 5)])
+def test_restarts_at_a_shared_minimum_keep_the_earliest(n, particles):
+    # below the floor every restart reaches the same minimum up to rounding,
+    # and the relative tie keeps restart 0 instead of the one whose last bits
+    # happen to be lowest
+    rep = sym_rep(n, particles)
+    for k in range(1, 6):
+        result = optimize_probe(rep, OptimizerConfig(seed=k, restarts=6))
+        assert result.diagnostics["best_restart"] == 0
+
+
+def test_each_evaluation_makes_one_eigendecomposition(monkeypatch):
+    rep = sym_rep(3, 3)
+    objective, value_and_gradient = _objective_and_gradient(rep, BARRIER_CUTOFF)
+    z = np.random.default_rng(9).standard_normal(2 * rep.space_dim)
+    calls = []
+
+    def counted(routine):
+        def wrapper(*args, **kwargs):
+            calls.append(routine.__name__)
+            return routine(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    for evaluate in (objective, value_and_gradient):
+        calls.clear()
+        evaluate(z)
+        assert calls == ["eigh"]
+
+
 @pytest.mark.parametrize("n, particles, ratio", [(2, 5, 1.023104), (3, 3, 1.25)])
 def test_sectors_below_the_floor_keep_their_minima(n, particles, ratio, monkeypatch):
     # the floor is out of reach, so no restart is polished, and one evaluation
