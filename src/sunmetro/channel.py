@@ -34,6 +34,10 @@ CONDITION_THRESHOLD = 1e8
 #: Below this |z| the divided difference phi(z) switches to its Taylor series.
 PHI_SERIES_CUTOFF = 1e-4
 
+#: Below this |lambda + 1| an eigenvalue lambda of U lies on the logarithm's
+#: branch cut, and exponential_coordinates refuses U.
+BRANCH_CUT_TOL = 1e-6
+
 
 def _is_int(value) -> bool:
     """True for a JSON integer: an int that is not a bool."""
@@ -332,8 +336,14 @@ def exponential_coordinates(u: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
 
     The Schur form of the unitary supplies an orthonormal eigenbasis; the
     eigenphase sum is shifted onto one phase to land in the traceless algebra.
-    Points with an eigenphase at +/- pi sit on the branch cut and come back
-    with reduced accuracy.
+
+    Raises
+    ------
+    InvalidElementError
+        If U is not a special unitary of the basis' size, or if an
+        eigenvalue of U lies within ``BRANCH_CUT_TOL`` of -1: on the branch
+        cut the logarithm is not unique, and near it the eigenphase loses
+        accuracy as about 3e-16 over its distance from pi.
     """
     u = np.asarray(u, dtype=complex)
     n = basis.n
@@ -346,7 +356,13 @@ def exponential_coordinates(u: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     from scipy.linalg import schur  # local: scipy.linalg loads only where it is called
 
     tmat, z = schur(u, output="complex")
-    phases = np.angle(np.diag(tmat))
+    eigenvalues = np.diag(tmat)
+    gap = float(np.min(np.abs(eigenvalues + 1.0)))
+    if gap < BRANCH_CUT_TOL:
+        raise InvalidElementError(
+            f"an eigenvalue of U lies {gap:.1e} from -1, on the branch cut of the logarithm"
+        )
+    phases = np.angle(eigenvalues)
     total = float(np.sum(phases))
     phases[int(np.argmax(phases))] -= 2.0 * np.pi * round(total / (2.0 * np.pi))
     a = (z * phases) @ z.conj().T

@@ -19,17 +19,15 @@ import io
 import json
 import sys
 from functools import cache
+from itertools import islice, repeat
 from math import isfinite
 
 import numpy as np
 
 from .channel import Parametrization
 from .exceptions import (
-    ConstraintError,
     DimensionCapError,
-    InvalidDimensionError,
     InvalidElementError,
-    InvalidStateError,
     NotIrreducibleError,
     OptimizationFailedError,
     SingularInformationError,
@@ -47,17 +45,7 @@ from .svg import render_loglog
 
 CSV_COLUMNS = ("n", "N", "casimir", "cs_ghz", "cs_floor", "cs_optimized")
 
-_PARSE_ERRORS = (
-    InvalidDimensionError,
-    InvalidElementError,
-    InvalidStateError,
-    ConstraintError,
-    DimensionCapError,
-    NotIrreducibleError,
-    json.JSONDecodeError,
-    OSError,
-    ValueError,
-)
+_PARSE_ERRORS = (ValueError, OSError, NotIrreducibleError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,92 +60,55 @@ class _Parser(argparse.ArgumentParser):
 _fmt = "{:.12g}".format
 
 
-def _round_floats(obj):
-    """12-significant-digit rounding, applied recursively for serialization.
+def _round_floats(diag: dict) -> dict:
+    """An error's diagnostics with each float rounded to 12 significant
+    digits, and a non-finite one written as its name, such as "inf"."""
+    return {
+        key: (float(_fmt(value)) if isfinite(value) else str(value))
+        if isinstance(value, float) else value
+        for key, value in diag.items()
+    }
 
-    Reports are mostly floats in lists, so those types are tested first.
+
+def _float_texts(values) -> list[str]:
+    """Each float rounded to 12 significant digits and printed as json prints
+    it.  float.__format__ raises TypeError on any value that is not a float."""
+    rounded = list(map(float, map(float.__format__, values, repeat(".12g"))))
+    return [repr(r) if isfinite(r) else f'"{r!r}"' for r in rounded]
+
+
+def _layout(obj, pad: str) -> str:
+    """The text json.dumps(obj, indent=2) gives after the line start ``pad``,
+    with every float rounded to 12 significant digits.
+
+    Documents hold string-keyed dicts, None, booleans, ints, floats, and
+    non-empty lists of floats or of such lists; the floats of a list, or of
+    a list of lists, are formatted in one batch.  Any other value raises
+    TypeError.
     """
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return float(_fmt(f)) if isfinite(f) else repr(f)
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
-        return int(obj)
-    return obj
-
-
-_INDENT = "  "
-_FLOAT_TYPES = frozenset((float, np.float64))
-_LITERALS = {None: "null", True: "true", False: "false"}
-
-
-def _float_texts(values) -> list[str] | None:
-    """Each value rounded to 12 digits and printed as json prints a finite
-    float, by repr; None unless every value is a finite float or float64."""
-    if not _FLOAT_TYPES.issuperset(map(type, values)):
-        return None
-    rounded = list(map(float, map(_fmt, map(float, values))))
-    return list(map(repr, rounded)) if all(map(isfinite, rounded)) else None
-
-
-def _write_json(obj, depth: int, out: list) -> None:
-    """Append the text json.dumps(_round_floats(obj), indent=2) gives at ``depth``.
-
-    Containers are laid out here.  The floats of a flat list, or of a list
-    of such lists (a matrix, amplitude pairs), are printed in one pass, and
-    finite floats, ints, booleans and None one by one; every other leaf
-    (a string, a non-finite float, an empty container) goes through
-    json.dumps on its own.
-    """
-    close = "\n" + _INDENT * depth
-    pad = close + _INDENT
-    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        sep = "{" + pad
-        for key, value in obj.items():
-            out.append(sep + json.dumps(key) + ": ")
-            _write_json(value, depth + 1, out)
-            sep = "," + pad
-        out.append(close + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
+    inner = pad + "  "
+    sep = "," + inner
+    if type(obj) is dict and obj and all(type(key) is str for key in obj):
+        items = [json.dumps(key) + ": " + _layout(value, inner) for key, value in obj.items()]
+        return "{" + inner + sep.join(items) + pad + "}"
+    if type(obj) is list and obj:
         if all(type(row) is list and row for row in obj):
-            texts = _float_texts([v for row in obj for v in row])
-            if texts is not None:
-                inner, start, rows = pad + _INDENT, 0, []
-                for row in obj:
-                    items = ("," + inner).join(texts[start:start + len(row)])
-                    rows.append("[" + inner + items + pad + "]")
-                    start += len(row)
-                out.append("[" + pad + ("," + pad).join(rows) + close + "]")
-                return
-        texts = _float_texts(obj)
-        if texts is not None:
-            out.append("[" + pad + ("," + pad).join(texts) + close + "]")
-            return
-        sep = "[" + pad
-        for value in obj:
-            out.append(sep)
-            _write_json(value, depth + 1, out)
-            sep = "," + pad
-        out.append(close + "]")
-    elif isinstance(obj, dict) and obj:
-        # keys that are not strings follow json's own key rules
-        out.append(json.dumps(_round_floats(obj), indent=2).replace("\n", close))
-    elif obj is None or type(obj) is bool:
-        out.append(_LITERALS[obj])
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    else:
-        texts = _float_texts((obj,))
-        out.append(texts[0] if texts is not None else json.dumps(_round_floats(obj)))
+            texts = iter(_float_texts([v for row in obj for v in row]))
+            rows = ["[" + inner + "  " + (sep + "  ").join(islice(texts, len(row))) + inner + "]"
+                    for row in obj]
+            return "[" + inner + sep.join(rows) + pad + "]"
+        return "[" + inner + sep.join(_float_texts(obj)) + pad + "]"
+    if obj is None:
+        return "null"
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    if type(obj) is int:
+        return str(obj)
+    return _float_texts((obj,))[0]
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
-    out: list = []
-    _write_json(doc, 0, out)
-    text = "".join(out) + "\n"
+    text = _layout(doc, "\n") + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

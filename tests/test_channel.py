@@ -430,3 +430,20 @@ def test_exponential_coordinates_rejects_bad_input():
         exponential_coordinates(np.exp(0.3j) * np.eye(2), basis)  # det != 1
     with pytest.raises(InvalidElementError):
         exponential_coordinates(np.eye(3), basis)  # wrong shape
+
+
+def test_exponential_coordinates_refuses_the_branch_cut():
+    with pytest.raises(InvalidElementError, match="branch cut"):
+        exponential_coordinates(-np.eye(2), gellmann_basis(2))
+    with pytest.raises(InvalidElementError, match="branch cut"):
+        exponential_coordinates(np.diag([-1.0, -1.0, 1.0]), gellmann_basis(3))
+    # eigenphases +/- (pi - delta): refused at delta = 1e-7, round-trips at 1e-3
+    basis = gellmann_basis(2)
+    direction = np.array([0.3, -0.5, 0.8])
+    top = np.max(np.abs(np.linalg.eigvalsh(from_coefficients(direction, basis))))
+    near = direction * ((np.pi - 1e-7) / top)
+    with pytest.raises(InvalidElementError, match="branch cut"):
+        exponential_coordinates(unitary_at(exponential(2), near), basis)
+    omega = direction * ((np.pi - 1e-3) / top)
+    recovered = exponential_coordinates(unitary_at(exponential(2), omega), basis)
+    assert np.max(np.abs(recovered - omega)) < 1e-9

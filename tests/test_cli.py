@@ -881,58 +881,60 @@ def _round_floats_reference(obj):
     return obj
 
 
-_LEAVES = st.one_of(
+# the floats every test of the writer draws from; numpy float64 is a float
+_FLOATS = st.one_of(
     st.floats(),
-    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308]),
-    st.floats(width=16).map(np.float16),
-    st.floats(width=32).map(np.float32),
+    st.sampled_from([
+        float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308,
+        123456789012.0, 1e16, 1e22,
+    ]),
     st.floats().map(np.float64),
-    st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    st.integers(),
-    st.booleans(),
-    st.none(),
-    st.text(max_size=4),
 )
+# the values of an error's diagnostics
+_DIAGNOSTICS = st.dictionaries(
+    st.text(max_size=4),
+    st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), st.text(max_size=4)),
+    max_size=6,
+)
+# the shapes of the documents bound, check and optimize print
+_FLOAT_LISTS = st.lists(_FLOATS, min_size=1, max_size=6)
 _DOCS = st.recursive(
-    _LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=6),
-        st.lists(inner, max_size=6).map(tuple),
-        st.dictionaries(st.text(max_size=4), inner, max_size=6),
+    st.one_of(
+        _FLOATS, st.integers(), st.booleans(), st.none(),
+        _FLOAT_LISTS, st.lists(_FLOAT_LISTS, min_size=1, max_size=4),
     ),
+    lambda inner: st.dictionaries(st.text(max_size=4), inner, min_size=1, max_size=6),
     max_leaves=40,
 )
 
 
 @seed(20261018)
 @settings(max_examples=100, deadline=None)
-@given(doc=_DOCS)
-def test_round_floats_matches_the_reference_text(doc):
-    expected = json.dumps(_round_floats_reference(doc), indent=2)
-    assert json.dumps(cli._round_floats(doc), indent=2) == expected
+@given(diag=_DIAGNOSTICS)
+def test_round_floats_matches_the_reference_text(diag):
+    expected = json.dumps(_round_floats_reference(diag))
+    assert json.dumps(cli._round_floats(diag)) == expected
 
 
 def _written(doc) -> str:
-    out = []
-    cli._write_json(doc, 0, out)
-    return "".join(out)
+    return cli._layout(doc, "\n")
 
 
 ADVERSARIAL_DOCS = [
     {"nan": [float("nan"), 1.0], "inf": [float("inf"), -float("inf")], "one": float("-inf")},
     {"zero": [-0.0, 0.0, -0.0], "sub": [5e-324, 2.2250738585072014e-308, -1e-310]},
-    {"numpy": [np.float64(0.1), np.float32(0.1), np.float16(0.5), np.int64(-3)]},
+    {"numpy": [np.float64(0.1), np.float64("nan"), np.float64(-0.0)]},
     {"numpy_flat": [np.float64(1.0) / 3, np.float64(2.0)], "scalar": np.float64(1e300)},
-    {"empty": [], "empty_dict": {}, "nested": [[], [[]], {}, [{}], {"a": []}]},
+    {"single": [1.0], "one_row": [[2.0]], "int": 0},
     {"rows": [[np.float64(0.1), 0.2], [1.0]], "nan_row": [[1.0], [2.0, float("nan")]]},
-    {"ragged": [[1.0, 2.0], []], "tuple_rows": [(1.0, 2.0), (3.0,)], "deep": [[[1.0]], [[2.0]]]},
-    {"ключ": {"κλειδί": [1.0, "ü\n\"\t"], "键": None}, "\u2028": True},
-    {1: [0.5], None: 2.0, 2.5: "x", True: [], False: {"k": 1e-5}},
-    [[1.0, 2.0], [3.0, None], (4.0, 5.0), [True, 1.0], [1, 2.0]],
-    [],
-    {},
+    {"ragged": [[1.0, 2.0], [3.0]], "deep": {"a": {"b": {"c": [[1e-5]]}}}},
+    {"ключ": {"κλειδί": [1.0], "键": None}, "\u2028": True, "\"\n\t": False},
+    {"ints": 3, "big": 2**70, "neg": -7, "flags": {"t": True, "f": False, "none": None}},
+    [[1.0, 2.0], [3.0, -float("inf")], [4.0, 5.0]],
+    [1e-300],
+    {"k": 0.0},
     0.1 + 0.2,
-    "top",
+    [[np.float64(1e22)]],
     None,
     [123456789012.0, 1234567890123.0, 1e16, 1e-5, 1e22, -2.0],
 ]
@@ -940,14 +942,57 @@ ADVERSARIAL_DOCS = [
 
 @pytest.mark.parametrize("doc", ADVERSARIAL_DOCS)
 def test_writer_matches_json_dumps_on_adversarial_documents(doc):
-    assert _written(doc) == json.dumps(cli._round_floats(doc), indent=2)
+    assert _written(doc) == json.dumps(_round_floats_reference(doc), indent=2)
 
 
 @seed(20261018)
 @settings(max_examples=100, deadline=None)
 @given(doc=_DOCS)
 def test_writer_matches_json_dumps_hypothesis(doc):
-    assert _written(doc) == json.dumps(cli._round_floats(doc), indent=2)
+    assert _written(doc) == json.dumps(_round_floats_reference(doc), indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {"error": "text"},
+    {"pair": (1.0, 2.0)},
+    {"rows": [(1.0, 2.0)]},
+    {"single": np.float32(0.5)},
+    {"list": [0.5, np.float32(0.5)]},
+    {1: 0.5},
+    {"rank": np.int64(3)},
+    {"ints": [1, 2]},
+    {"ragged": [[1.0], []]},
+    {"empty": []},
+    {"flags": {}},
+])
+def test_writer_refuses_values_outside_the_document_shapes(doc):
+    with pytest.raises(TypeError):
+        _written(doc)
+
+
+def test_writer_prints_real_documents_as_json_dumps(files, capsys, monkeypatch, tmp_path):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, out: (emitted.append(doc), emit(doc, out)))
+    exp3 = tmp_path / "exp3.json"
+    exp3.write_text(json.dumps({"kind": "exponential", "n": 3}))
+    unconverged = tmp_path / "unconverged.json"
+    unconverged.write_text(json.dumps({"restarts": 1, "max_iters": 1}))
+    runs = [
+        (["bound", files["tetra"], files["euler"], "--theta", "0.3,1.1,-0.4"], 0),
+        (["bound", files["tetra"], files["exp2"], "--theta", "0,0,0", "--weight", "identity"], 0),
+        (["bound", files["ghz39"], str(exp3), "--theta", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"], 0),
+        (["check", files["cyclic"]], 0),
+        (["check", files["stretched"]], 0),
+        (["optimize", "--n", "2", "--particles", "4", "--seed", "1"], 0),
+        (["optimize", "--n", "3", "--particles", "3", "--seed", "1",
+          "--config", str(unconverged)], 3),
+    ]
+    for argv, code in runs:
+        emitted.clear()
+        assert main(argv) == code, argv
+        assert len(emitted) == 1
+        assert capsys.readouterr().out == json.dumps(_round_floats_reference(emitted[0]), indent=2) + "\n"
 
 
 # Documents for the exit-code property: arbitrary JSON, and documents of each
