@@ -39,44 +39,47 @@ class GeneratorBasis:
     ----------
     n : int
         Dimension of the fundamental representation.
-    generators : numpy.ndarray
-        Complex array of shape ``(d, n, n)`` with ``d = n**2 - 1``.  Each
-        slice is Hermitian and traceless, and the family satisfies
+    coefficients : scipy.sparse.csc_array
+        Complex map T of shape ``(d, n**2)`` with ``d = n**2 - 1``: the a-th
+        generator is ``X_a = sum_ij T[a, i n + j] E_ij`` over the matrix units
+        E_ij.  The constructor takes T in any form ``scipy.sparse.coo_array``
+        accepts and keeps a copy in column order, with read-only values, so
+        column ``i n + j`` lists the generators with an (i, j) entry.  Each
+        X_a is Hermitian and traceless, and the family satisfies
         ``2 Tr(X_a X_b) = delta_ab``, the trace form scaled by
-        ``INNER_PRODUCT_SCALE``.
+        ``INNER_PRODUCT_SCALE``.  The dense matrices are built from T only
+        when :attr:`generators` is read.
     """
 
     n: int
-    generators: np.ndarray
+    coefficients: sparse.csc_array
 
     def __post_init__(self):
-        mats = np.asarray(self.generators, dtype=complex)
-        mats.setflags(write=False)
-        object.__setattr__(self, "generators", mats)
         if self.n < 2:
             raise InvalidDimensionError(f"su(n) needs n >= 2, got n = {self.n}")
-        d = self.n**2 - 1
-        if mats.shape != (d, self.n, self.n):
-            raise InvalidElementError(
-                f"expected {d} generators of shape ({self.n}, {self.n}), got {mats.shape}"
-            )
-        herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1)))
+        n, d = self.n, self.n**2 - 1
+        # through COO, so the copy is canonical: summed duplicates, sorted rows
+        t = sparse.coo_array(self.coefficients, dtype=complex).tocsc()
+        if t.shape != (d, n * n):
+            raise InvalidElementError(f"expected a ({d}, {n * n}) coefficient map, got {t.shape}")
+        t.data.setflags(write=False)
+        object.__setattr__(self, "coefficients", t)
+        # every residual test below is False for NaN, so non-finite entries
+        # would pass them; reject those before any residual is formed
+        bad = ~np.isfinite(t.data)
+        if bad.any():
+            named = np.array([f"X_{a}[{c // n}, {c % n}]" for a, c in zip(*t.tocoo().coords)])
+            raise InvalidElementError(f"basis has non-finite entries: {', '.join(named[bad][:4])}")
+        # column (i, j) of the flipped map holds each generator's (j, i) entry
+        flipped = t[:, np.arange(n * n).reshape(n, n).T.ravel()]
+        herm = abs(t - flipped.conj()).max()
         if herm > BASIS_TOL:
             raise InvalidElementError(f"basis not Hermitian: max deviation {herm:.3e}")
-        tr = np.max(np.abs(np.trace(mats, axis1=1, axis2=2)))
+        tr = np.max(np.abs(t[:, :: n + 1].sum(axis=1)))
         if tr > BASIS_TOL:
             raise InvalidElementError(f"basis not traceless: max |trace| {tr:.3e}")
-        # 2 Tr(X_a X_b) as one sparse (d, n**2) x (n**2, d) product, the right
-        # factor holding each X_b transposed: entry (i, p) moved to (p, i)
-        flat = sparse.csr_array(mats.reshape(d, self.n * self.n))
-        i, p = np.divmod(flat.indices, self.n)
-        flipped = sparse.csr_array((flat.data, p * self.n + i, flat.indptr), shape=flat.shape)
-        gram = (INNER_PRODUCT_SCALE * (flat @ flipped.T)).tocoo()
-        off = gram.row != gram.col
-        dev = max(
-            float(np.max(np.abs(gram.data[off]), initial=0.0)),
-            float(np.max(np.abs(gram.diagonal() - 1.0))),
-        )
+        # 2 Tr(X_a X_b) = 2 sum_ij X_a[i, j] X_b[j, i], one sparse product
+        dev = abs(INNER_PRODUCT_SCALE * (t @ flipped.T) - sparse.eye_array(d)).max()
         if dev > 1e-10:
             raise InvalidElementError(f"basis not orthonormal: Gram deviation {dev:.3e}")
 
@@ -86,9 +89,23 @@ class GeneratorBasis:
         return self.n**2 - 1
 
     @cached_property
+    def generators(self) -> np.ndarray:
+        """Read-only dense ``(d, n, n)`` array of the X_a, built from T at first use.
+
+        Only the charts and the coefficient expansions read it; it is
+        C-ordered, as their batched products round by memory order.
+        """
+        # assigned, not summed as toarray() sums, so -0.0 entries keep their sign;
+        # tocoo() lists the entries in the order of the stored data
+        mats = np.zeros((self.dim, self.n * self.n), dtype=complex)
+        mats[self.coefficients.tocoo().coords] = self.coefficients.data
+        mats.setflags(write=False)
+        return mats.reshape(self.dim, self.n, self.n)
+
+    @cached_property
     def _structure_constants(self) -> StructureConstants:
         # computed at the first structure_constants(self) call, then kept here
-        return _extract_structure_constants(self.generators)
+        return _extract_structure_constants(self.coefficients, self.n)
 
 
 @dataclass(frozen=True)
@@ -124,26 +141,20 @@ def gellmann_basis(n: int) -> GeneratorBasis:
     """
     if n < 2:
         raise InvalidDimensionError(f"su(n) needs n >= 2, got n = {n}")
-    mats = []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for i, j in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = 0.5
-        m[j, i] = 0.5
-        mats.append(m)
-    for i, j in pairs:
-        m = np.zeros((n, n), dtype=complex)
-        m[i, j] = -0.5j
-        m[j, i] = 0.5j
-        mats.append(m)
-    for l in range(1, n):
-        m = np.zeros((n, n), dtype=complex)
-        norm = np.sqrt(2.0 / (l * (l + 1)))
-        for i in range(l):
-            m[i, i] = norm / 2.0
-        m[l, l] = -l * norm / 2.0
-        mats.append(m)
-    return GeneratorBasis(n=n, generators=np.array(mats))
+    i, j = np.triu_indices(n, 1)
+    pair = np.arange(i.size)
+    # the l-th diagonal element: norm / 2 on the modes below l, -l norm / 2 on mode l
+    l, mode = (idx[1:] for idx in np.tril_indices(n))
+    norm = np.sqrt(2.0 / (l * (l + 1)))
+    rows = np.concatenate([pair, pair, pair + i.size, pair + i.size, 2 * i.size + l - 1])
+    cols = np.concatenate([i * n + j, j * n + i, i * n + j, j * n + i, mode * (n + 1)])
+    vals = np.concatenate(
+        [np.repeat([0.5, 0.5, -0.5j, 0.5j], i.size), np.where(mode < l, norm / 2.0, -l * norm / 2.0)]
+    )
+    # the largest row and column make the shape (n**2 - 1, n**2); int32 indices,
+    # as scipy gives a dense input, since the structure constants' products
+    # take their index width from T
+    return GeneratorBasis(n=n, coefficients=(vals, (rows.astype(np.int32), cols.astype(np.int32))))
 
 
 def structure_constants(basis: GeneratorBasis) -> StructureConstants:
@@ -157,11 +168,13 @@ def structure_constants(basis: GeneratorBasis) -> StructureConstants:
     return basis._structure_constants
 
 
-def _extract_structure_constants(x: np.ndarray) -> StructureConstants:
-    d, n = x.shape[:2]
+def _extract_structure_constants(t: sparse.csc_array, n: int) -> StructureConstants:
+    d = t.shape[0]
+    # (a, i, p) of each stored entry X_a[i, p], in the order of t.data
+    a, (i, p) = t.indices, np.divmod(t.tocoo().col, n)
     # one sparse product gives every X_j X_k: entry ((j, i), (k, p)) is (X_j X_k)[i, p]
-    side = sparse.csr_array(x.transpose(1, 0, 2).reshape(n, d * n))
-    prod = (sparse.csr_array(x.reshape(d * n, n)) @ side).tocoo()
+    left = sparse.csr_array((t.data, (a * n + i, p)), shape=(d * n, n))
+    prod = (left @ sparse.csr_array((t.data, (i, a * n + p)), shape=(n, d * n))).tocoo()
     j, i = np.divmod(prod.row, n)
     k, p = np.divmod(prod.col, n)
     # row (j, k) holds [X_j, X_k] transposed and flattened, so a product with
@@ -172,7 +185,7 @@ def _extract_structure_constants(x: np.ndarray) -> StructureConstants:
          (np.concatenate([j * d + k, k * d + j]), np.concatenate([col, col]))),
         shape=(d * d, n * n),
     )
-    f = (-2j * (comm @ sparse.csr_array(x.reshape(d, n * n)).T)).tocoo()
+    f = (-2j * (comm @ t.T)).tocoo()
     imag = np.abs(f.data.imag).max(initial=0.0)
     if imag > 1e-12:
         raise InvalidElementError(f"structure constants not real: residue {imag:.3e}")

@@ -145,6 +145,9 @@ def mixed_state(rep: Representation, density) -> ProbeState:
     d = rep.space_dim
     if rho.shape != (d, d):
         raise InvalidStateError(f"expected a ({d}, {d}) density matrix, got {rho.shape}")
+    # the tests below are False for NaN, so non-finite entries would pass them
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("density matrix has non-finite entries")
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
         raise InvalidStateError("density matrix is not Hermitian within 1e-12")
     if abs(np.trace(rho).real - 1.0) > 1e-12:

@@ -149,7 +149,7 @@ class Representation:
 
 def fundamental_representation(basis: GeneratorBasis) -> Representation:
     """The defining representation: the basis acting on C^n itself."""
-    stack = basis.generators.reshape(basis.dim * basis.n, basis.n)
+    stack = basis.coefficients.reshape((basis.dim * basis.n, basis.n))
     return Representation(basis=basis, stack=stack, label="fundamental")
 
 
@@ -203,11 +203,17 @@ def _check_cap(n: int, particles: int, cap: int) -> None:
 
 
 def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_array:
-    # X_a^(R) = diag(X_a) . occupations + sum_{i != j} (X_a)_ij a_i^dagger a_j
+    # X_a^(R) = diag(X_a) . occupations + sum_{i != j} (X_a)_ij a_i^dagger a_j,
+    # read from the basis's columns (i, j): the generators with an (i, j) entry
     n, d, dim = basis.n, basis.dim, fock.dim
-    g = basis.generators
     occs = np.array(fock.states)
-    diag = g[:, range(n), range(n)].real @ occs.T  # (d, D)
+    # the diagonal, from the rows of a dense (d, n) block that hold any entry
+    gens, vals, mode = _column_entries(basis.coefficients, np.arange(0, n * n, n + 1))
+    block = np.zeros((d, n))
+    block[gens, mode] = vals.real
+    diag_gens = block.any(axis=1).nonzero()[0]
+    diag = block[diag_gens] @ occs.T
+    r0, s0 = diag.nonzero()
     # radix-(N + 1) key per occupation tuple; it descends with the basis order
     # (Python ints beyond int64 turn the weights into an object array)
     weights = np.array([(fock.particles + 1) ** (n - 1 - m) for m in range(n)])
@@ -217,15 +223,21 @@ def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_arra
     i, j = mode_i[hop], mode_j[hop]
     amp = np.sqrt(occs[src, j] * (occs[src, i] + 1))
     dst = dim - 1 - np.searchsorted(keys[::-1], keys[src] - weights[j] + weights[i])
-    hops = g[:, i, j] * amp  # (d, hops)
-    a0, s0 = diag.nonzero()
-    a1, h1 = hops.nonzero()
-    rows = np.concatenate([a0 * dim + s0, a1 * dim + dst[h1]])
+    gens, vals, h1 = _column_entries(basis.coefficients, i * n + j)
+    rows = np.concatenate([diag_gens[r0] * dim + s0, gens * dim + dst[h1]])
     cols = np.concatenate([s0, src[h1]])
-    data = np.concatenate([diag[a0, s0], hops[a1, h1]])
+    data = np.concatenate([diag[r0, s0], vals * amp[h1]])
     order = (rows * dim + cols).argsort()
     indptr = np.concatenate(([0], np.bincount(rows, minlength=d * dim).cumsum()))
     return sparse.csr_array((data[order], cols[order], indptr), shape=(d * dim, dim))
+
+
+def _column_entries(t: sparse.csc_array, cols: np.ndarray):
+    # generator (as int64, since it is scaled by D), value and place in cols of
+    # each stored entry of the columns cols of a CSC map
+    count = t.indptr[cols + 1] - t.indptr[cols]
+    entry = _ranges(t.indptr[cols], count)
+    return t.indices[entry].astype(np.int64), t.data[entry], np.arange(cols.size).repeat(count)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sunmetro import (
+    GeneratorBasis,
     gellmann_basis,
     make_su3_cyclic,
     make_tetrahedron_j2,
@@ -19,6 +20,37 @@ from sunmetro import (
 def sym_rep(n: int, particles: int):
     """Memoized symmetric representation; construction is the expensive part."""
     return symmetric_representation(gellmann_basis(n), particles)
+
+
+def dense_gellmann(n):
+    """Reference build of the su(n) Gell-Mann basis: (d, n, n) matrices, one entry at a time."""
+    mats = []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in pairs:
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = 0.5
+        m[j, i] = 0.5
+        mats.append(m)
+    for i, j in pairs:
+        m = np.zeros((n, n), dtype=complex)
+        m[i, j] = -0.5j
+        m[j, i] = 0.5j
+        mats.append(m)
+    for l in range(1, n):
+        m = np.zeros((n, n), dtype=complex)
+        norm = np.sqrt(2.0 / (l * (l + 1)))
+        for i in range(l):
+            m[i, i] = norm / 2.0
+        m[l, l] = -l * norm / 2.0
+        mats.append(m)
+    return np.array(mats)
+
+
+def rotated_basis(n):
+    """An orthonormal su(n) basis in which every generator has diagonal and off-diagonal entries."""
+    x = gellmann_basis(n).generators
+    rotation, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((len(x), len(x))))
+    return GeneratorBasis(n=n, coefficients=np.tensordot(rotation, x, axes=1).reshape(len(x), -1))
 
 
 def dense_generators(rep):

@@ -1,8 +1,11 @@
 """Basis construction, structure constants, and coefficient expansions."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import dense_structure_constants
+from conftest import dense_gellmann, dense_structure_constants
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,7 +17,9 @@ from sunmetro import (
     expand,
     from_coefficients,
     gellmann_basis,
+    structure_constants,
 )
+from sunmetro import algebra
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -81,14 +86,14 @@ def test_basis_check_refuses_families_that_are_not_orthonormal(n):
     rng = np.random.default_rng(n)
     rotation, _ = np.linalg.qr(rng.standard_normal((len(x), len(x))))
     rotated = np.tensordot(rotation, x, axes=1)
-    GeneratorBasis(n=n, generators=rotated)
+    GeneratorBasis(n=n, coefficients=rotated.reshape(len(x), -1))
     skewed = x.copy()
     skewed[1] = (x[0] + x[1]) / np.sqrt(2.0)
     zeroed = x.copy()
     zeroed[-1] = 0.0  # its diagonal entry of the Gram is no stored entry
     for bad in (1.001 * x, skewed, zeroed, rotated * (1.0 + 1e-9)):
         with pytest.raises(InvalidElementError, match="not orthonormal") as err:
-            GeneratorBasis(n=n, generators=bad)
+            GeneratorBasis(n=n, coefficients=bad.reshape(len(x), -1))
         assert str(err.value).endswith(f"Gram deviation {_dense_gram_deviation(bad):.3e}")
 
 
@@ -167,3 +172,40 @@ def test_basis_generators_read_only():
     basis = gellmann_basis(2)
     with pytest.raises(ValueError):
         basis.generators[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dense_view_matches_the_reference_build(n):
+    # the charts' batched products round by memory order, so the view is C-ordered
+    x = gellmann_basis(n).generators
+    reference = dense_gellmann(n)
+    assert x.shape == reference.shape and x.tobytes() == reference.tobytes()
+    assert x.flags.c_contiguous and not x.flags.writeable
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(2, 1, 1), (0, 0, 1)], ids=["diagonal", "off-diagonal"])
+def test_basis_refuses_non_finite_entries(entry, value, monkeypatch):
+    # each residual test is False for NaN, so the check must come before them
+    x = gellmann_basis(2).generators.copy()
+    x[entry] = value
+
+    def no_constants(*args):
+        raise AssertionError("structure constants were formed from a non-finite basis")
+
+    monkeypatch.setattr(algebra, "_extract_structure_constants", no_constants)
+    a, i, j = entry
+    with pytest.raises(InvalidElementError, match=re.escape(f"non-finite entries: X_{a}[{i}, {j}]")):
+        structure_constants(GeneratorBasis(n=2, coefficients=x.reshape(3, 4)))
+
+
+def test_basis_of_su100_keeps_only_its_sparse_map():
+    # 2.5 n**2 stored entries; the dense (d, n, n) view alone would be 1.6 GB
+    tracemalloc.start()
+    try:
+        basis = gellmann_basis.__wrapped__(100)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert "generators" not in vars(basis) and "_structure_constants" not in vars(basis)

@@ -495,6 +495,13 @@ def test_state_validation():
         covariance_pure(mixed_state(rep, np.eye(4) / 4.0))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_mixed_state_refuses_non_finite_densities(value):
+    # NaN passes the Hermiticity and trace tests, and inf warns inside them
+    with pytest.raises(InvalidStateError, match="density matrix has non-finite entries"):
+        mixed_state(sym_rep(2, 2), np.full((3, 3), value))
+
+
 @seed(20240818)
 @settings(max_examples=40, deadline=None)
 @given(raw=arrays(np.float64, (8,), elements=st.floats(-1.0, 1.0)))

@@ -7,7 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 from scipy import sparse
-from conftest import dense_generators, dense_structure_constants, random_pure, sym_rep
+from conftest import (
+    dense_generators,
+    dense_structure_constants,
+    random_pure,
+    rotated_basis,
+    sym_rep,
+)
 
 from sunmetro import (
     DIMENSION_CAP,
@@ -253,10 +259,24 @@ def test_quadratic_invariant_scalar_on_random_sector():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_sparse_stack_matches_dense_reference(n):
-    basis = gellmann_basis(n)
-    for particles in range(1, 13):
-        rep = symmetric_representation(basis, particles)
-        assert np.array_equal(dense_generators(rep), dense_collective_stack(basis, particles))
+    for basis in (gellmann_basis(n), rotated_basis(n)):
+        for particles in range(1, 13):
+            rep = symmetric_representation(basis, particles)
+            assert np.array_equal(dense_generators(rep), dense_collective_stack(basis, particles))
+
+
+def test_sector_build_of_su40_stays_near_its_stack_size():
+    # the build reads the basis's columns and forms no dense (d, D) or (d, hops) array
+    basis = gellmann_basis(40)
+    fock = fock_basis(40, 2)
+    tracemalloc.start()
+    try:
+        stack = representation._collective_stack(basis, fock)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (1599 * 820, 820)
+    assert peak <= 5 * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
 
 
 def test_commutator_check_covers_every_pair():
