@@ -16,11 +16,13 @@ of shape (d D, D) whose a-th block of D rows is X_a^(R).
 
 Every stack is checked when a representation is built: finite entries,
 Hermiticity, the full commutator table and a scalar quadratic invariant.  The
-last two come from one sparse product Z F, whose rows are
+last two come from sparse products Z F, whose rows are
 [X_j, X_k] - i f_jkl X_l for every pair and sum_a X_a X_a, where the
 generators couple densely; where they do not (large n, few particles) they
 come from the grouped terms of the Gram product F F^dagger, which are then
-fewer.
+fewer.  Either kernel works through its output rows in runs of about
+``CHECK_BUDGET`` terms, so its memory stays a few times the stack's at any
+size; a Z that fits the budget is one product.
 """
 
 from __future__ import annotations
@@ -37,12 +39,13 @@ from .algebra import GeneratorBasis, StructureConstants, gellmann_basis, structu
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
 #: Default guard on the representation dimension; raise above this.  The
-#: sparse stack holds O(n**2 D) entries.  Its construction checks hold either
-#: the product matrix Z, about (d - 1) nnz = O(n**4 D) entries on
-#: d (d - 1) D / 2 rows, or the sum_m L_m**2 <= O(n**4 D) Gram terms (L_m the
-#: entries in column m), whichever is fewer; a lifted unitary is one dense
-#: D x D matrix, and a mixed state of rank r holds its generator matrix
-#: elements as d D r complex entries.
+#: sparse stack holds O(n**2 D) entries.  Its construction checks form the
+#: product matrix Z, about (d - 1) nnz = O(n**4 D) entries, or the
+#: sum_m L_m**2 <= O(n**4 D) Gram terms (L_m the entries in column m),
+#: whichever is fewer, but hold only a run of about ``CHECK_BUDGET`` of them
+#: at a time (or one pair's rows, or one state row's terms, if that is more).
+#: A lifted unitary is one dense D x D matrix, and a mixed state of rank r
+#: holds its generator matrix elements as d D r complex entries.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
@@ -53,6 +56,13 @@ HERMITIAN_RTOL = 1e-12
 
 #: Relative tolerance for the commutator table of a collective representation.
 COMMUTATOR_RTOL = 1e-10
+
+#: Term budget of the construction checks.  The residual kernels build the
+#: product matrix Z, or the Gram terms, over runs of output rows of about this
+#: many entries each, so that their memory stays a few times the stack's; a Z
+#: that fits is one product.  2**14 keeps every sector up to sym(4, 4) (a Z of
+#: 11475 entries) in one product, and a run's arrays near 1 MB.
+CHECK_BUDGET = 2**14
 
 
 def _compositions(total: int, parts: int):
@@ -228,8 +238,12 @@ def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_arra
     cols = np.concatenate([s0, src[h1]])
     data = np.concatenate([diag[r0, s0], vals * amp[h1]])
     order = (rows * dim + cols).argsort()
-    indptr = np.concatenate(([0], np.bincount(rows, minlength=d * dim).cumsum()))
-    return sparse.csr_array((data[order], cols[order], indptr), shape=(d * dim, dim))
+    # the index type scipy picks for these values, so that products with the
+    # stack copy no index array
+    idx = sparse.get_index_dtype(maxval=max(d * dim, data.size))
+    indptr = np.zeros(d * dim + 1, dtype=idx)
+    np.bincount(rows, minlength=d * dim).cumsum(dtype=idx, out=indptr[1:])
+    return sparse.csr_array((data[order], cols[order].astype(idx), indptr), shape=(d * dim, dim))
 
 
 def _column_entries(t: sparse.csc_array, cols: np.ndarray):
@@ -258,28 +272,44 @@ def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys[starts], np.add.reduceat(values[order], starts)
 
 
+def _merge_in_order(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # as _merge, but each key's values are added in the order given, so that
+    # no sum depends on the other keys (argsort leaves equal keys in an order
+    # that does); sorts keys in place
+    order = keys.argsort()
+    keys = np.take(keys, order, out=keys)
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    at = first.cumsum()
+    at -= 1
+    group = np.empty_like(at)
+    group[order] = at
+    del order, at
+    keys = keys[first]
+    sums = np.empty(keys.size, dtype=complex)
+    sums.real = np.bincount(group, weights=values.real, minlength=keys.size)
+    sums.imag = np.bincount(group, weights=values.imag, minlength=keys.size)
+    return keys, sums
+
+
+def _runs(cost: np.ndarray):
+    # consecutive runs [lo, hi) of units that cost at most CHECK_BUDGET together,
+    # or of one unit that costs more alone
+    total = np.concatenate(([0], cost.cumsum()))
+    lo = 0
+    while lo < cost.size:
+        hi = max(lo + 1, int(np.searchsorted(total, total[lo] + CHECK_BUDGET, side="right")) - 1)
+        yield lo, hi
+        lo = hi
+
+
 def _entries(stack: sparse.csr_array):
     # (generator, row, column, value) of every stored entry, in storage order
     dim = stack.shape[1]
     indptr = stack.indptr
     block, row = divmod(np.arange(stack.shape[0]).repeat(indptr[1:] - indptr[:-1]), dim)
     return block, row, stack.indices.astype(np.int64), stack.data
-
-
-def _gram_entries(block, row, col, val, dim: int):
-    """Unmerged terms of the Gram product F F^dagger of a stack F.
-
-    Returns (j, r, k, c, v): one term F[(j, r), m] conj(F[(k, c), m]) of the
-    ((j, r), (k, c)) entry per shared column m.  The (j, k) block of
-    F F^dagger is X_j X_k^dagger.
-    """
-    by_col = col.argsort(kind="stable")
-    count = np.bincount(col, minlength=dim)
-    sorted_col = col[by_col]
-    per = count[sorted_col]
-    left = by_col.repeat(per)
-    right = by_col[_ranges((count.cumsum() - count)[sorted_col], per)]
-    return block[left], row[left], block[right], row[right], val[left] * val[right].conj()
 
 
 def _check_hermitian(stack: sparse.csr_array, scale: float) -> None:
@@ -299,55 +329,113 @@ def _merged_residuals(stack: sparse.csr_array, constants: StructureConstants):
     """Commutator and invariant residuals from the grouped Gram terms.
 
     The terms of the Gram product F F^dagger, whose (j, k) block is X_j X_k
-    for a Hermitian stack, and those of -i f_jkl X_l are summed in one sort:
-    the invariant in one range of keys, the commutators in the next.  Returns
-    the worst commutator deviation, its pair (j, k), and the row, column and
-    value of each stored entry of the invariant.
+    for a Hermitian stack, and those of -i f_jkl X_l are summed by key: the
+    invariant in one range of keys, the commutators in the next.  A term of
+    the ((j, r), (k, c)) entry is F[(j, r), m] conj(F[(k, c), m]) for a shared
+    column m.  All terms of an entry share the state row r, so they are formed
+    and summed over runs of rows of about ``CHECK_BUDGET`` terms.  Each key's
+    terms are added in the order they are formed, so no sum depends on the
+    runs.  Returns the worst commutator deviation, its pair (j, k), and the
+    row, column and value of each stored entry of the invariant.
     """
     dim = stack.shape[1]
     width = stack.shape[0]
-    block, row, col, val = _entries(stack)
-    j, r, k, c, v = _gram_entries(block, row, col, val, dim)
-    tj, tk, tl, f = constants.upper
-    # entries of X_l for each constant f_jkl, j < k
-    starts = stack.indptr[tl * dim].astype(np.int64)
-    counts = stack.indptr[(tl + 1) * dim] - starts
-    entry = _ranges(starts, counts)
-    term = np.arange(tl.size).repeat(counts)
-
+    d = width // dim
     comm0 = dim * dim
-    same = j == k
-    apart = ~same
-    lo, hi = np.minimum(j, k)[apart], np.maximum(j, k)[apart]
-    keys, sums = _merge(
-        np.concatenate([
-            r[same] * dim + c[same],
-            comm0 + (lo * dim + r[apart]) * width + hi * dim + c[apart],
-            comm0 + (tj[term] * dim + row[entry]) * width + tk[term] * dim + col[entry],
-        ]),
-        np.concatenate([
-            v[same],
-            np.where(j < k, v, -v)[apart],  # [X_j, X_k] = X_j X_k - X_k X_j
-            -1j * f[term] * val[entry],
-        ]),
-    )
-    comm_at = np.searchsorted(keys, comm0)
-    comm, pair = 0.0, None
-    if comm_at < keys.size:
-        resid = np.abs(sums[comm_at:])
-        at = resid.argmax()
-        worst = int(keys[comm_at + at] - comm0)
-        comm, pair = resid[at], (worst // width // dim, worst % width // dim)
-    return comm, pair, *divmod(keys[:comm_at], dim), sums[:comm_at]
+    block, row, col, val = _entries(stack)
+    tj, tk, tl, f = constants.upper
+    # per stack: the entries of each column in storage order, those of each
+    # row r in (r, generator, column) order, and the constants of each l
+    load = np.bincount(col, minlength=dim)
+    col_start = load.cumsum() - load
+    by_col = col.argsort(kind="stable")
+    by_row = row.argsort(kind="stable")
+    row_start = np.concatenate(([0], np.bincount(row, minlength=dim).cumsum()))
+    per_l = np.bincount(tl, minlength=d)
+    l_start = per_l.cumsum() - per_l
+    by_l = tl.argsort(kind="stable")
+    lead = per_l.nonzero()[0] * dim  # first stack row of each X_l with constants
+    # row r has a Gram term per entry (j, r, m) per entry of column m, and a
+    # constant term per entry (l, r, c) per constant of l
+    cost = np.bincount(row, weights=load[col] + per_l[block], minlength=dim)
+
+    def terms(r0, r1):
+        # keys and values of the Gram terms, then the constant terms, of the
+        # rows r0 to r1 - 1, built in place
+        left = by_row[row_start[r0] : row_start[r1]]
+        per = load[col[left]]
+        right = by_col[_ranges(col_start[col[left]], per)]
+        left = left.repeat(per)
+        gram = left.size
+        keys = np.empty(int(cost[r0:r1].sum()), dtype=np.int64)
+        values = np.empty(keys.size, dtype=complex)
+        v = np.take(val, left, out=values[:gram])
+        conj = val[right]
+        v *= np.conjugate(conj, out=conj)
+        del conj
+        j, k = block[left], block[right]
+        np.negative(v, out=v, where=j > k)  # [X_j, X_k] = X_j X_k - X_k X_j
+        same = (j == k).nonzero()[0]
+        # past comm0, (min(j, k) D + r) width + max(j, k) D + c
+        key = np.minimum(j, k, out=keys[:gram])
+        key *= dim
+        key += row[left]
+        key *= width
+        hi = np.maximum(j, k, out=j)
+        hi *= dim
+        hi += row[right]
+        key += hi
+        key += comm0
+        key[same] = row[left[same]] * dim + row[right[same]]  # the invariant's r D + c
+        # the constant terms, -i f_jkl X_l[r, c] at the same keys
+        first = stack.indptr[lead + r0]
+        entry = _ranges(first, stack.indptr[lead + r1] - first)
+        per = per_l[block[entry]]
+        term = by_l[_ranges(l_start[block[entry]], per)]
+        entry = entry.repeat(per)
+        key = np.take(tj, term, out=keys[gram:])
+        key *= dim
+        key += row[entry]
+        key *= width
+        hi = tk[term]
+        hi *= dim
+        hi += col[entry]
+        key += hi
+        key += comm0
+        v = values[gram:]
+        v[:] = f[term]
+        v *= val[entry]
+        v *= -1j
+        return keys, values
+
+    comm, pair, worst = 0.0, None, None
+    invariant = []
+    for r0, r1 in _runs(cost):
+        keys, sums = _merge_in_order(*terms(r0, r1))
+        comm_at = np.searchsorted(keys, comm0)
+        if comm_at < keys.size:
+            resid = np.abs(sums[comm_at:])
+            at = resid.argmax()
+            key = keys[comm_at + at]
+            # the first maximum in key order over all runs
+            if pair is None or resid[at] > comm or (resid[at] == comm and key < worst):
+                worst = int(key)
+                comm, pair = resid[at], ((worst - comm0) // width // dim, (worst - comm0) % width // dim)
+        invariant.append((keys[:comm_at].copy(), sums[:comm_at].copy()))  # not views of the run
+    keys, sums = (np.concatenate(part) for part in zip(*invariant))
+    return comm, pair, *divmod(keys, dim), sums
 
 
-def _product_matrix(stack: sparse.csr_array, constants: StructureConstants) -> sparse.csr_array:
-    """The matrix Z of :func:`_product_residuals`, in CSR form.
+def _product_matrices(stack: sparse.csr_array, constants: StructureConstants):
+    """The matrix Z of :func:`_product_residuals` in CSR form, a run of rows at a time.
 
     Each row of Z is a run of segments; a segment copies a run of source
     entries and shifts their columns.  The sources are the stack's own
     arrays, their negative and the -i f_jkl: each row (p, r) takes three
-    segments, each invariant row d.
+    segments, each invariant row d.  Yields (lo, pairs, z): z holds the rows
+    of the pairs lo to lo + pairs - 1 and, in the last run, the invariant
+    rows after them.  A run takes about ``CHECK_BUDGET`` entries of Z, and Z
+    is one run when it fits.  Indices are in the stack's integer type.
     """
     dim = stack.shape[1]
     d = stack.shape[0] // dim
@@ -355,55 +443,72 @@ def _product_matrix(stack: sparse.csr_array, constants: StructureConstants) -> s
     tj, tk, tl, f = constants.upper
     pj, pk = _pairs(d)
     npair = pj.size
+    # the pair rows hold (d - 1) nnz stack entries and |f| D constants, the
+    # invariant rows nnz entries
+    fits = (d - 1) * nnz + f.size * dim + nnz <= CHECK_BUDGET
+    idx = stack.indices.dtype
+    data = np.concatenate([stack.data, -stack.data, -1j * f])
+    cols = np.concatenate([stack.indices, stack.indices, tl * dim], dtype=idx)
     # constants per pair; upper is sorted in the same (j, k) order
     per_pair = np.bincount(tj * (2 * d - tj - 1) // 2 + tk - tj - 1, minlength=npair)
+    per_first = per_pair.cumsum() - per_pair + 2 * nnz
     count = (stack.indptr[1:] - stack.indptr[:-1]).reshape(d, dim)
     start = stack.indptr[:-1].reshape(d, dim)
-
-    ncomm = 3 * npair * dim
-    seg = np.empty((3, ncomm + d * dim), dtype=np.int64)  # length, source start, shift
-    length, first, shift = seg[:, :ncomm].reshape(3, npair, dim, 3).transpose(0, 3, 1, 2)
-    length[0], length[1], length[2] = count[pj], count[pk], per_pair[:, None]
-    first[0], first[1] = start[pj], start[pk] + nnz
-    first[2] = (per_pair.cumsum() - per_pair + 2 * nnz)[:, None]
-    shift[0], shift[1], shift[2] = pk[:, None] * dim, pj[:, None] * dim, np.arange(dim)
-    invariant = seg[:, ncomm:].reshape(3, dim, d)
-    invariant[0], invariant[1], invariant[2] = count.T, start.T, np.arange(0, d * dim, dim)
-    length, first, shift = seg
-    bounds = np.concatenate(([0], length.cumsum()))
-    source = (first - bounds[:-1]).repeat(length) + np.arange(bounds[-1])  # as _ranges
-    return sparse.csr_array(
-        (
-            np.concatenate([stack.data, -stack.data, -1j * f])[source],
-            np.concatenate([stack.indices, stack.indices, tl * dim])[source]
-            + shift.repeat(length),
-            np.concatenate([bounds[:ncomm:3], bounds[ncomm::d]]),
-        ),
-        shape=((npair + 1) * dim, d * dim),
-    )
+    if fits:
+        runs = [(0, npair + 1)]
+    else:
+        size = count.sum(axis=1)
+        runs = _runs(np.concatenate([size[pj] + size[pk] + per_pair * dim, [nnz]]))
+    for lo, hi in runs:
+        j, k = pj[lo:hi], pk[lo:hi]
+        ncomm = 3 * j.size * dim
+        seg = np.empty((3, ncomm + d * dim * (hi > npair)), dtype=idx)  # length, source start, shift
+        length, first, shift = seg[:, :ncomm].reshape(3, j.size, dim, 3).transpose(0, 3, 1, 2)
+        length[0], length[1], length[2] = count[j], count[k], per_pair[lo:hi, None]
+        first[0], first[1] = start[j], start[k] + nnz
+        first[2] = per_first[lo:hi, None]
+        shift[0], shift[1], shift[2] = k[:, None] * dim, j[:, None] * dim, np.arange(dim)
+        if hi > npair:
+            invariant = seg[:, ncomm:].reshape(3, dim, d)
+            invariant[0], invariant[1], invariant[2] = count.T, start.T, np.arange(0, d * dim, dim)
+        length, first, shift = seg
+        bounds = np.zeros(length.size + 1, dtype=idx)
+        length.cumsum(dtype=idx, out=bounds[1:])
+        # as _ranges; intp, since numpy converts any other index array
+        source = (first - bounds[:-1]).repeat(length) + np.arange(bounds[-1])
+        yield lo, j.size, sparse.csr_array(
+            (
+                data[source],
+                cols[source] + shift.repeat(length),
+                np.concatenate([bounds[:ncomm:3], bounds[ncomm::d]]),
+            ),
+            shape=((j.size + (hi > npair)) * dim, d * dim),
+        )
 
 
 def _product_residuals(stack: sparse.csr_array, constants: StructureConstants):
-    """Commutator and invariant residuals from one sparse product Z F.
+    """Commutator and invariant residuals from sparse products Z F.
 
     Row (p, r) of Z, for the p-th pair j < k, holds X_j[r, :] in column block
     k, -X_k[r, :] in block j and -i f_jkl at column (l, r), so row (p, r) of
     Z F is row r of [X_j, X_k] - i f_jkl X_l.  D more rows hold X_a[r, :] in
-    block a; their product is row r of sum_a X_a X_a.  Returns what
-    :func:`_merged_residuals` returns.
+    block a; their product is row r of sum_a X_a X_a.  Z is multiplied a run
+    of rows at a time (see :func:`_product_matrices`), each row as it would
+    be in one product.  Returns what :func:`_merged_residuals` returns.
     """
     dim = stack.shape[1]
     pj, pk = _pairs(stack.shape[0] // dim)
-    prod = _product_matrix(stack, constants) @ stack
-
-    split = prod.indptr[pj.size * dim]
     comm, pair = 0.0, None
-    if split:
-        resid = np.abs(prod.data[:split])
-        at = resid.argmax()
-        p = (np.searchsorted(prod.indptr, at, side="right") - 1) // dim
-        comm, pair = resid[at], (int(pj[p]), int(pk[p]))
-    inv_row = np.arange(dim).repeat(np.diff(prod.indptr[pj.size * dim :]))
+    for lo, pairs, z in _product_matrices(stack, constants):
+        prod = z @ stack
+        split = prod.indptr[pairs * dim]
+        if split:
+            resid = np.abs(prod.data[:split])
+            at = resid.argmax()
+            if pair is None or resid[at] > comm:  # the first maximum over all runs
+                p = lo + (np.searchsorted(prod.indptr, at, side="right") - 1) // dim
+                comm, pair = resid[at], (int(pj[p]), int(pk[p]))
+    inv_row = np.arange(dim).repeat(np.diff(prod.indptr[pairs * dim :]))
     return comm, pair, inv_row, prod.indices[split:], prod.data[split:]
 
 
@@ -439,9 +544,11 @@ def _construction_checks(
 
     Check 1 merges the stack with its blockwise conjugate transpose.
     ``kernel`` computes the residuals of checks 2 and 3:
-    :func:`_product_residuals` (one sparse product) or
+    :func:`_product_residuals` (sparse products Z F) or
     :func:`_merged_residuals` (grouped Gram terms), as :func:`_choose_kernel`
-    picks from the stack's column loads.
+    picks from the stack's column loads.  Both run over their output rows in
+    runs of about ``CHECK_BUDGET`` terms; the residuals, the worst pair and
+    the invariant do not depend on the runs.
     """
     scale = max(1.0, np.abs(stack.data).max(initial=0.0))
     _check_hermitian(stack, scale)

@@ -518,23 +518,19 @@ def test_large_n_check_ends_in_an_exit_code(tmp_path, capsys):
     ],
 )
 def test_cap_refuses_before_the_basis_is_built(tmp_path, capsys, argv):
-    # the su(40) basis alone is 1599 dense 40 x 40 matrices, 41 MB
+    # a refused request builds no su(n) basis at all: the cache records no call
     path = tmp_path / "ghz40.json"
     path.write_text(json.dumps({"kind": "ghz", "n": 40, "N": 1}))
     argv = [str(path) if arg == "PROBE" else arg for arg in argv]
     gellmann_basis.cache_clear()
-    tracemalloc.start()
-    try:
-        rc = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rc = main(argv)
     captured = capsys.readouterr()
     if argv[0] == "scan":
         assert rc == 0 and captured.out.splitlines()[1] == "40,1,skipped,skipped,skipped,skipped"
     else:
         assert rc == 1 and "symmetric(40, 1) has dimension 40 > cap 20" in captured.err
-    assert peak < 2**20
+    info = gellmann_basis.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
 
 
 def test_check_scan_and_optimize_build_no_dense_basis(tmp_path, capsys, monkeypatch):

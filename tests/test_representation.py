@@ -279,6 +279,28 @@ def test_sector_build_of_su40_stays_near_its_stack_size():
     assert peak <= 5 * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
 
 
+@pytest.mark.parametrize(
+    "n, particles", [(3, 60), (4, 30), (6, 8), (5, 10), (10, 3), (14, 2)], ids=str
+)
+def test_construction_checks_stay_within_ten_stacks(n, particles):
+    # the residual kernels run over runs of CHECK_BUDGET terms; all of Z, or
+    # every Gram term, at once peaked at 22 to 223 times the stack's bytes here
+    basis = gellmann_basis(n)
+    constants = structure_constants(basis)
+    stack = representation._collective_stack(basis, fock_basis(n, particles))
+    kernel = representation._choose_kernel(stack)
+    assert kernel is (representation._product_residuals if n <= 6 else representation._merged_residuals)
+    tracemalloc.start()
+    try:
+        assert structure_constants(basis) is constants  # warm: nothing is built
+        c2 = representation._construction_checks(basis, stack, "guarded", kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(c2 - casimir_formula(n, particles)) <= 1e-10 * c2
+    assert peak <= 10 * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
+
+
 def test_commutator_check_covers_every_pair():
     # symmetric(3, 16) has D = 153.  Shifting the lambda_8 entry of the state
     # (0, 0, 16) commutes with generators 0 and 6, and no neighbouring pair
@@ -303,8 +325,9 @@ def test_commutator_check_covers_every_pair():
 
 def test_fundamental_sector_of_su40_builds():
     # the dense (d, d, n, n) product behind the structure constants needed 61 GiB
-    # here.  The construction checks take the grouped merge, about 89 MB traced;
-    # the sparse product would hold 1599 * 1598 / 2 pair rows, about 6 GB.
+    # here.  The construction checks take the grouped merge over runs of rows,
+    # and the build peaks near 4 MB traced (89 MB when the merge took every
+    # Gram term at once).
     basis = gellmann_basis(40)
     constants = structure_constants(basis)
     tracemalloc.start()
@@ -320,7 +343,7 @@ def test_fundamental_sector_of_su40_builds():
     assert warm < 2**20
     assert rep.space_dim == 40
     assert abs(casimir(rep) - casimir_formula(40, 1)) < 1e-8
-    assert peak < 200 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_large_sector_stays_sparse():
@@ -341,8 +364,9 @@ def test_large_sector_stays_sparse():
     assert stack.nnz <= (n - 1) * (2 * n + 1) * dim
     stack_bytes = stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes
     assert stack_bytes < 2 * 2**20
-    # the sparse-product checks peak near 27 stacks; the grouped merge took 75
-    assert peak < 40 * stack_bytes
+    # the build and its checks peak near 8 stacks (27 with all of Z at once; the
+    # grouped merge of every Gram term took 75)
+    assert peak < 10 * stack_bytes
     assert not hasattr(rep, "generators")  # the stack is the only form kept
 
 
@@ -351,13 +375,50 @@ def test_large_sector_stays_sparse():
 KERNELS = (representation._product_residuals, representation._merged_residuals)
 _checks = representation._construction_checks
 
+# CHECK_BUDGET for a run of a kernel in one pass, and budgets that split the
+# sectors below into runs: at 16 terms every sector splits, since sym(2, 1)
+# already holds 24 in each kernel; at 300 runs span several pairs or rows
+ONE_PASS = 2**62
+BUDGETS = (None, 16, 300)
 
-def test_check_kernels_agree_on_intact_stacks():
+
+def _runs_of(kernel, stack, constants, budget, monkeypatch):
+    # the kernel's residuals under CHECK_BUDGET = budget, and how many runs it took
+    runs = []
+    split = representation._runs
+
+    def counted(cost):
+        for run in split(cost):
+            runs.append(run)
+            yield run
+
+    with monkeypatch.context() as patch:
+        patch.setattr(representation, "_runs", counted)
+        patch.setattr(representation, "CHECK_BUDGET", budget)
+        return kernel(stack, constants), max(len(runs), 1)
+
+
+def _same_residuals(split, whole):
+    # the same deviation and pair, and the same invariant entries, bit for bit
+    assert split[:2] == whole[:2]
+    for a, b in zip(split[2:], whole[2:]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_check_kernels_agree_on_intact_stacks(budget, monkeypatch):
     sectors = [(n, particles) for n in (2, 3, 4, 5) for particles in range(1, 9)] + [(3, 24)]
     chosen = set()
     for n, particles in sectors:
         rep = symmetric_representation(gellmann_basis(n), particles)
         chosen.add(representation._choose_kernel(rep.stack))
+        if budget is not None:
+            constants = structure_constants(rep.basis)
+            for kernel in KERNELS:
+                whole, _ = _runs_of(kernel, rep.stack, constants, ONE_PASS, monkeypatch)
+                split, runs = _runs_of(kernel, rep.stack, constants, budget, monkeypatch)
+                _same_residuals(split, whole)
+                assert runs > 1 or budget > 16
         product, merged = (_checks(rep.basis, rep.stack, rep.label, kernel) for kernel in KERNELS)
         assert abs(product - merged) <= 1e-12 * merged
         expected = casimir_formula(n, particles)
@@ -373,16 +434,31 @@ def _commutator_pair(message):
     return re.match(r"commutator \((\d+), (\d+)\) deviates", message).groups()
 
 
-def test_check_kernels_reject_the_same_corrupted_stacks():
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_check_kernels_reject_the_same_corrupted_stacks(budget, monkeypatch):
     # the lambda_8 shift of test_commutator_check_covers_every_pair
     rep = sym_rep(3, 16)
     gens = dense_generators(rep)
     last = rep.fock.index[(0, 0, 16)]
     gens[7, last, last] += 1e-6
+    shifted = _stack(gens)
+    # a reducible block stack, sym(3, 1) + sym(3, 2): every commutator holds
+    small, large = dense_generators(sym_rep(3, 1)), dense_generators(sym_rep(3, 2))
+    gens = np.zeros((8, 9, 9), dtype=complex)
+    gens[:, :3, :3], gens[:, 3:, 3:] = small, large
+    reducible = _stack(gens)
+    if budget is not None:
+        constants = structure_constants(rep.basis)
+        for stack in (shifted, reducible):
+            for kernel in KERNELS:
+                whole, _ = _runs_of(kernel, stack, constants, ONE_PASS, monkeypatch)
+                split, runs = _runs_of(kernel, stack, constants, budget, monkeypatch)
+                _same_residuals(split, whole)
+                assert runs > 1
     pairs = []
     for kernel in KERNELS:
         with pytest.raises(InvalidElementError, match="commutator") as err:
-            _checks(rep.basis, _stack(gens), "shifted", kernel)
+            _checks(rep.basis, shifted, "shifted", kernel)
         pairs.append(_commutator_pair(str(err.value)))
     assert pairs[0] == pairs[1]
 
@@ -393,10 +469,6 @@ def test_check_kernels_reject_the_same_corrupted_stacks():
         with pytest.raises(InvalidElementError, match="Hermitian"):
             _checks(rep.basis, _stack(gens), "skewed", kernel)
 
-    # a reducible block stack, sym(3, 1) + sym(3, 2): every commutator holds
-    small, large = dense_generators(sym_rep(3, 1)), dense_generators(sym_rep(3, 2))
-    gens = np.zeros((8, 9, 9), dtype=complex)
-    gens[:, :3, :3], gens[:, 3:, 3:] = small, large
     for kernel in KERNELS:
         with pytest.raises(NotIrreducibleError):
-            _checks(rep.basis, _stack(gens), "reducible", kernel)
+            _checks(rep.basis, reducible, "reducible", kernel)
