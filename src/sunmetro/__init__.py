@@ -40,6 +40,7 @@ from .metrology import (
     covariance_mixed,
     covariance_pure,
     intrinsic_bound,
+    intrinsic_floor,
     mixed_state,
     pure_state,
     qfim,

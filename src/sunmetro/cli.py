@@ -7,8 +7,8 @@ scan      Sweep particle number and tabulate bounds as CSV (optionally SVG).
 check     Grade a probe: isotropy order, intrinsic bound, floor, saturability.
 optimize  Search for a low-bound probe on symmetric(n, 𝒩).
 
-Exit codes: 0 success, 1 usage or parse problem, 2 singular information
-matrix, 3 optimizer non-convergence.
+Exit codes: 0 success, 1 usage or parse problem or running out of memory,
+2 singular information matrix, 3 optimizer non-convergence.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .exceptions import (
     OptimizationFailedError,
     SingularInformationError,
 )
-from .metrology import build_report, saturation_check
+from .metrology import build_report, intrinsic_floor, saturation_check
 from .probes import (
     OptimizerConfig,
     ProbeSpec,
@@ -160,12 +160,11 @@ def cmd_bound(args) -> int:
 def cmd_check(args) -> int:
     spec = ProbeSpec.from_json(_load_json(args.probe))
     state = build_probe(spec, cap=args.cap)
-    d = state.rep.basis.dim
     report = build_report(state)
     doc = {
         **report.unpolarized,
         "intrinsic_bound": report.intrinsic_bound,
-        "floor": d * d / (4.0 * casimir(state.rep)),
+        "floor": intrinsic_floor(state.rep),
         "saturable": saturation_check(state),
     }
     _emit(doc, args.out)
@@ -178,10 +177,8 @@ def _scan_row(n: int, particles: int, wanted: set, cap: int, seed: int | None) -
         rep = symmetric_sector(n, particles, cap=cap)
     except DimensionCapError:
         return {**row, **dict.fromkeys(CSV_COLUMNS[2:], "skipped")}
-    d = n * n - 1
-    c2 = casimir(rep)
-    row["casimir"] = c2
-    row["cs_floor"] = d * d / (4.0 * c2)
+    row["casimir"] = casimir(rep)
+    row["cs_floor"] = intrinsic_floor(rep)
     if "ghz" in wanted:
         bound = build_report(make_ghz(n, particles, cap=cap, rep=rep)).intrinsic_bound
         row["cs_ghz"] = "singular" if bound is None else bound
@@ -355,6 +352,12 @@ def main(argv=None) -> int:
         return 3
     except _PARSE_ERRORS as exc:
         sys.stderr.write(f"sunmetro: error: {exc}\n")
+        return 1
+    except MemoryError:
+        sys.stderr.write(
+            "sunmetro: error: out of memory; --cap bounds the sector dimension D, "
+            "not the su(n) work, which grows with n\n"
+        )
         return 1
 
 

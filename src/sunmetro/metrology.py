@@ -81,17 +81,18 @@ class ProbeState:
         return np.linalg.eigh((self.density + self.density.conj().T) / 2.0)
 
     @cached_property
-    def _moments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean m, covariance C and second moments S_jk = Tr[rho X_j X_k], read-only.
+    def _moments(self) -> tuple:
+        """Mean m, covariance C and second moments S_jk = Tr[rho X_j X_k],
+        read-only, and for a pure state the images Y_a = X_a psi (else None).
 
         From one product with the stack: F psi, or F P_s (see :func:`covariance_mixed`).
         """
         if self.is_pure:
-            moments = _pure_moments(self.rep, self.vector)[1:]
+            images, mean, cov, second = _pure_moments(self.rep, self.vector)
         else:
             lam, p = self._eigensystem
             support = lam > SUPPORT_CUTOFF / 2.0
-            images = _images(self.rep, p[:, support])
+            images = self.rep.images(p[:, support])
             xt = p.conj().T @ images
             mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
             lam_u, lam_v = lam[:, None], lam[support][None, :]
@@ -103,12 +104,16 @@ class ProbeState:
             # it appears once and stands for both
             kernel[support] /= 2.0
             cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
+            cov = (cov + cov.T) / 2.0
             bras = (images.conj() * lam[support]).reshape(len(images), -1)  # lambda_u <X_a u|
             second = bras @ images.reshape(len(images), -1).T  # sum_u lambda_u <X_j u|X_k u>
-            moments = mean, (cov + cov.T) / 2.0, second
+        moments = mean, cov, second
         for arr in moments:
             arr.setflags(write=False)
-        return moments
+        if not self.is_pure:
+            return *moments, None
+        images.setflags(write=False)
+        return *moments, images
 
 
 def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeState:
@@ -159,15 +164,10 @@ def mixed_state(rep: Representation, density) -> ProbeState:
     return state
 
 
-def _images(rep: Representation, columns: np.ndarray) -> np.ndarray:
-    # X_a u for every generator a and column u, one product with the stack F
-    return (rep.stack @ columns).reshape(-1, *columns.shape)
-
-
 def _pure_moments(rep: Representation, psi: np.ndarray):
     # images Y_a = X_a psi, mean m, symmetrized covariance C and second moments
     # S = Y^* Y^T of a unit vector psi: the kernel of pure states and the optimizer
-    images = _images(rep, psi)
+    images = rep.images(psi)
     bras = images.conj()
     mean = (bras @ psi).real
     second = bras @ images.T
@@ -226,12 +226,7 @@ def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
         eigs = np.linalg.eigvalsh(sym)
     else:
         eigs, vecs = np.linalg.eigh(sym)
-    top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    rank, cond = 0, np.inf
-    if top > 0.0:
-        rank = int(np.sum(eigs > top / CONDITION_THRESHOLD))
-        smallest = float(np.min(eigs))
-        cond = top / smallest if smallest > 0.0 else np.inf
+    rank, cond = _rank_and_condition(eigs)
     if rank < len(matrix):
         return None, rank, cond
     if weight is None:
@@ -244,6 +239,31 @@ def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
             f"{np.abs(weight).max():.3e} against Q's smallest eigenvalue {eigs[0]:.3e}"
         )
     return value, rank, cond
+
+
+def _rank_and_condition(eigs: np.ndarray) -> tuple[int, float]:
+    # the number of eigenvalues above CONDITION_THRESHOLD's fraction of the
+    # largest magnitude, and largest / smallest (inf unless all are positive)
+    top = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    rank, cond = 0, np.inf
+    if top > 0.0:
+        rank = int(np.sum(eigs > top / CONDITION_THRESHOLD))
+        smallest = float(np.min(eigs))
+        cond = top / smallest if smallest > 0.0 else np.inf
+    return rank, cond
+
+
+def _pure_rank(state: ProbeState) -> int:
+    """Numerical rank of a pure state's C without decomposing the d x d C.
+
+    With the centred images V_a = (X_a - m_a) psi, C = A A^T for the real
+    d x 2D matrix A = [Re V, Im V], so the 2D x 2D Gram A^T A has C's
+    non-zero spectrum; its rank is read at ``_inverse_trace``'s threshold.
+    """
+    mean, images = state._moments[0], state._moments[3]
+    centred = images - mean[:, None] * state.vector
+    a = np.concatenate([centred.real, centred.imag], axis=1)
+    return _rank_and_condition(np.linalg.eigvalsh(a.T @ a))[0]
 
 
 def qfim(gm: GeneratorMatrix, cov: np.ndarray) -> np.ndarray:
@@ -307,6 +327,12 @@ def intrinsic_bound(cov: np.ndarray) -> float:
     if value is None:
         raise _covariance_error(rank, c.shape[0], cond)
     return 0.25 * value
+
+
+def intrinsic_floor(rep: Representation) -> float:
+    """The floor d^2 / (4 c2) of :func:`intrinsic_bound` on ``rep``, since Tr C <= c2."""
+    d = rep.basis.dim
+    return d * d / (4.0 * casimir(rep))
 
 
 def weighted_bound(weight: np.ndarray, qfim_matrix: np.ndarray) -> float:
@@ -424,11 +450,19 @@ def build_report(
     metric, in which case the bound is computed from C alone whenever Q
     degenerates but C does not), the string "identity", or an explicit
     symmetric positive definite matrix, which is checked before any rank is.
-    The covariance is computed once and C and Q are diagonalized once each;
-    a singular matrix is recorded in the report, not raised.
+    The covariance is computed once and C and Q are diagonalized once each,
+    except a pure C that its rank bound 2(D - 1) < d makes singular: its
+    rank is read from a 2D x 2D Gram matrix, its condition number is inf,
+    and C is not decomposed.  A singular matrix is recorded in the report,
+    not raised.
     """
     mean, cov = covariance(state)
-    inverse_trace, cov_rank, cov_cond = _inverse_trace(cov)
+    if state.is_pure and 2 * (state.rep.space_dim - 1) < len(mean):
+        # the vectors V_a lie in the 2(D - 1)-dimensional real complement of
+        # psi, so C is singular by its rank bound
+        inverse_trace, cov_rank, cov_cond = None, _pure_rank(state), np.inf
+    else:
+        inverse_trace, cov_rank, cov_cond = _inverse_trace(cov)
     intrinsic = None if inverse_trace is None else 0.25 * inverse_trace
 
     qmat = metric = wmat = weighted = saturable = None

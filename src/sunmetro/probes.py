@@ -26,7 +26,7 @@ from .metrology import (
     SECOND_ORDER_TOL,
     ProbeState,
     _pure_moments,
-    build_report,
+    intrinsic_floor,
     pure_state,
 )
 from .representation import (
@@ -370,11 +370,11 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     Tr[C^(-1)] >= d^2 / c2 for every pure state, with equality exactly when
     the mean vanishes and C = (c2/d) I.  L-BFGS-B stops as soon as Tr[C^(-1)]
     comes within ``FLOOR_GAP`` of that floor, and the state is polished by
-    Gauss-Newton on those two conditions.  If the polished state grades
-    ``second_order`` in :func:`~sunmetro.metrology.build_report`, it is a
-    certified global minimum: the restart stops as "floor" and no further
-    restart runs.  If not, the restart runs again from its start without
-    the gap test, so its result is the one L-BFGS-B alone gives.
+    Gauss-Newton on those two conditions.  If the polish certifies its
+    result (see :func:`_polish`), the state is a global minimum: the
+    restart stops as "floor" and no further restart runs.  If not, the
+    restart runs again from its start without the gap test, so its result
+    is the one L-BFGS-B alone gives.
     Deterministic for a fixed seed and config: restarts are merged by
     objective, and of those within ``RESTART_TIE`` of each other (relative)
     the earliest wins.
@@ -391,9 +391,8 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
 
     d = rep.basis.dim
     dim = rep.space_dim
-    c2 = casimir(rep)
-    floor = d * d / (4.0 * c2)
-    barrier = BARRIER_CUTOFF * c2 / d
+    floor = intrinsic_floor(rep)
+    barrier = BARRIER_CUTOFF * casimir(rep) / d
     objective, value_and_gradient = _objective_and_gradient(rep, barrier)
     options = {"maxiter": config.max_iters, "gtol": config.tolerance, "ftol": 0.0}
     descend = partial(minimize, value_and_gradient, method="L-BFGS-B", jac=True, options=options)
@@ -412,8 +411,8 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
         z0 /= np.linalg.norm(z0)
         res = descend(z0, callback=stop_in_gap)
         if res.fun <= gap:
-            polished = _polish(rep, res.x / np.linalg.norm(res.x))
-            if build_report(_unit_state(rep, polished)).unpolarized["second_order"]:
+            polished, certified = _polish(rep, res.x / np.linalg.norm(res.x))
+            if certified:
                 # on the floor, so no other restart can do better
                 gnorm = float(np.abs(res.jac).max())
                 traces.append({"iterations": int(res.nit), "gradient_norm": gnorm, "stop": "floor"})
@@ -484,10 +483,10 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     With images Y_a = X_a psi, means m and G = C^(-2) (in the barrier branch
     G = (d / lambda_min^2) v v^T for the lowest eigenvector v), the
     Wirtinger derivative is -sum_a X_a (G Y)_a + 2 (G m) . Y: one product
-    with the sparse stack F for Y and one with F^dagger for the sum.
+    with the sparse stack for Y and one with its transpose for the sum
+    (:meth:`~sunmetro.representation.Representation.adjoint_sum`).
     """
     d = rep.basis.dim
-    adjoint = rep.stack.conj().T.tocsr()
 
     def spectral(cov):
         eigs, vecs = np.linalg.eigh(cov)
@@ -503,7 +502,7 @@ def _objective_and_gradient(rep: Representation, barrier: float):
     def value_and_gradient(z):
         images, mean, cov = _moments(rep, z)
         value, _, weight = spectral(cov)
-        wirtinger = 2.0 * (weight @ mean) @ images - adjoint @ (weight @ images).ravel()
+        wirtinger = 2.0 * (weight @ mean) @ images - rep.adjoint_sum(weight @ images)
         grad = 2.0 * np.concatenate([wirtinger.real, wirtinger.imag])
         norm = math.sqrt(z @ z)
         unit = z / norm
@@ -529,7 +528,7 @@ def _isotropy_residual(rep: Representation):
 
     def residual_and_jacobian(z):
         images, mean, cov = _moments(rep, z)
-        pairs = (rep.stack @ images.T).reshape(d, -1, d)
+        pairs = rep.images(images.T)
         dmean = 2.0 * np.concatenate([images.real, images.imag], axis=1)
         sums = pairs[rows, :, cols] + pairs[cols, :, rows]
         dgram = np.concatenate([sums.real, sums.imag], axis=1)
@@ -543,26 +542,26 @@ def _isotropy_residual(rep: Representation):
     return residual_and_jacobian
 
 
-def _polish(rep: Representation, z: np.ndarray) -> np.ndarray:
+def _polish(rep: Representation, z: np.ndarray) -> tuple[np.ndarray, bool]:
     """Gauss-Newton from the unit vector z towards m = 0, C = (c2/d) I.
 
     Stops once the residual is well inside the second-order grade's
     tolerances, or after ``POLISH_STEPS`` steps; returns the last unit
-    iterate.  Each step is the minimum-norm least-squares solution with the
-    Jacobian's rank cut at ``POLISH_RCOND`` (gelsy, a pivoted QR).
+    iterate and its certificate, whether its residual is within those
+    tolerances.  Each step is the minimum-norm least-squares solution with
+    the Jacobian's rank cut at ``POLISH_RCOND`` (gelsy, a pivoted QR).
     """
     from scipy.linalg import lstsq  # local: scipy.linalg loads only where a polish runs
 
     d = rep.basis.dim
     residual_and_jacobian = _isotropy_residual(rep)
-    for _ in range(POLISH_STEPS):
+    for steps in range(POLISH_STEPS + 1):
         res, jac = residual_and_jacobian(z)
-        if (
-            np.linalg.norm(res[:d]) < POLISH_MARGIN * FIRST_ORDER_TOL
-            and np.abs(res[d:]).max() < POLISH_MARGIN * SECOND_ORDER_TOL
+        mean, spread = np.linalg.norm(res[:d]), np.abs(res[d:]).max()
+        if steps == POLISH_STEPS or (
+            mean < POLISH_MARGIN * FIRST_ORDER_TOL and spread < POLISH_MARGIN * SECOND_ORDER_TOL
         ):
-            break
+            return z, bool(mean < FIRST_ORDER_TOL and spread < SECOND_ORDER_TOL)
         step = lstsq(jac, -res, cond=POLISH_RCOND, lapack_driver="gelsy")[0]
         z = z + step
         z = z / np.linalg.norm(z)
-    return z

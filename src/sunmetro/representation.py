@@ -21,8 +21,9 @@ last two come from sparse products Z F, whose rows are
 generators couple densely; where they do not (large n, few particles) they
 come from the grouped terms of the Gram product F F^dagger, which are then
 fewer.  Either kernel works through its output rows in runs of about
-``CHECK_BUDGET`` terms, so its memory stays a few times the stack's at any
-size; a Z that fits the budget is one product.
+``CHECK_BUDGET`` terms, and the Hermiticity check through runs of
+generators, so their memory stays a few times the stack's at any size; a Z
+that fits the budget is one product.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ COMMUTATOR_RTOL = 1e-10
 
 #: Term budget of the construction checks.  The residual kernels build the
 #: product matrix Z, or the Gram terms, over runs of output rows of about this
-#: many entries each, so that their memory stays a few times the stack's; a Z
-#: that fits is one product.  2**14 keeps every sector up to sym(4, 4) (a Z of
+#: many entries each, and the Hermiticity check merges runs of generators of
+#: about this many terms, so that their memory stays a few times the stack's;
+#: a Z that fits is one product.  2**14 keeps every sector up to sym(4, 4) (a Z of
 #: 11475 entries) in one product, and a run's arrays near 1 MB.
 CHECK_BUDGET = 2**14
 
@@ -155,6 +157,19 @@ class Representation:
     @property
     def space_dim(self) -> int:
         return self.stack.shape[1]
+
+    def images(self, columns: np.ndarray) -> np.ndarray:
+        """X_a u for every generator a and column u of ``columns``, shape (d, *columns.shape)."""
+        return (self.stack @ columns).reshape(-1, *columns.shape)
+
+    def adjoint_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_a X_a^dagger w_a for a (d, D) array w, as conj(F^T conj(w))."""
+        total = self._transposed @ w.reshape(-1).conj()
+        return np.conjugate(total, out=total)
+
+    @cached_property
+    def _transposed(self) -> sparse.csc_array:
+        return self.stack.T  # a view: it shares the stack's arrays
 
 
 def fundamental_representation(basis: GeneratorBasis) -> Representation:
@@ -259,23 +274,10 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
 
 
-def _merge(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # distinct keys in ascending order and the sum of the values at each
-    if keys.size == 0:
-        return keys, values
-    order = keys.argsort()
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    return keys[starts], np.add.reduceat(values[order], starts)
-
-
 def _merge_in_order(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # as _merge, but each key's values are added in the order given, so that
-    # no sum depends on the other keys (argsort leaves equal keys in an order
-    # that does); sorts keys in place
+    # distinct keys in ascending order and the sum of the values at each, added
+    # in the order given, so that no sum depends on the other keys (argsort
+    # leaves equal keys in an order that does); sorts keys in place
     order = keys.argsort()
     keys = np.take(keys, order, out=keys)
     first = np.empty(keys.size, dtype=bool)
@@ -313,14 +315,25 @@ def _entries(stack: sparse.csr_array):
 
 
 def _check_hermitian(stack: sparse.csr_array, scale: float) -> None:
-    # each block merged with its conjugate transpose sums to X_a - X_a^dagger
+    # each block merged with its conjugate transpose sums to X_a - X_a^dagger;
+    # both terms of a key lie in one block, so blocks are merged in runs of
+    # about CHECK_BUDGET terms
     dim = stack.shape[1]
-    block, row, col, val = _entries(stack)
-    _, sums = _merge(
-        np.concatenate([(block * dim + row) * dim + col, (block * dim + col) * dim + row]),
-        np.concatenate([val, -val.conj()]),
-    )
-    herm = np.abs(sums).max(initial=0.0)
+    indptr = stack.indptr
+    herm = 0.0
+    for lo, hi in _runs(2 * np.diff(indptr[::dim])):
+        first, last = indptr[lo * dim], indptr[hi * dim]
+        # stack row a D + r, row r and column c of each entry of the run; the
+        # entry's key is (a D + r) D + c, its transpose's (a D + c) D + r
+        row = np.arange(lo * dim, hi * dim).repeat(np.diff(indptr[lo * dim : hi * dim + 1]))
+        r = row % dim
+        col = stack.indices[first:last].astype(np.int64)
+        val = stack.data[first:last]
+        _, sums = _merge_in_order(
+            np.concatenate([row * dim + col, (row - r + col) * dim + r]),
+            np.concatenate([val, -val.conj()]),
+        )
+        herm = max(herm, np.abs(sums).max(initial=0.0))
     if herm > HERMITIAN_RTOL * scale:
         raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
 
@@ -542,7 +555,8 @@ def _construction_checks(
     3. sum_a X_a^(R)**2 is scalar within ``CASIMIR_RTOL`` (else
        :class:`NotIrreducibleError`).
 
-    Check 1 merges the stack with its blockwise conjugate transpose.
+    Check 1 merges the stack with its blockwise conjugate transpose, a run
+    of generators of about ``CHECK_BUDGET`` terms at a time.
     ``kernel`` computes the residuals of checks 2 and 3:
     :func:`_product_residuals` (sparse products Z F) or
     :func:`_merged_residuals` (grouped Gram terms), as :func:`_choose_kernel`

@@ -509,6 +509,56 @@ def test_large_n_check_ends_in_an_exit_code(tmp_path, capsys):
     assert peak < 50 * 2**20
 
 
+def test_check_decomposes_no_singular_pure_covariance(tmp_path, capsys, monkeypatch):
+    # an N = 1 probe has rank C <= 2(D - 1) = 78 < d = 1599, so the report
+    # reads the rank from the 80 x 80 Gram and decomposes no 1599 x 1599 C
+    shapes = []
+
+    def spied(routine):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return routine(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "cholesky", "inv", "pinv",
+                 "solve", "lstsq", "matrix_rank", "det", "slogdet"):
+        monkeypatch.setattr(np.linalg, name, spied(getattr(np.linalg, name)))
+    path = tmp_path / "ghz40.json"
+    path.write_text(json.dumps({"kind": "ghz", "n": 40, "N": 1}))
+    assert main(["check", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["intrinsic_bound"] is None and doc["floor"] == 31980.0
+    assert shapes == [(80, 80)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "PROBE"],
+        ["bound", "PROBE", "CHART", "--theta", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8"],
+        ["scan", "--n", "3", "--nmin", "2", "--nmax", "3"],
+        ["optimize", "--n", "3", "--particles", "2", "--seed", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_running_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, argv):
+    # the su(n) work grows with n whatever --cap allows, so an allocation can
+    # fail below the cap; main reports it as one error line, not a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(representation, "_collective_stack", exhausted)
+    probe, chart = tmp_path / "ghz.json", tmp_path / "exp3.json"
+    probe.write_text(json.dumps({"kind": "ghz", "n": 3, "N": 2}))
+    chart.write_text(json.dumps({"kind": "exponential", "n": 3}))
+    argv = [{"PROBE": str(probe), "CHART": str(chart)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("sunmetro: error: out of memory") and "--cap bounds" in line
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -15,6 +15,7 @@ from sunmetro import (
     InvalidElementError,
     InvalidStateError,
     ProbeState,
+    Representation,
     SingularCovarianceError,
     SingularInformationError,
     build_report,
@@ -397,13 +398,13 @@ def test_a_state_forms_one_stack_product(monkeypatch):
     rng = np.random.default_rng(12)
     chart = product_of_exponentials(3, rng.standard_normal((4, 8)))
     calls = []
-    images = metrology._images
+    images = Representation.images
 
     def counted(*args):
         calls.append(1)
         return images(*args)
 
-    monkeypatch.setattr(metrology, "_images", counted)
+    monkeypatch.setattr(Representation, "images", counted)
     for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
         calls.clear()
         build_report(state, chart, rng.uniform(-0.5, 0.5, 4), weight="intrinsic")
@@ -414,6 +415,22 @@ def test_a_state_forms_one_stack_product(monkeypatch):
         build_report(state)
         saturation_check(state)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_singular_pure_covariance_takes_its_rank_from_the_gram(n):
+    # an N = 1 probe has rank C <= 2(D - 1) < d: the report reads the rank
+    # from the 2D x 2D Gram and never decomposes C, but the rank is the one
+    # the d x d decomposition gives
+    rep = sym_rep(n, 1)
+    rng = np.random.default_rng(n)
+    states = (make_ghz(n, 1, rep=rep), random_pure(rep, rng), make_fock([1] + [0] * (n - 1)))
+    for state in states:
+        report = build_report(state)
+        rank = metrology._inverse_trace(covariance(state)[1])[1]
+        assert report.covariance_rank == rank <= 2 * (n - 1)
+        assert report.covariance_condition_number == np.inf
+        assert report.intrinsic_bound is None and report.flags["covariance_singular"]
 
 
 def test_cached_moments_are_read_only():

@@ -40,7 +40,12 @@ from sunmetro import (
     unpolarized_report,
 )
 from sunmetro import probes
-from sunmetro.probes import BARRIER_CUTOFF, _isotropy_residual, _objective_and_gradient
+from sunmetro.probes import (
+    BARRIER_CUTOFF,
+    _isotropy_residual,
+    _objective_and_gradient,
+    _unit_state,
+)
 
 INV3 = 1.0 / np.sqrt(3.0)
 
@@ -556,9 +561,10 @@ def test_certified_restart_ends_the_search(monkeypatch):
     assert result.diagnostics["best_restart"] == len(traces) - 1
 
     # a polish that does not certify leaves every restart as L-BFGS-B ends it
-    # without the gap test
+    # without the gap test: with no Gauss-Newton step, the polish grades the
+    # state where L-BFGS-B stopped, which is not on the floor
     config = OptimizerConfig(seed=1018, restarts=3)
-    monkeypatch.setattr(probes, "_polish", lambda rep, z: z)
+    monkeypatch.setattr(probes, "POLISH_STEPS", 0)
     uncertified = optimize_probe(rep, config)
     monkeypatch.setattr(probes, "FLOOR_GAP", -1.0)
     plain = optimize_probe(rep, config)
@@ -568,6 +574,42 @@ def test_certified_restart_ends_the_search(monkeypatch):
     assert uncertified.bound_achieved == plain.bound_achieved
     np.testing.assert_array_equal(uncertified.state.vector, plain.state.vector)
     assert uncertified.diagnostics == plain.diagnostics
+
+
+# the optimize-small benchmark deck: its sectors in slot order; pass k runs
+# slot s with seed 1000 (k + 1) + s and 2 restarts
+OPTIMIZE_SMALL = [(2, p) for p in range(4, 20)] + [(3, p) for p in range(3, 10)] + [(4, 3), (4, 4)]
+
+
+def test_polish_certificate_matches_the_second_order_grade(monkeypatch):
+    # the polish grades its own result from the isotropy residual; the
+    # reference is the second_order grade build_report gives the polished state
+    polish = probes._polish
+    graded = []
+
+    def graded_polish(rep, z):
+        polished, certified = polish(rep, z)
+        reference = build_report(_unit_state(rep, polished)).unpolarized["second_order"]
+        graded.append((certified, reference))
+        return polished, certified
+
+    monkeypatch.setattr(probes, "_polish", graded_polish)
+    for slot, (n, particles) in enumerate(OPTIMIZE_SMALL):
+        rep = sym_rep(n, particles)
+        for k in range(3):
+            optimize_probe(rep, OptimizerConfig(seed=1000 * (k + 1) + slot, restarts=2))
+    assert len(graded) > 50
+    assert all(certified == reference for certified, reference in graded)
+
+    # random states, from which no step is taken, certify as the grade does
+    rng = np.random.default_rng(17)
+    monkeypatch.setattr(probes, "POLISH_STEPS", 0)
+    for n, particles in OPTIMIZE_SMALL[::4]:
+        rep = sym_rep(n, particles)
+        z = rng.standard_normal(2 * rep.space_dim)
+        graded.clear()
+        probes._polish(rep, z / np.linalg.norm(z))
+        assert graded == [(False, False)]
 
 
 @cache

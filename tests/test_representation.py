@@ -284,12 +284,16 @@ def test_sector_build_of_su40_stays_near_its_stack_size():
 )
 def test_construction_checks_stay_within_ten_stacks(n, particles):
     # the residual kernels run over runs of CHECK_BUDGET terms; all of Z, or
-    # every Gram term, at once peaked at 22 to 223 times the stack's bytes here
+    # every Gram term, at once peaked at 22 to 223 times the stack's bytes
+    # here.  The Hermitian check runs over runs of generators too, so the
+    # product-kernel sectors stay within 5 stacks (6.6 to 6.9 when it merged
+    # every entry at once).
     basis = gellmann_basis(n)
     constants = structure_constants(basis)
     stack = representation._collective_stack(basis, fock_basis(n, particles))
     kernel = representation._choose_kernel(stack)
-    assert kernel is (representation._product_residuals if n <= 6 else representation._merged_residuals)
+    product = n <= 6
+    assert kernel is (representation._product_residuals if product else representation._merged_residuals)
     tracemalloc.start()
     try:
         assert structure_constants(basis) is constants  # warm: nothing is built
@@ -298,7 +302,27 @@ def test_construction_checks_stay_within_ten_stacks(n, particles):
     finally:
         tracemalloc.stop()
     assert abs(c2 - casimir_formula(n, particles)) <= 1e-10 * c2
-    assert peak <= 10 * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
+    stacks = 5 if product else 10
+    assert peak <= stacks * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
+
+
+@pytest.mark.parametrize("n, particles", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2)])
+def test_stack_products_match_the_explicit_forms(n, particles):
+    # images against the dense generators; adjoint_sum bit for bit against the
+    # product with an explicit conjugate-transposed copy of the stack
+    rep = sym_rep(n, particles)
+    gens = dense_generators(rep)
+    adjoint = rep.stack.conj().T.tocsr()
+    rng = np.random.default_rng(10 * n + particles)
+    d, dim = rep.basis.dim, rep.space_dim
+    for _ in range(50):
+        w = rng.standard_normal((d, dim)) + 1j * rng.standard_normal((d, dim))
+        total = rep.adjoint_sum(w)
+        assert total.tobytes() == (adjoint @ w.ravel()).tobytes()
+        np.testing.assert_allclose(total, np.einsum("aji,aj->i", gens.conj(), w), atol=1e-12)
+    columns = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    np.testing.assert_allclose(rep.images(columns), gens @ columns, atol=1e-12)
+    assert rep.images(columns[:, 0]).shape == (d, dim)
 
 
 def test_commutator_check_covers_every_pair():
