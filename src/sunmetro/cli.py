@@ -24,6 +24,7 @@ from math import isfinite
 
 import numpy as np
 
+from .algebra import gellmann_basis
 from .channel import Parametrization
 from .exceptions import (
     DimensionCapError,
@@ -40,7 +41,13 @@ from .probes import (
     make_ghz,
     optimize_probe,
 )
-from .representation import DIMENSION_CAP, casimir, symmetric_sector
+from .representation import (
+    DIMENSION_CAP,
+    casimir,
+    check_cap,
+    symmetric_representation,
+    symmetric_sector,
+)
 from .svg import render_loglog
 
 CSV_COLUMNS = ("n", "N", "casimir", "cs_ghz", "cs_floor", "cs_optimized")
@@ -174,7 +181,10 @@ def cmd_check(args) -> int:
 def _scan_row(n: int, particles: int, wanted: set, cap: int, seed: int | None) -> dict:
     row: dict = {"n": n, "N": particles}
     try:
-        rep = symmetric_sector(n, particles, cap=cap)
+        # each row is a new sector, so it is built outside the held ones
+        # (see symmetric_sector); the cap is compared before the basis is built
+        check_cap(n, particles, cap)
+        rep = symmetric_representation(gellmann_basis(n), particles, cap=cap)
     except DimensionCapError:
         return {**row, **dict.fromkeys(CSV_COLUMNS[2:], "skipped")}
     row["casimir"] = casimir(rep)

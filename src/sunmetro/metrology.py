@@ -253,6 +253,16 @@ def _rank_and_condition(eigs: np.ndarray) -> tuple[int, float]:
     return rank, cond
 
 
+def _pure_rank_deficient(rep: Representation) -> bool:
+    """Whether every pure state of ``rep`` has a singular C.
+
+    The vectors V_a = (X_a - m_a) psi lie in the 2(D - 1)-dimensional real
+    complement of psi, so rank C <= 2(D - 1), which is below d on every
+    N = 1 sector.
+    """
+    return 2 * (rep.space_dim - 1) < rep.basis.dim
+
+
 def _pure_rank(state: ProbeState) -> int:
     """Numerical rank of a pure state's C without decomposing the d x d C.
 
@@ -457,9 +467,7 @@ def build_report(
     not raised.
     """
     mean, cov = covariance(state)
-    if state.is_pure and 2 * (state.rep.space_dim - 1) < len(mean):
-        # the vectors V_a lie in the 2(D - 1)-dimensional real complement of
-        # psi, so C is singular by its rank bound
+    if state.is_pure and _pure_rank_deficient(state.rep):
         inverse_trace, cov_rank, cov_cond = None, _pure_rank(state), np.inf
     else:
         inverse_trace, cov_rank, cov_cond = _inverse_trace(cov)

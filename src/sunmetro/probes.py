@@ -26,6 +26,7 @@ from .metrology import (
     SECOND_ORDER_TOL,
     ProbeState,
     _pure_moments,
+    _pure_rank_deficient,
     intrinsic_floor,
     pure_state,
 )
@@ -382,11 +383,16 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     Raises
     ------
     OptimizationFailedError
-        When no restart escapes the singular region, e.g. when the
-        representation is too small to carry a regular covariance.
+        When no restart escapes the singular region.  A pure C has rank at
+        most 2(D - 1), so where that is below d (every N = 1 sector) every
+        restart would end there: the error is raised before the first
+        restart runs, with ``singular_restarts`` equal to ``restarts``.
     """
     if config.seed is None:
         raise ValueError("optimizer seed is required for reproducibility")
+    if _pure_rank_deficient(rep):
+        # every restart would end in the barrier region
+        raise _all_singular(rep, config.restarts)
     from scipy.optimize import minimize  # local: only optimizer requests load scipy.optimize
 
     d = rep.basis.dim
@@ -437,10 +443,7 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
         if best is None or value < best[1] * (1.0 - RESTART_TIE):
             best = (z, value, converged, restart)
     if best is None:
-        raise OptimizationFailedError(
-            f"all {config.restarts} restarts stayed in the singular region of {rep.label}",
-            diagnostics={"singular_restarts": singular_restarts, "space_dim": dim},
-        )
+        raise _all_singular(rep, config.restarts)
     z, value, converged, which = best
     return OptimizeResult(
         state=_unit_state(rep, z),
@@ -453,6 +456,13 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
             "objective": value,
             "restarts": traces,
         },
+    )
+
+
+def _all_singular(rep: Representation, restarts: int) -> OptimizationFailedError:
+    return OptimizationFailedError(
+        f"all {restarts} restarts stayed in the singular region of {rep.label}",
+        diagnostics={"singular_restarts": restarts, "space_dim": rep.space_dim},
     )
 
 

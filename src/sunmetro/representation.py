@@ -24,10 +24,20 @@ fewer.  Either kernel works through its output rows in runs of about
 ``CHECK_BUDGET`` terms, and the Hermiticity check through runs of
 generators, so their memory stays a few times the stack's at any size; a Z
 that fits the budget is one product.
+
+:func:`symmetric_representation` builds and checks a new stack on every
+call.  :func:`symmetric_sector`, which the probes and ``optimize`` build
+through, does so once per process for each (n, 𝒩): it holds the sectors it
+has built, least recently used first, with dimensions that sum to at most
+``DIMENSION_CAP``, and makes their stacks read-only.  A request for a held
+sector returns the held object and runs no check, since that object was
+checked when it was built.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -46,7 +56,9 @@ from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleEr
 #: whichever is fewer, but hold only a run of about ``CHECK_BUDGET`` of them
 #: at a time (or one pair's rows, or one state row's terms, if that is more).
 #: A lifted unitary is one dense D x D matrix, and a mixed state of rank r
-#: holds its generator matrix elements as d D r complex entries.
+#: holds its generator matrix elements as d D r complex entries.  The
+#: sectors :func:`symmetric_sector` holds have dimensions summing to at most
+#: this.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
@@ -198,7 +210,7 @@ def symmetric_representation(
         request raises :class:`DimensionCapError` instead of allocating.
     """
     n = basis.n
-    _check_cap(n, particles, cap)
+    check_cap(n, particles, cap)
     fock = fock_basis(n, particles)
     return Representation(
         basis=basis,
@@ -209,22 +221,82 @@ def symmetric_representation(
 
 
 def symmetric_sector(n: int, particles: int, cap: int = DIMENSION_CAP) -> Representation:
-    """:func:`symmetric_representation` on ``gellmann_basis(n)``.
+    """:func:`symmetric_representation` on ``gellmann_basis(n)``, built and
+    checked once per process.
 
-    The sector dimension is compared with ``cap`` before the basis is built,
-    so a refused request costs nothing that grows with n.
+    The sector dimension is compared with ``cap`` first, so a refused request
+    costs nothing that grows with n, and a held sector above ``cap`` is
+    refused as a new one would be.  A sector this function has built is held
+    (see :class:`_HeldSectors`), and a later request returns the same object,
+    whose stack arrays are read-only.
     """
-    if n >= 2:  # a smaller n is refused by gellmann_basis, with its own message
-        _check_cap(n, particles, cap)
-    return symmetric_representation(gellmann_basis(n), particles, cap=cap)
+    check_cap(n, particles, cap)
+    rep = _sectors.get((n, particles))
+    if rep is None:
+        rep = symmetric_representation(gellmann_basis(n), particles, cap=cap)
+        rep = _sectors.hold((n, particles), rep)
+    return rep
 
 
-def _check_cap(n: int, particles: int, cap: int) -> None:
+def check_cap(n: int, particles: int, cap: int) -> None:
+    """Raise :class:`DimensionCapError` if symmetric(n, particles) has
+    dimension above ``cap``; an n below 2 is left for gellmann_basis to refuse,
+    with its own message."""
+    if n < 2:
+        return
     dim = comb(particles + n - 1, n - 1)
     if dim > cap:
         raise DimensionCapError(
             f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
         )
+
+
+class _HeldSectors:
+    """The sectors :func:`symmetric_sector` has built, by (n, 𝒩), least
+    recently used first.
+
+    Their dimensions sum to at most ``DIMENSION_CAP``, so they never hold
+    more states than one request at the default cap builds: holding a sector
+    evicts the least recently used ones until it fits, and a sector above
+    ``DIMENSION_CAP`` is not held.
+    """
+
+    def __init__(self):
+        self._reps: OrderedDict[tuple[int, int], Representation] = OrderedDict()
+        self.dims = 0  # the held sectors' dimensions, summed
+        self._lock = threading.Lock()
+
+    def get(self, key) -> Representation | None:
+        with self._lock:
+            rep = self._reps.get(key)
+            if rep is not None:
+                self._reps.move_to_end(key)
+            return rep
+
+    def hold(self, key, rep: Representation) -> Representation:
+        """Hold ``rep`` under ``key``; returns the sector now held there, or
+        ``rep`` if it is not held."""
+        dim = rep.space_dim
+        if dim > DIMENSION_CAP:
+            return rep
+        with self._lock:
+            if key in self._reps:  # another thread built it too
+                return self._reps[key]
+            while self.dims + dim > DIMENSION_CAP:
+                self.dims -= self._reps.popitem(last=False)[1].space_dim
+            for arr in (rep.stack.data, rep.stack.indices, rep.stack.indptr):
+                arr.setflags(write=False)  # no caller can change a checked stack
+            self._reps[key] = rep
+            self.dims += dim
+            return rep
+
+    def clear(self) -> None:
+        with self._lock:
+            self._reps.clear()
+            self.dims = 0
+
+
+_sectors = _HeldSectors()
 
 
 def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_array:

@@ -14,12 +14,18 @@ from sunmetro import (
     structure_constants,
     symmetric_representation,
 )
+from sunmetro import representation
 
 
 @lru_cache(maxsize=None)
 def sym_rep(n: int, particles: int):
     """Memoized symmetric representation; construction is the expensive part."""
     return symmetric_representation(gellmann_basis(n), particles)
+
+
+def drop_held_sectors():
+    """Forget every sector symmetric_sector holds, so that the next request builds its own."""
+    representation._sectors.clear()
 
 
 def dense_gellmann(n):

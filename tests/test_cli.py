@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from conftest import drop_held_sectors
 
 import sunmetro.channel as channel
 import sunmetro.cli as cli
@@ -547,6 +548,7 @@ def test_running_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypat
     def exhausted(*args):
         raise MemoryError
 
+    drop_held_sectors()  # a held sector would be returned without a build
     monkeypatch.setattr(representation, "_collective_stack", exhausted)
     probe, chart = tmp_path / "ghz.json", tmp_path / "exp3.json"
     probe.write_text(json.dumps({"kind": "ghz", "n": 3, "N": 2}))
@@ -707,6 +709,66 @@ def test_optimize_failure_exits_3(capsys):
     assert rc == 3
     diag = json.loads(captured.err)
     assert diag["singular_restarts"] == 20
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_optimize_refuses_one_particle_with_the_same_line(n, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a restart ran")
+
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    assert main(["optimize", "--n", str(n), "--particles", "1", "--seed", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # the line the 20 singular restarts gave when they all ran
+    assert captured.err == (
+        f'{{"error": "all 20 restarts stayed in the singular region of symmetric({n}, 1)", '
+        f'"singular_restarts": 20, "space_dim": {n}}}\n'
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "PROBE", "--cap", "54"],
+        ["bound", "PROBE", "CHART", "--theta", "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8", "--cap", "54"],
+        ["optimize", "--n", "3", "--particles", "9", "--seed", "1", "--cap", "54"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_held_sector_still_refuses_a_lower_cap(tmp_path, capsys, argv):
+    probe, chart = tmp_path / "ghz39.json", tmp_path / "exp3.json"
+    probe.write_text(json.dumps({"kind": "ghz", "n": 3, "N": 9}))
+    chart.write_text(json.dumps({"kind": "exponential", "n": 3}))
+    representation.symmetric_sector(3, 9)
+    assert (3, 9) in representation._sectors._reps
+    argv = [{"PROBE": str(probe), "CHART": str(chart)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sunmetro: error: symmetric(3, 9) has dimension 55 > cap 54\n"
+    assert (3, 9) in representation._sectors._reps
+
+
+def test_scan_leaves_the_held_sectors_as_they_were(capsys, monkeypatch):
+    drop_held_sectors()
+    representation.symmetric_sector(3, 3)
+    representation.symmetric_sector(2, 4)
+    before = list(representation._sectors._reps.items()), representation._sectors.dims
+    built = []
+    build = cli.symmetric_representation
+
+    def counted(basis, particles, cap):
+        built.append((basis.n, particles))
+        return build(basis, particles, cap=cap)
+
+    monkeypatch.setattr(cli, "symmetric_representation", counted)
+    argv = ["scan", "--n", "3", "--nmin", "1", "--nmax", "3", "--states", "ghz,floor,optimized"]
+    assert main(argv + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 4
+    # every row builds its own sector, the held sym(3, 3) too
+    assert built == [(3, 1), (3, 2), (3, 3)]
+    assert (list(representation._sectors._reps.items()), representation._sectors.dims) == before
 
 
 def test_bound_out_flag_writes_file(files, tmp_path, capsys):

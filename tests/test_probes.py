@@ -308,6 +308,18 @@ def test_optimizer_fails_on_fundamental():
     assert err.value.diagnostics["singular_restarts"] == 3
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
+def test_optimizer_refuses_one_particle_before_any_restart(n, monkeypatch):
+    # a pure C has rank at most 2(D - 1) = 2(n - 1) < d on sym(n, 1), so every
+    # restart would end singular; none runs
+    calls = []
+    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(OptimizationFailedError, match=rf"all 7 restarts .* of symmetric\({n}, 1\)") as err:
+        optimize_probe(sym_rep(n, 1), OptimizerConfig(seed=0, restarts=7))
+    assert calls == []
+    assert err.value.diagnostics == {"singular_restarts": 7, "space_dim": n}
+
+
 def _central_differences(objective, z, h=1e-6):
     grad = np.array(
         [(objective(z + h * e)[0] - objective(z - h * e)[0]) / (2.0 * h) for e in np.eye(z.size)]

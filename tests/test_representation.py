@@ -1,7 +1,11 @@
 """Fock sectors, collective generators, Casimir values, lifted unitaries."""
 
+import random
 import re
+import sys
+import threading
 import tracemalloc
+import types
 from math import comb
 
 import numpy as np
@@ -10,6 +14,7 @@ from scipy import sparse
 from conftest import (
     dense_generators,
     dense_structure_constants,
+    drop_held_sectors,
     random_pure,
     rotated_basis,
     sym_rep,
@@ -202,6 +207,120 @@ def test_dimension_cap_enforced():
     with pytest.raises(DimensionCapError, match="symmetric\\(3, 9\\) has dimension 55 > cap 50"):
         representation.symmetric_sector(3, 9, cap=50)
     assert representation.symmetric_sector(3, 9, cap=55).space_dim == 55
+
+
+# the sectors of the benchmark decks: the bound-mix probes (tetrahedron, NOON 6,
+# su(3) cyclic k = 3, the two GHZ probes and the singular Fock probe) and
+# every optimize-small size
+DECK_SECTORS = sorted(
+    {(2, 4), (2, 6), (3, 9), (3, 6), (4, 4), (3, 5)}
+    | {(2, particles) for particles in range(4, 20)}
+    | {(3, particles) for particles in range(3, 10)}
+    | {(4, 3), (4, 4)}
+)
+
+
+@pytest.mark.parametrize("n, particles", DECK_SECTORS)
+def test_a_held_sector_equals_a_fresh_build(n, particles):
+    held = representation.symmetric_sector(n, particles)
+    assert representation.symmetric_sector(n, particles) is held
+    assert (n, particles) in representation._sectors._reps
+    fresh = symmetric_representation(gellmann_basis(n), particles)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(held.stack, name), getattr(fresh.stack, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert held.stack.shape == fresh.stack.shape
+    assert casimir(held) == casimir(fresh)
+    assert held.label == fresh.label
+    assert held.fock == fresh.fock
+
+
+def test_a_held_sector_runs_its_checks_once(monkeypatch):
+    drop_held_sectors()
+    checks = []
+
+    def counted(*args):
+        checks.append(args[2])
+        return _checks(*args)
+
+    monkeypatch.setattr(representation, "_construction_checks", counted)
+    first = representation.symmetric_sector(3, 4)
+    assert representation.symmetric_sector(3, 4) is first
+    symmetric_representation(gellmann_basis(3), 4)  # builds and checks on every call
+    assert checks == ["symmetric(3, 4)", "symmetric(3, 4)"]
+
+
+def test_a_held_stack_is_read_only():
+    rep = representation.symmetric_sector(2, 4)
+    for arr in (rep.stack.data, rep.stack.indices, rep.stack.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    with pytest.raises(ValueError, match="read-only"):
+        rep.stack.data *= 2.0
+    assert casimir(rep) == casimir(symmetric_representation(gellmann_basis(2), 4))
+
+
+def test_held_sectors_stay_within_the_dimension_cap():
+    # D = N + 1 on two modes: 8000 + 9000 are held, then 6000 more evict the
+    # least recently used of them, which the second request for 7999 makes 8999
+    drop_held_sectors()
+    held = representation._sectors
+    try:
+        first = representation.symmetric_sector(2, 7999)
+        representation.symmetric_sector(2, 8999)
+        assert held.dims == 17000
+        assert representation.symmetric_sector(2, 7999) is first
+        representation.symmetric_sector(2, 5999)
+        assert list(held._reps) == [(2, 7999), (2, 5999)]
+        assert held.dims == 14000 <= DIMENSION_CAP
+        # a sector above DIMENSION_CAP, which only a raised cap admits, is built and not held
+        big = representation.symmetric_sector(2, DIMENSION_CAP, cap=DIMENSION_CAP + 1)
+        assert big.space_dim == DIMENSION_CAP + 1
+        assert list(held._reps) == [(2, 7999), (2, 5999)] and held.dims == 14000
+        assert big.stack.data.flags.writeable
+    finally:
+        drop_held_sectors()
+
+
+def test_held_sectors_add_up_under_concurrent_requests(monkeypatch):
+    # eight threads request overlapping sectors under a cap of 30 states, so
+    # holds and evictions interleave; the held dimensions must still add up.
+    # A stand-in build of D = N + 1 states keeps the threads on the held sectors.
+    drop_held_sectors()
+    monkeypatch.setattr(representation, "DIMENSION_CAP", 30)
+
+    def build(basis, particles, cap):
+        return types.SimpleNamespace(space_dim=particles + 1, stack=sparse.csr_array(np.eye(2)))
+
+    monkeypatch.setattr(representation, "symmetric_representation", build)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(1000):
+                particles = rng.randrange(1, 13)  # D = 2..13
+                assert representation.symmetric_sector(2, particles).space_dim == particles + 1
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = representation._sectors._reps.values()
+        assert representation._sectors.dims == sum(rep.space_dim for rep in held) <= 30
+    finally:
+        drop_held_sectors()
 
 
 def test_reducible_stack_fails_casimir():
