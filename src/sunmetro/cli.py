@@ -79,9 +79,23 @@ def _round_floats(diag: dict) -> dict:
 
 def _float_texts(values) -> list[str]:
     """Each float rounded to 12 significant digits and printed as json prints
-    it.  float.__format__ raises TypeError on any value that is not a float."""
-    rounded = list(map(float, map(float.__format__, values, repeat(".12g"))))
-    return [repr(r) if isfinite(r) else f'"{r!r}"' for r in rounded]
+    it.  float.__format__ raises TypeError on any value that is not a float.
+
+    A float of at most 12 significant digits reprs to exactly those digits,
+    so only the notation can differ from the ``.12g`` text: exponent form,
+    which repr keeps only below 1e-4 or from 1e16, and the ".0" that repr
+    gives a whole number.  Texts with an "e" or an "n" (inf, nan) are
+    written by repr; the rest are kept, with ".0" after a whole number.
+    """
+    texts = []
+    for text in map(float.__format__, values, repeat(".12g")):
+        if "e" in text or "n" in text:
+            r = float(text)
+            text = repr(r) if isfinite(r) else f'"{r!r}"'
+        elif "." not in text:
+            text += ".0"
+        texts.append(text)
+    return texts
 
 
 def _layout(obj, pad: str) -> str:

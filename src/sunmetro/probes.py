@@ -148,8 +148,7 @@ def _parse_amplitude(entry) -> complex:
 def _superposition(rep: Representation, amplitudes: dict) -> ProbeState:
     # the pure state sum amplitude |occupation> over {occupation: amplitude}
     vec = np.zeros(rep.space_dim, dtype=complex)
-    for occupation, amplitude in amplitudes.items():
-        vec[rep.fock.index[occupation]] = amplitude
+    vec[rep.fock.rank(list(amplitudes))] = list(amplitudes.values())
     return pure_state(rep, vec)
 
 

@@ -9,6 +9,12 @@ restricted to the fixed-particle-number Fock sector.  That sector carries the
 symmetric irreducible representation; its dimension is binom(𝒩 + n - 1, n - 1),
 and the quadratic invariant sum_a (X_a^(R))**2 is a multiple of the identity.
 
+:class:`FockBasis` lists the sector's occupations (k_0, ..., k_{n-1}) in
+descending lexicographic order, and a state's index is its rank in that
+order, computed exactly in int64 by the combinatorial number system
+(:meth:`FockBasis.rank`).  The probes place their amplitudes by that rank,
+and the stack builder finds each hop's destination from it.
+
 Each X^(R) is a diagonal plus hops a_i^dagger a_j with amplitudes
 sqrt(n_j (n_i + 1)), so it has O(n**2 D) non-zeros out of D**2.  The d
 collective generators are therefore stored as one sparse stack: a CSR matrix
@@ -38,9 +44,8 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -79,41 +84,46 @@ COMMUTATOR_RTOL = 1e-10
 CHECK_BUDGET = 2**14
 
 
-def _compositions(total: int, parts: int):
-    # occupation tuples (k_1, ..., k_parts) with sum = total
-    if parts == 1:
-        yield (total,)
-        return
-    for cut in combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        occ = []
-        for c in cut:
-            occ.append(c - prev - 1)
-            prev = c
-        occ.append(total + parts - 2 - prev)
-        yield tuple(occ)
-
-
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis of the fixed-particle sector.
 
-    States are ordered reverse-lexicographically (descending tuple order), so
-    the fully stretched state (𝒩, 0, ..., 0) comes first and for 𝒩 = 1 the
-    k-th state has the particle in mode k.
+    ``occupations`` is a read-only (D, n) int64 array with one state per row,
+    in descending lexicographic order, so the fully stretched state
+    (𝒩, 0, ..., 0) comes first and for 𝒩 = 1 the k-th state has the particle
+    in mode k.  A state's row is its rank: the number of states before it,
+
+        rank(k) = sum_{q=1}^{n-1} multichoose(S_q, n - q),  S_q = k_q + ... + k_{n-1},
+
+    with multichoose(s, p) = binom(s + p - 1, p) the number of ways to put p
+    particles in s modes.  Each term counts states that precede k, so it is
+    below D, and :meth:`rank` is exact in int64 for every n and 𝒩.  Two bases
+    are equal when their modes and particles are.
     """
 
     modes: int
     particles: int
-    states: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, ...], int]:
-        return {occ: i for i, occ in enumerate(self.states)}
+    occupations: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return self.occupations.shape[0]
+
+    def rank(self, occupations) -> np.ndarray:
+        """The rows of the given states of this sector: an int64 array of
+        shape ``occupations.shape[:-1]``."""
+        occ = np.asarray(occupations, dtype=np.int64)
+        suffix = occ[..., :0:-1].cumsum(axis=-1)  # S_{n-1}, ..., S_1
+        return self._multichoose[suffix, np.arange(1, self.modes)].sum(axis=-1)
+
+    @cached_property
+    def _multichoose(self) -> np.ndarray:
+        # multichoose(s, p) at [s, p] for s <= 𝒩 + 1 and p < n; none exceeds D
+        table = np.zeros((self.particles + 2, self.modes), dtype=np.int64)
+        table[:, 0] = 1
+        for p in range(1, self.modes):
+            table[1:, p - 1].cumsum(out=table[1:, p])
+        return table
 
 
 def fock_basis(modes: int, particles: int) -> FockBasis:
@@ -122,8 +132,20 @@ def fock_basis(modes: int, particles: int) -> FockBasis:
         raise InvalidElementError(
             f"need modes >= 2 and particles >= 1, got ({modes}, {particles})"
         )
-    states = tuple(sorted(_compositions(particles, modes), reverse=True))
-    return FockBasis(modes=modes, particles=particles, states=states)
+    # the states of the last m modes with every total t <= 𝒩, by ascending t
+    # and each total in descending order; those of m + 1 modes with total t
+    # are the m-mode states of totals u <= t, in that order, each behind t - u
+    tail = np.arange(particles + 1, dtype=np.int64)[:, None]
+    totals = tail[:, 0]
+    for _ in range(modes - 2):
+        count = np.bincount(totals, minlength=particles + 1).cumsum()
+        rows = _ranges(np.zeros_like(count), count)
+        total = np.arange(particles + 1, dtype=np.int64).repeat(count)
+        tail = np.column_stack([total - totals[rows], tail[rows]])
+        totals = total
+    occupations = np.column_stack([particles - totals, tail])
+    occupations.setflags(write=False)
+    return FockBasis(modes=modes, particles=particles, occupations=occupations)
 
 
 class Representation:
@@ -255,10 +277,10 @@ class _HeldSectors:
     """The sectors :func:`symmetric_sector` has built, by (n, 𝒩), least
     recently used first.
 
-    Their dimensions sum to at most ``DIMENSION_CAP``, so they never hold
-    more states than one request at the default cap builds: holding a sector
+    Their dimensions sum to at most ``DIMENSION_CAP``: holding a sector
     evicts the least recently used ones until it fits, and a sector above
-    ``DIMENSION_CAP`` is not held.
+    ``DIMENSION_CAP`` is not held.  That bounds the states held, not the
+    bytes, since a stack holds O(n**2 D) entries.
     """
 
     def __init__(self):
@@ -303,7 +325,7 @@ def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_arra
     # X_a^(R) = diag(X_a) . occupations + sum_{i != j} (X_a)_ij a_i^dagger a_j,
     # read from the basis's columns (i, j): the generators with an (i, j) entry
     n, d, dim = basis.n, basis.dim, fock.dim
-    occs = np.array(fock.states)
+    occs = fock.occupations
     # the diagonal, from the rows of a dense (d, n) block that hold any entry
     gens, vals, mode = _column_entries(basis.coefficients, np.arange(0, n * n, n + 1))
     block = np.zeros((d, n))
@@ -311,15 +333,30 @@ def _collective_stack(basis: GeneratorBasis, fock: FockBasis) -> sparse.csr_arra
     diag_gens = block.any(axis=1).nonzero()[0]
     diag = block[diag_gens] @ occs.T
     r0, s0 = diag.nonzero()
-    # radix-(N + 1) key per occupation tuple; it descends with the basis order
-    # (Python ints beyond int64 turn the weights into an object array)
-    weights = np.array([(fock.particles + 1) ** (n - 1 - m) for m in range(n)])
-    keys = occs @ weights
+    # a hop j -> i lowers the suffix sum S_q by one for i < q <= j, or raises
+    # it by one for j < q <= i.  As multichoose(s, p) - multichoose(s - 1, p)
+    # = multichoose(s, p - 1), the rank falls by lower[j] - lower[i] (i < j)
+    # or rises by upper[i] - upper[j] (i > j), with lower[q] and upper[q] the
+    # sums over q' <= q of multichoose(S_q', n - q' - 1) and of
+    # multichoose(S_q' + 1, n - q' - 1) for each state
+    suffix = occs[:, :0:-1].cumsum(axis=1)[:, ::-1]  # S_1, ..., S_{n-1}
+    p = np.arange(n - 2, -1, -1)
+    lower = np.zeros((dim, n), dtype=np.int64)
+    upper = np.zeros((dim, n), dtype=np.int64)
+    fock._multichoose[suffix, p].cumsum(axis=1, out=lower[:, 1:])
+    fock._multichoose[suffix + 1, p].cumsum(axis=1, out=upper[:, 1:])
+    del suffix
     mode_i, mode_j = (~np.eye(n, dtype=bool)).nonzero()
     src, hop = occs[:, mode_j].nonzero()  # states with a particle to move j -> i
     i, j = mode_i[hop], mode_j[hop]
     amp = np.sqrt(occs[src, j] * (occs[src, i] + 1))
-    dst = dim - 1 - np.searchsorted(keys[::-1], keys[src] - weights[j] + weights[i])
+    at_i, at_j = src * n + i, src * n + j
+    dst = np.where(
+        i < j,
+        src - lower.ravel()[at_j] + lower.ravel()[at_i],
+        src + upper.ravel()[at_i] - upper.ravel()[at_j],
+    )
+    del lower, upper, at_i, at_j
     gens, vals, h1 = _column_entries(basis.coefficients, i * n + j)
     rows = np.concatenate([diag_gens[r0] * dim + s0, gens * dim + dst[h1]])
     cols = np.concatenate([s0, src[h1]])

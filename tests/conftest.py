@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sunmetro import (
     GeneratorBasis,
@@ -26,6 +27,45 @@ def sym_rep(n: int, particles: int):
 def drop_held_sectors():
     """Forget every sector symmetric_sector holds, so that the next request builds its own."""
     representation._sectors.clear()
+
+
+def state_index(fock):
+    """Exact reference index of a Fock basis: a dict from each occupation tuple to its row."""
+    return {tuple(occ): row for row, occ in enumerate(fock.occupations.tolist())}
+
+
+def radix_collective_stack(basis, fock):
+    """Reference build of the sparse stack that finds each hop's destination by
+    a binary search over radix-(N + 1) keys of the states.
+
+    numpy picks the keys' type by their size, so they are exact only while
+    N (N + 1)**(n - 1) fits int64: they wrap at sym(32, 3) and turn to float64
+    at sym(41, 2).  Where they fit, the stack is the one the library builds.
+    """
+    n, d, dim = basis.n, basis.dim, fock.dim
+    occs = fock.occupations
+    gens, vals, mode = representation._column_entries(basis.coefficients, np.arange(0, n * n, n + 1))
+    block = np.zeros((d, n))
+    block[gens, mode] = vals.real
+    diag_gens = block.any(axis=1).nonzero()[0]
+    diag = block[diag_gens] @ occs.T
+    r0, s0 = diag.nonzero()
+    weights = np.array([(fock.particles + 1) ** (n - 1 - m) for m in range(n)])
+    keys = occs @ weights
+    mode_i, mode_j = (~np.eye(n, dtype=bool)).nonzero()
+    src, hop = occs[:, mode_j].nonzero()
+    i, j = mode_i[hop], mode_j[hop]
+    amp = np.sqrt(occs[src, j] * (occs[src, i] + 1))
+    dst = dim - 1 - np.searchsorted(keys[::-1], keys[src] - weights[j] + weights[i])
+    gens, vals, h1 = representation._column_entries(basis.coefficients, i * n + j)
+    rows = np.concatenate([diag_gens[r0] * dim + s0, gens * dim + dst[h1]])
+    cols = np.concatenate([s0, src[h1]])
+    data = np.concatenate([diag[r0, s0], vals * amp[h1]])
+    order = (rows * dim + cols).argsort()
+    idx = sparse.get_index_dtype(maxval=max(d * dim, data.size))
+    indptr = np.zeros(d * dim + 1, dtype=idx)
+    np.bincount(rows, minlength=d * dim).cumsum(dtype=idx, out=indptr[1:])
+    return sparse.csr_array((data[order], cols[order].astype(idx), indptr), shape=(d * dim, dim))
 
 
 def dense_gellmann(n):

@@ -8,6 +8,8 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from itertools import repeat
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -1074,6 +1076,39 @@ def test_writer_matches_json_dumps_on_adversarial_documents(doc):
 @given(doc=_DOCS)
 def test_writer_matches_json_dumps_hypothesis(doc):
     assert _written(doc) == json.dumps(_round_floats_reference(doc), indent=2)
+
+
+def _float_texts_reference(values):
+    # the writer's one-line route: every float through .12g, float and repr
+    rounded = map(float, map(float.__format__, values, repeat(".12g")))
+    return [repr(r) if isfinite(r) else f'"{r!r}"' for r in rounded]
+
+
+# where the notations of .12g and repr part: exponent forms below 1e-4 and
+# from 1e12 (.12g) or 1e16 (repr), whole numbers, rounding up into the next
+# decade, subnormals, the largest float and the signed zeros
+_FLOAT_EDGES = [
+    0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999e-5, 9.999999999995e-5, 1e-5,
+    999999999999.0, 999999999999.5, 1e12, 123456789012.0, 1234567890123.0,
+    9999999999999998.0, 9.99999999999e15, 1e16, 1e22, 5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, float("nan"), float("inf"), -float("inf"),
+]
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(
+    st.one_of(
+        _FLOATS,
+        st.sampled_from(_FLOAT_EDGES),
+        st.floats(1e11, 1e17),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-323, 307)),
+    ),
+    max_size=20,
+))
+@example(values=_FLOAT_EDGES)
+def test_float_texts_match_the_repr_route_hypothesis(values):
+    assert cli._float_texts(values) == _float_texts_reference(values)
 
 
 @pytest.mark.parametrize("doc", [

@@ -45,7 +45,7 @@ from sunmetro import (
 @pytest.fixture(scope="module")
 def stretched(sym24):
     v = np.zeros(sym24.space_dim, dtype=complex)
-    v[sym24.fock.index[(4, 0)]] = 1.0
+    v[sym24.fock.rank((4, 0))] = 1.0
     return pure_state(sym24, v)
 
 

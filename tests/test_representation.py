@@ -10,13 +10,17 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from conftest import (
     dense_generators,
     dense_structure_constants,
     drop_held_sectors,
+    radix_collective_stack,
     random_pure,
     rotated_basis,
+    state_index,
     sym_rep,
 )
 
@@ -47,11 +51,12 @@ def dense_collective_stack(basis, particles):
     n = basis.n
     fock = fock_basis(n, particles)
     dim = fock.dim
+    index = state_index(fock)
     mats = np.zeros((basis.dim, dim, dim), dtype=complex)
-    occs = np.array(fock.states)
+    occs = fock.occupations
     diag = basis.generators[:, range(n), range(n)].real
     mats[:, range(dim), range(dim)] = diag @ occs.T
-    for s_idx, occ in enumerate(fock.states):
+    for s_idx, occ in enumerate(occs.tolist()):
         for j in range(n):
             if occ[j] == 0:
                 continue
@@ -61,18 +66,18 @@ def dense_collective_stack(basis, particles):
                 target = list(occ)
                 target[j] -= 1
                 target[i] += 1
-                t_idx = fock.index[tuple(target)]
+                t_idx = index[tuple(target)]
                 amp = np.sqrt(occ[j] * (occ[i] + 1))
                 mats[:, t_idx, s_idx] += basis.generators[:, i, j] * amp
     return mats
 
 
 def test_fock_ordering_descending():
-    assert fock_basis(2, 4).states == ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
-    assert fock_basis(3, 1).states == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert fock_basis(2, 4).occupations.tolist() == [[4, 0], [3, 1], [2, 2], [1, 3], [0, 4]]
+    assert fock_basis(3, 1).occupations.tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     fb = fock_basis(3, 9)
-    assert fb.dim == 55 and fb.states[0] == (9, 0, 0)
-    assert fb.index[(0, 0, 9)] == 54
+    assert fb.dim == 55 and fb.occupations[0].tolist() == [9, 0, 0]
+    assert fb.rank((0, 0, 9)) == 54
 
 
 @pytest.mark.parametrize("modes,particles", [(1, 3), (0, 1), (2, 0), (3, -1)])
@@ -126,7 +131,7 @@ def test_commutators_close_on_structure_constants(n, particles):
 def _two_particle_symmetrizer(n, fock):
     # isometry from the two-boson sector into (C^n) tensor (C^n)
     s = np.zeros((n * n, fock.dim))
-    for col, occ in enumerate(fock.states):
+    for col, occ in enumerate(fock.occupations.tolist()):
         modes = [i for i, k in enumerate(occ) for _ in range(k)]
         i, j = modes
         if i == j:
@@ -152,7 +157,7 @@ def test_two_particle_lift_matches_tensor_square(n):
 @pytest.mark.parametrize("n,particles", [(2, 4), (3, 3), (4, 2)])
 def test_sector_conserves_particle_number(n, particles):
     rep = sym_rep(n, particles)
-    sums = np.array([sum(occ) for occ in rep.fock.states])
+    sums = rep.fock.occupations.sum(axis=1)
     assert np.all(sums == particles)
     # generators never leave the sector: they are exactly the stored matrices,
     # and each is traceless because the fundamental element is
@@ -384,6 +389,75 @@ def test_sparse_stack_matches_dense_reference(n):
             assert np.array_equal(dense_generators(rep), dense_collective_stack(basis, particles))
 
 
+# every sector of the golden CSVs (n = 2..6 up to N = 40, 24, 9, 6, 4), which
+# hold every benchmark sector, and larger ones where the radix keys fit int64
+RADIX_SECTORS = (
+    [(2, N) for N in range(1, 41)]
+    + [(3, N) for N in range(1, 25)]
+    + [(4, N) for N in range(1, 10)]
+    + [(5, N) for N in range(1, 7)]
+    + [(6, N) for N in range(1, 5)]
+    + [(3, 60), (4, 30), (6, 8), (10, 3), (20, 3), (40, 2)]
+    + [tuple(map(int, nN)) for nN in np.random.default_rng(20).integers([2, 1], [13, 8], (12, 2))]
+)
+
+
+def _same_csr(a, b):
+    return all(
+        x.dtype == y.dtype and np.array_equal(x, y)
+        for x, y in ((a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr))
+    ) and a.shape == b.shape
+
+
+def test_stack_matches_the_radix_key_build_bit_for_bit():
+    assert all(N * (N + 1) ** (n - 1) < 2**63 for n, N in RADIX_SECTORS)
+    for n, particles in RADIX_SECTORS:
+        basis, fock = gellmann_basis(n), fock_basis(n, particles)
+        stack = representation._collective_stack(basis, fock)
+        assert _same_csr(stack, radix_collective_stack(basis, fock)), (n, particles)
+
+
+@pytest.mark.parametrize("n, particles", [(32, 3), (41, 2), (64, 1), (42, 2)], ids=str)
+def test_stack_hops_are_exact_where_radix_keys_overflow(n, particles):
+    # radix keys wrap in int64 at sym(32, 3), are float64 at sym(41, 2) and
+    # sym(64, 1) and Python ints at sym(42, 2); the rank is int64 at every size
+    fock = fock_basis(n, particles)
+    stack = representation._collective_stack(gellmann_basis(n), fock)
+    dim = fock.dim
+    assert stack.shape == ((n * n - 1) * dim, dim)
+    representation._check_hermitian(stack, max(1.0, np.abs(stack.data).max()))
+    index = state_index(fock)
+    expected = set()
+    for src, occ in enumerate(fock.occupations.tolist()):
+        for j in np.flatnonzero(occ).tolist():
+            for i in range(n):
+                if i != j:
+                    target = list(occ)
+                    target[j] -= 1
+                    target[i] += 1
+                    expected.add(index[tuple(target)] * dim + src)
+    row = np.arange(stack.shape[0]).repeat(np.diff(stack.indptr)) % dim
+    hop = row != stack.indices
+    assert np.array_equal(np.unique(row[hop] * dim + stack.indices[hop]), sorted(expected))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(modes=st.integers(2, 12), particles=st.integers(1, 9))
+def test_rank_of_each_state_is_its_row_hypothesis(modes, particles):
+    fock = fock_basis(modes, particles)
+    occs = fock.occupations
+    assert occs.dtype == np.int64 and not occs.flags.writeable
+    assert occs.shape == (comb(particles + modes - 1, modes - 1), modes)
+    assert (occs >= 0).all() and (occs.sum(axis=1) == particles).all()
+    # strictly descending rows: the first differing mode of each pair drops
+    step = np.diff(occs, axis=0)
+    first = step[np.arange(step.shape[0]), (step != 0).argmax(axis=1)]
+    assert (first < 0).all()
+    assert np.array_equal(fock.rank(occs), np.arange(fock.dim))
+    assert fock.rank(occs[-1]) == fock.dim - 1
+
+
 def test_sector_build_of_su40_stays_near_its_stack_size():
     # the build reads the basis's columns and forms no dense (d, D) or (d, hops) array
     basis = gellmann_basis(40)
@@ -452,7 +526,7 @@ def test_commutator_check_covers_every_pair():
     rep = sym_rep(3, 16)
     assert rep.space_dim > 150
     gens = dense_generators(rep)
-    last = rep.fock.index[(0, 0, 16)]
+    last = rep.fock.rank((0, 0, 16))
     gens[7, last, last] += 1e-6
     f = dense_structure_constants(rep.basis)
     scale = float(np.max(np.abs(gens)))
@@ -582,7 +656,7 @@ def test_check_kernels_reject_the_same_corrupted_stacks(budget, monkeypatch):
     # the lambda_8 shift of test_commutator_check_covers_every_pair
     rep = sym_rep(3, 16)
     gens = dense_generators(rep)
-    last = rep.fock.index[(0, 0, 16)]
+    last = rep.fock.rank((0, 0, 16))
     gens[7, last, last] += 1e-6
     shifted = _stack(gens)
     # a reducible block stack, sym(3, 1) + sym(3, 2): every commutator holds
