@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .algebra import structure_constants
 from .channel import (
     CONDITION_THRESHOLD,
     GeneratorMatrix,
@@ -81,19 +82,16 @@ class ProbeState:
         return np.linalg.eigh((self.density + self.density.conj().T) / 2.0)
 
     @cached_property
-    def _moments(self) -> tuple:
-        """Mean m, covariance C and second moments S_jk = Tr[rho X_j X_k],
-        read-only, and for a pure state the images Y_a = X_a psi (else None).
-
-        From one product with the stack: F psi, or F P_s (see :func:`covariance_mixed`).
+    def _moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean m and covariance C, read-only, from one product with the stack:
+        F psi, or F P_s (see :func:`covariance_mixed`).  Nothing else is kept.
         """
         if self.is_pure:
-            images, mean, cov, second = _pure_moments(self.rep, self.vector)
+            _, mean, cov = _pure_moments(self.rep, self.vector)
         else:
             lam, p = self._eigensystem
             support = lam > SUPPORT_CUTOFF / 2.0
-            images = self.rep.images(p[:, support])
-            xt = p.conj().T @ images
+            xt = p.conj().T @ self.rep.images(p[:, support])
             mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
             lam_u, lam_v = lam[:, None], lam[support][None, :]
             pair_sum = lam_u + lam_v
@@ -105,15 +103,9 @@ class ProbeState:
             kernel[support] /= 2.0
             cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
             cov = (cov + cov.T) / 2.0
-            bras = (images.conj() * lam[support]).reshape(len(images), -1)  # lambda_u <X_a u|
-            second = bras @ images.reshape(len(images), -1).T  # sum_u lambda_u <X_j u|X_k u>
-        moments = mean, cov, second
-        for arr in moments:
-            arr.setflags(write=False)
-        if not self.is_pure:
-            return *moments, None
-        images.setflags(write=False)
-        return *moments, images
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        return mean, cov
 
 
 def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeState:
@@ -165,29 +157,29 @@ def mixed_state(rep: Representation, density) -> ProbeState:
 
 
 def _pure_moments(rep: Representation, psi: np.ndarray):
-    # images Y_a = X_a psi, mean m, symmetrized covariance C and second moments
-    # S = Y^* Y^T of a unit vector psi: the kernel of pure states and the optimizer
+    # images Y_a = X_a psi, mean m and symmetrized covariance C, from
+    # Re(Y^* Y^T), of a unit vector psi: the kernel of pure states and the optimizer
     images = rep.images(psi)
     bras = images.conj()
     mean = (bras @ psi).real
-    second = bras @ images.T
-    cov = second.real - mean[:, None] * mean
-    return images, mean, (cov + cov.T) / 2.0, second
+    cov = (bras @ images.T).real - mean[:, None] * mean
+    return images, mean, (cov + cov.T) / 2.0
 
 
 def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and symmetrized covariance of the generators in a pure state.
+    """Mean vector and symmetrized covariance of the generators in a pure state,
+    read-only: the state keeps them.
 
     [C]_jk = (1/2) <X_j X_k + X_k X_j> - <X_j> <X_k>.  The trace of C equals
     the representation's quadratic invariant minus |<X>|^2.
     """
     if not state.is_pure:
         raise InvalidStateError("covariance_pure needs a pure state")
-    return state._moments[:2]
+    return state._moments
 
 
 def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance kernel of the generators in a mixed state.
+    """Mean vector and covariance kernel of a mixed state, read-only: the state keeps them.
 
     In the eigenbasis rho = sum_u lambda_u |u><u|,
 
@@ -205,12 +197,12 @@ def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """
     if state.is_pure:
         raise InvalidStateError("covariance_mixed needs a density matrix")
-    return state._moments[:2]
+    return state._moments
 
 
 def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance of a pure or mixed state, read-only and computed once."""
-    return state._moments[:2]
+    return state._moments
 
 
 def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
@@ -269,9 +261,10 @@ def _pure_rank(state: ProbeState) -> int:
     With the centred images V_a = (X_a - m_a) psi, C = A A^T for the real
     d x 2D matrix A = [Re V, Im V], so the 2D x 2D Gram A^T A has C's
     non-zero spectrum; its rank is read at ``_inverse_trace``'s threshold.
+    The state keeps no images, so they come from one more product with the
+    stack; the report asks only where 2(D - 1) < d, every N = 1 sector.
     """
-    mean, images = state._moments[0], state._moments[3]
-    centred = images - mean[:, None] * state.vector
+    centred = state.rep.images(state.vector) - state._moments[0][:, None] * state.vector
     a = np.concatenate([centred.real, centred.imag], axis=1)
     return _rank_and_condition(np.linalg.eigvalsh(a.T @ a))[0]
 
@@ -373,15 +366,22 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bo
     Vanishing expectations mean the scalar bound is jointly attainable; any
     first-order unpolarized probe passes for every chart.  Without ``gm``
     the H_j are the basis generators themselves: the exponential chart's
-    rows at the origin are -I, and the sign cancels in every product.
+    rows at the origin are -I, and the sign cancels in every product.  The
+    expectations are i :func:`_commutator_expectations`, a real matrix.
     """
-    return float(np.max(np.abs(_commutator_expectations(state, gm)))) < SATURATION_TOL
+    expectations = _commutator_expectations(state, gm)
+    return float(max(expectations.max(), -expectations.min())) < SATURATION_TOL
 
 
 def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
-    # <[H_j, H_k]> = 𝗛 (S - S^T) 𝗛^T from the state's second moments S
-    commutators = state._moments[2] - state._moments[2].T
-    return commutators if gm is None else gm.hmat @ commutators @ gm.hmat.T
+    # <[H_j, H_k]> / i: every representation passed its commutator check, so
+    # <[X_j, X_k]> = i sum_l f_jkl m_l = i ad(m)_jk in any state, pure or mixed;
+    # ad(m) from the constants with j < k, or 𝗛 ad(m) 𝗛^T through a chart's rows
+    j, k, l, f = structure_constants(state.rep.basis).upper
+    d = state.rep.basis.dim
+    upper = np.bincount(j * d + k, f * state._moments[0][l], d * d).reshape(d, d)
+    ad = upper - upper.T
+    return ad if gm is None else gm.hmat @ ad @ gm.hmat.T
 
 
 def unpolarized_report(state: ProbeState) -> dict:

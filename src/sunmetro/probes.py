@@ -473,7 +473,7 @@ def _unit_state(rep: Representation, z: np.ndarray) -> ProbeState:
 def _moments(rep: Representation, z: np.ndarray):
     """Images Y_a = X_a psi, mean m and covariance C of psi = z / |z|."""
     dim = z.size // 2
-    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))[:3]
+    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))
 
 
 def _objective_and_gradient(rep: Representation, barrier: float):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ import sunmetro.metrology as metrology
 from sunmetro import (
     InvalidElementError,
     InvalidStateError,
+    ProbeSpec,
     ProbeState,
     Representation,
     SingularCovarianceError,
     SingularInformationError,
+    build_probe,
     build_report,
     casimir,
     covariance,
@@ -330,7 +333,8 @@ def test_commutator_expectations_match_dense_route(n, particles):
     for _ in range(3):
         gm = generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, n * n - 1))
         for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
-            expectations = metrology._commutator_expectations(state, gm)
+            # the real ad(m) route returns <[H_j, H_k]> / i
+            expectations = 1j * metrology._commutator_expectations(state, gm)
             reference = _dense_commutator_expectations(state, gm)
             assert np.max(np.abs(expectations - reference)) < 1e-12
             residual = float(np.max(np.abs(reference)))
@@ -354,6 +358,48 @@ def test_chart_free_saturation_matches_the_origin_chart(n, particles):
         outcomes.add(saturation_check(state))
         assert saturation_check(state) == saturation_check(state, origin)
     assert outcomes == {True, False}
+
+
+def _second_moment_commutators(state, gm):
+    # the route _commutator_expectations replaced: S - S^T from the second
+    # moments S = Y^* Y^T of the images Y = F psi, through the chart's rows
+    images = state.rep.images(state.vector)
+    second = images.conj() @ images.T
+    commutators = second - second.T
+    return commutators if gm is None else gm.hmat @ commutators @ gm.hmat.T
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "tetrahedron_j2"},
+        {"kind": "noon", "N": 6},
+        {"kind": "su3_cyclic", "k": 3, "l": 3},
+        {"kind": "ghz", "n": 3, "N": 6},
+        {"kind": "ghz", "n": 4, "N": 4},
+        {"kind": "fock", "occupations": [5, 0, 0]},
+    ],
+    ids=lambda doc: doc["kind"],
+)
+def test_saturable_matches_the_second_moment_route(doc):
+    # the named probes of the bound requests reach saturable = True, which
+    # random states never do; i ad(m) must give the flag S - S^T gave
+    state = build_probe(ProbeSpec.from_json(doc))
+    n = state.rep.basis.n
+    d = n * n - 1
+    rng = np.random.default_rng(d)
+    axes = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    charts = [
+        generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, d)),
+        generators_closed_form(product_of_exponentials(n, axes), rng.uniform(-0.5, 0.5, d)),
+    ]
+    for gm in [None, *charts]:
+        reference = _second_moment_commutators(state, gm)
+        expectations = 1j * metrology._commutator_expectations(state, gm)
+        assert np.max(np.abs(expectations - reference)) <= 1e-12
+        flag = float(np.max(np.abs(reference))) < metrology.SATURATION_TOL
+        assert saturation_check(state, gm) == flag
+        assert flag == (doc["kind"] != "fock")
 
 
 @seed(20261018)
@@ -439,11 +485,35 @@ def test_cached_moments_are_read_only():
     for state in (random_pure(rep, rng), mixed_state(rep, _random_density(rep, rng))):
         first = covariance(state)
         second = covariance(state)
-        for a, b in zip(first, second):
+        assert len(state._moments) == 2
+        assert [a.shape for a in state._moments] == [(rep.basis.dim,), (rep.basis.dim,) * 2]
+        for a, b, kept in zip(first, second, state._moments):
             assert not a.flags.writeable
-            assert a.tobytes() == b.tobytes()
+            assert a is kept and a.tobytes() == b.tobytes()
         with pytest.raises(ValueError):
             first[1][0, 0] = 0.0
+
+
+@pytest.mark.parametrize("particles", [1, 2])
+def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
+    # the commutator expectations are read from the mean, so the state holds
+    # its mean and C alone, and the check's peak is ad(m) and its upper
+    # triangle beside C
+    rep = make_ghz(40, particles).rep
+    tracemalloc.start()
+    try:
+        state = make_ghz(40, particles, rep=rep)
+        before = tracemalloc.get_traced_memory()[0]
+        mean, cov = covariance(state)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        saturable = saturation_check(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert saturable == (particles > 1)
+    assert held <= 1.01 * (cov.nbytes + mean.nbytes)
+    assert peak <= 4 * cov.nbytes
 
 
 def test_mixed_state_leaves_the_callers_density_writable():
