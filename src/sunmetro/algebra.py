@@ -177,24 +177,20 @@ def _extract_structure_constants(t: sparse.csc_array, n: int) -> StructureConsta
     prod = (left @ sparse.csr_array((t.data, (i, a * n + p)), shape=(n, d * n))).tocoo()
     j, i = np.divmod(prod.row, n)
     k, p = np.divmod(prod.col, n)
-    # row (j, k) holds [X_j, X_k] transposed and flattened, so a product with
-    # the flattened basis takes the traces Tr([X_j, X_k] X_l)
-    col = p * n + i
-    comm = sparse.csr_array(
-        (np.concatenate([prod.data, -prod.data]),
-         (np.concatenate([j * d + k, k * d + j]), np.concatenate([col, col]))),
-        shape=(d * d, n * n),
-    )
+    # one row per pair j <= k that occurs, holding [X_j, X_k] transposed and flattened
+    # (zero for j = k), so a product with the flattened basis gives Tr([X_j, X_k] X_l)
+    pairs, row = np.unique(np.minimum(j, k) * np.int64(d) + np.maximum(j, k), return_inverse=True)
+    data = prod.data * np.sign(k - j)
+    comm = sparse.csr_array((data, (row, p * n + i)), shape=(pairs.size, n * n))
     f = (-2j * (comm @ t.T)).tocoo()
     imag = np.abs(f.data.imag).max(initial=0.0)
     if imag > 1e-12:
         raise InvalidElementError(f"structure constants not real: residue {imag:.3e}")
-    key = f.row.astype(np.int64) * d + f.col
-    keep = (f.row // d < f.row % d) & (f.data.real != 0.0)
-    key, val = key[keep], f.data.real[keep]
+    keep = f.data.real != 0.0
+    key = pairs[f.row[keep]] * d + f.col[keep]
     order = key.argsort()
     jk, l = np.divmod(key[order], d)
-    upper = (*np.divmod(jk, d), l, val[order])
+    upper = (*np.divmod(jk, d), l, f.data.real[keep][order])
     for arr in upper:
         arr.setflags(write=False)
     return StructureConstants(upper=upper)

@@ -5,8 +5,8 @@ of a joint parameter estimate is governed by the information matrix
 
     Q = 4 𝗛 C 𝗛^T,
 
-where C is the (symmetrized) covariance of the collective generators in the
-probe and 𝗛 holds the channel's generator rows.  Scalar figures of merit are
+where C is the covariance of the collective generators in the probe, a real
+Gram matrix, and 𝗛 holds the channel's generator rows.  Figures of merit are
 Tr[W Q^(-1)] for a weight matrix W.  Choosing W equal to the pulled-back
 metric g = 𝗛 𝗛^T makes the chart drop out entirely:
 
@@ -87,7 +87,7 @@ class ProbeState:
         F psi, or F P_s (see :func:`covariance_mixed`).  Nothing else is kept.
         """
         if self.is_pure:
-            _, mean, cov = _pure_moments(self.rep, self.vector)
+            _, mean, rows = _pure_moments(self.rep, self.vector)
         else:
             lam, p = self._eigensystem
             support = lam > SUPPORT_CUTOFF / 2.0
@@ -95,14 +95,13 @@ class ProbeState:
             mean = (xt[:, support, :].diagonal(axis1=1, axis2=2) @ lam[support]).real
             lam_u, lam_v = lam[:, None], lam[support][None, :]
             pair_sum = lam_u + lam_v
-            keep = pair_sum > SUPPORT_CUTOFF
             kernel = np.zeros_like(pair_sum)
-            kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
+            np.divide((lam_u - lam_v) ** 2, pair_sum, out=kernel, where=pair_sum > SUPPORT_CUTOFF)
             # a pair inside the support appears in both orders; one with u outside
             # it appears once and stands for both
             kernel[support] /= 2.0
-            cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
-            cov = (cov + cov.T) / 2.0
+            rows = np.multiply(xt, np.sqrt(kernel), out=xt)
+        cov = _gram(rows)
         mean.setflags(write=False)
         cov.setflags(write=False)
         return mean, cov
@@ -156,22 +155,26 @@ def mixed_state(rep: Representation, density) -> ProbeState:
     return state
 
 
+def _gram(b: np.ndarray) -> np.ndarray:
+    # every C: Re<b_a|b_c> = A A^T, A the real view of complex b; one syrk, so exactly symmetric
+    a = b.reshape(len(b), -1).view(float)
+    return a @ a.T
+
+
 def _pure_moments(rep: Representation, psi: np.ndarray):
-    # images Y_a = X_a psi, mean m and symmetrized covariance C, from
-    # Re(Y^* Y^T), of a unit vector psi: the kernel of pure states and the optimizer
+    # Y_a = X_a psi, m_a = <psi|Y_a> and V_a = Y_a - m_a psi, whose Gram is C, of a unit psi
     images = rep.images(psi)
-    bras = images.conj()
-    mean = (bras @ psi).real
-    cov = (bras @ images.T).real - mean[:, None] * mean
-    return images, mean, (cov + cov.T) / 2.0
+    mean = (images @ psi.conj()).real
+    centred = np.multiply.outer(mean, -psi)  # in V's own buffer, so no third (d, D) array
+    centred += images
+    return images, mean, centred
 
 
 def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and symmetrized covariance of the generators in a pure state,
-    read-only: the state keeps them.
+    """Mean vector and covariance of a pure state's generators, kept read-only by the state.
 
-    [C]_jk = (1/2) <X_j X_k + X_k X_j> - <X_j> <X_k>.  The trace of C equals
-    the representation's quadratic invariant minus |<X>|^2.
+    [C]_jk = (1/2) <X_j X_k + X_k X_j> - <X_j> <X_k> = Re <V_j|V_k>, one real Gram
+    of V_a = (X_a - <X_a>) psi.  Its trace is the quadratic invariant minus |<X>|^2.
     """
     if not state.is_pure:
         raise InvalidStateError("covariance_pure needs a pure state")
@@ -192,8 +195,8 @@ def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     as P^dagger (F P_s) for the eigenvectors P_s above that, d D r entries
     for a state of that rank r; the mean sums over the same eigenvectors.
     For a rank-one density matrix this reduces to :func:`covariance_pure`;
-    for the maximally mixed state it vanishes.  The kernel is symmetric
-    positive semidefinite by construction.
+    for the maximally mixed state it vanishes.  C is the real Gram of the
+    weighted elements sqrt(K_uv) <u|X_j|v>, with K_uv the kernel above.
     """
     if state.is_pure:
         raise InvalidStateError("covariance_mixed needs a density matrix")
@@ -258,14 +261,13 @@ def _pure_rank_deficient(rep: Representation) -> bool:
 def _pure_rank(state: ProbeState) -> int:
     """Numerical rank of a pure state's C without decomposing the d x d C.
 
-    With the centred images V_a = (X_a - m_a) psi, C = A A^T for the real
-    d x 2D matrix A = [Re V, Im V], so the 2D x 2D Gram A^T A has C's
-    non-zero spectrum; its rank is read at ``_inverse_trace``'s threshold.
-    The state keeps no images, so they come from one more product with the
-    stack; the report asks only where 2(D - 1) < d, every N = 1 sector.
+    C = A A^T for the d x 2D real view A of V_a = (X_a - m_a) psi (see
+    :func:`_gram`), so the 2D x 2D Gram A^T A has C's non-zero spectrum; its
+    rank is read at ``_inverse_trace``'s threshold.  The state keeps no V, so
+    it comes from one more product with the stack; the report asks only where
+    2(D - 1) < d, every N = 1 sector.
     """
-    centred = state.rep.images(state.vector) - state._moments[0][:, None] * state.vector
-    a = np.concatenate([centred.real, centred.imag], axis=1)
+    a = _pure_moments(state.rep, state.vector)[2].view(float)
     return _rank_and_condition(np.linalg.eigvalsh(a.T @ a))[0]
 
 
@@ -379,8 +381,9 @@ def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> n
     # ad(m) from the constants with j < k, or 𝗛 ad(m) 𝗛^T through a chart's rows
     j, k, l, f = structure_constants(state.rep.basis).upper
     d = state.rep.basis.dim
-    upper = np.bincount(j * d + k, f * state._moments[0][l], d * d).reshape(d, d)
-    ad = upper - upper.T
+    w = f * state._moments[0][l]
+    ad = np.bincount(np.concatenate([j * d + k, k * d + j]), np.concatenate([w, -w]), d * d)
+    ad = ad.reshape(d, d)
     return ad if gm is None else gm.hmat @ ad @ gm.hmat.T
 
 
@@ -506,7 +509,8 @@ def build_report(
 
     d = state.rep.basis.dim
     iso = casimir(state.rep) / d
-    deviation = float(np.max(np.abs(cov - iso * np.eye(d))))
+    off = cov.ravel()[1:].reshape(d - 1, d + 1)[:, :d]  # C's off-diagonal entries
+    deviation = float(max(np.abs(cov.diagonal() - iso).max(), off.max(), -off.min()))
     first = bool(np.linalg.norm(mean) < FIRST_ORDER_TOL)
     second = bool(first and deviation < SECOND_ORDER_TOL)
     flags = {

@@ -25,6 +25,7 @@ from .metrology import (
     FIRST_ORDER_TOL,
     SECOND_ORDER_TOL,
     ProbeState,
+    _gram,
     _pure_moments,
     _pure_rank_deficient,
     intrinsic_floor,
@@ -473,7 +474,8 @@ def _unit_state(rep: Representation, z: np.ndarray) -> ProbeState:
 def _moments(rep: Representation, z: np.ndarray):
     """Images Y_a = X_a psi, mean m and covariance C of psi = z / |z|."""
     dim = z.size // 2
-    return _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))
+    images, mean, centred = _pure_moments(rep, (z[:dim] + 1j * z[dim:]) / math.sqrt(z @ z))
+    return images, mean, _gram(centred)
 
 
 def _objective_and_gradient(rep: Representation, barrier: float):

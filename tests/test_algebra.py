@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_gellmann, dense_structure_constants
+from conftest import dense_gellmann, dense_structure_constants, rotated_basis
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from sunmetro import (
     GeneratorBasis,
@@ -114,6 +115,43 @@ def test_jacobi_identity(n):
         + np.einsum("ljm,mkp->jklp", f, f)
     )
     assert np.max(np.abs(jac)) < 1e-10
+
+
+def _square_structure_constants(t, n):
+    # the extraction the library replaced: one row of [X_j, X_k] for every one of
+    # the d**2 ordered pairs, the j < k rows kept afterwards
+    d = t.shape[0]
+    a, (i, p) = t.indices, np.divmod(t.tocoo().col, n)
+    left = sparse.csr_array((t.data, (a * n + i, p)), shape=(d * n, n))
+    prod = (left @ sparse.csr_array((t.data, (i, a * n + p)), shape=(n, d * n))).tocoo()
+    j, i = np.divmod(prod.row, n)
+    k, p = np.divmod(prod.col, n)
+    col = p * n + i
+    comm = sparse.csr_array(
+        (np.concatenate([prod.data, -prod.data]),
+         (np.concatenate([j * d + k, k * d + j]), np.concatenate([col, col]))),
+        shape=(d * d, n * n),
+    )
+    f = (-2j * (comm @ t.T)).tocoo()
+    key = f.row.astype(np.int64) * d + f.col
+    keep = (f.row // d < f.row % d) & (f.data.real != 0.0)
+    key, val = key[keep], f.data.real[keep]
+    order = key.argsort()
+    jk, l = np.divmod(key[order], d)
+    return (*np.divmod(jk, d), l, val[order])
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [*(gellmann_basis(n) for n in [*range(2, 13), 20, 40]), rotated_basis(3), rotated_basis(4)],
+    ids=lambda basis: f"su{basis.n}" + ("" if basis is gellmann_basis(basis.n) else "-rotated"),
+)
+def test_structure_constants_match_the_square_extraction(basis):
+    # one row per occurring pair j < k gives the d**2-row route's constants bit for bit
+    upper = algebra._extract_structure_constants(basis.coefficients, basis.n).upper
+    reference = _square_structure_constants(basis.coefficients, basis.n)
+    for got, want in zip(upper, reference, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_expand_trig_combination():

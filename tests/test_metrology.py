@@ -369,18 +369,18 @@ def _second_moment_commutators(state, gm):
     return commutators if gm is None else gm.hmat @ commutators @ gm.hmat.T
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {"kind": "tetrahedron_j2"},
-        {"kind": "noon", "N": 6},
-        {"kind": "su3_cyclic", "k": 3, "l": 3},
-        {"kind": "ghz", "n": 3, "N": 6},
-        {"kind": "ghz", "n": 4, "N": 4},
-        {"kind": "fock", "occupations": [5, 0, 0]},
-    ],
-    ids=lambda doc: doc["kind"],
-)
+# the named probes of the bound requests
+BOUND_PROBES = [
+    {"kind": "tetrahedron_j2"},
+    {"kind": "noon", "N": 6},
+    {"kind": "su3_cyclic", "k": 3, "l": 3},
+    {"kind": "ghz", "n": 3, "N": 6},
+    {"kind": "ghz", "n": 4, "N": 4},
+    {"kind": "fock", "occupations": [5, 0, 0]},
+]
+
+
+@pytest.mark.parametrize("doc", BOUND_PROBES, ids=lambda doc: doc["kind"])
 def test_saturable_matches_the_second_moment_route(doc):
     # the named probes of the bound requests reach saturable = True, which
     # random states never do; i ad(m) must give the flag S - S^T gave
@@ -400,6 +400,57 @@ def test_saturable_matches_the_second_moment_route(doc):
         flag = float(np.max(np.abs(reference))) < metrology.SATURATION_TOL
         assert saturation_check(state, gm) == flag
         assert flag == (doc["kind"] != "fock")
+
+
+def _second_moment_covariance(state):
+    # the route the real Gram replaced: ((Re Y^* Y^T - m m^T) + transpose) / 2
+    images = state.rep.images(state.vector)
+    mean = (images.conj() @ state.vector).real
+    cov = (images.conj() @ images.T).real - mean[:, None] * mean
+    return (cov + cov.T) / 2.0
+
+
+def _einsum_covariance_mixed(state):
+    # the route the real Gram replaced: the kernel contracted with both
+    # factors of matrix elements by one einsum, then symmetrized
+    lam, p = state._eigensystem
+    support = lam > metrology.SUPPORT_CUTOFF / 2.0
+    xt = p.conj().T @ state.rep.images(p[:, support])
+    lam_u, lam_v = lam[:, None], lam[support][None, :]
+    pair_sum = lam_u + lam_v
+    keep = pair_sum > metrology.SUPPORT_CUTOFF
+    kernel = np.zeros_like(pair_sum)
+    kernel[keep] = (lam_u - lam_v)[keep] ** 2 / pair_sum[keep]
+    kernel[support] /= 2.0
+    cov = np.einsum("uv,auv,buv->ab", kernel, xt, xt.conj()).real
+    return (cov + cov.T) / 2.0
+
+
+def _gram_states(mixed):
+    # random states on SIZES and the bound requests' probes, as pure states or
+    # as densities: random full-rank ones, and each probe mixed with the identity
+    rng = np.random.default_rng(17)
+    for n, particles in SIZES:
+        rep = sym_rep(n, particles)
+        for _ in range(3):
+            yield mixed_state(rep, _random_density(rep, rng)) if mixed else random_pure(rep, rng)
+    for doc in BOUND_PROBES:
+        state = build_probe(ProbeSpec.from_json(doc))
+        if mixed:
+            dim = state.rep.space_dim
+            rho = 0.75 * np.outer(state.vector, state.vector.conj()) + 0.25 * np.eye(dim) / dim
+            state = mixed_state(state.rep, rho)
+        yield state
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_covariance_is_an_exactly_symmetric_gram(mixed):
+    reference = _einsum_covariance_mixed if mixed else _second_moment_covariance
+    for state in _gram_states(mixed):
+        cov = covariance(state)[1]
+        want = reference(state)
+        assert np.max(np.abs(cov - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(cov, cov.T)
 
 
 @seed(20261018)
@@ -514,6 +565,37 @@ def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
     assert saturable == (particles > 1)
     assert held <= 1.01 * (cov.nbytes + mean.nbytes)
     assert peak <= 4 * cov.nbytes
+
+
+@pytest.mark.parametrize("particles, bound", [(1, 1.5), (2, 4.0)])
+def test_ghz_covariance_at_su40_peaks_near_its_size(particles, bound):
+    # C is the Gram of the centred images V, so besides C the moments hold
+    # only the (d, D) images and V; at N = 1 those are 40 columns wide
+    rep = make_ghz(40, particles).rep
+    state = make_ghz(40, particles, rep=rep)
+    tracemalloc.start()
+    try:
+        cov = covariance(state)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * cov.nbytes
+
+
+def test_report_on_ghz_at_su40_forms_no_second_covariance():
+    # the isotropy deviation reads C's diagonal and off-diagonal entries in
+    # place, and C's rank comes from the 80 x 80 Gram of V
+    rep = make_ghz(40, 1).rep
+    state = make_ghz(40, 1, rep=rep)
+    cov = covariance(state)[1]
+    tracemalloc.start()
+    try:
+        report = build_report(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.covariance_rank == 78 and report.unpolarized["deviation"] > 0.0
+    assert peak <= 0.5 * cov.nbytes
 
 
 def test_mixed_state_leaves_the_callers_density_writable():
