@@ -47,8 +47,8 @@ class GeneratorBasis:
         column ``i n + j`` lists the generators with an (i, j) entry.  Each
         X_a is Hermitian and traceless, and the family satisfies
         ``2 Tr(X_a X_b) = delta_ab``, the trace form scaled by
-        ``INNER_PRODUCT_SCALE``.  The dense matrices are built from T only
-        when :attr:`generators` is read.
+        ``INNER_PRODUCT_SCALE``.  T is the basis' one form: every reader
+        takes it, and no dense ``(d, n, n)`` copy is kept.
     """
 
     n: int
@@ -87,20 +87,6 @@ class GeneratorBasis:
     def dim(self) -> int:
         """Number of generators, n**2 - 1."""
         return self.n**2 - 1
-
-    @cached_property
-    def generators(self) -> np.ndarray:
-        """Read-only dense ``(d, n, n)`` array of the X_a, built from T at first use.
-
-        Only the charts and the coefficient expansions read it; it is
-        C-ordered, as their batched products round by memory order.
-        """
-        # assigned, not summed as toarray() sums, so -0.0 entries keep their sign;
-        # tocoo() lists the entries in the order of the stored data
-        mats = np.zeros((self.dim, self.n * self.n), dtype=complex)
-        mats[self.coefficients.tocoo().coords] = self.coefficients.data
-        mats.setflags(write=False)
-        return mats.reshape(self.dim, self.n, self.n)
 
     @cached_property
     def _structure_constants(self) -> StructureConstants:
@@ -216,13 +202,17 @@ def expand(element: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
     tr = abs(np.trace(h))
     if tr > ELEMENT_TOL:
         raise InvalidElementError(f"element not traceless: |trace| = {tr:.3e}")
-    coeffs = INNER_PRODUCT_SCALE * np.einsum("aij,ji->a", basis.generators, h)
-    return coeffs.real
+    # Tr(X_a H) = sum_ij X_a[i, j] H[j, i], one product of T with H^T flattened
+    return INNER_PRODUCT_SCALE * (basis.coefficients @ h.T.ravel()).real
 
 
 def from_coefficients(coeffs: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """Algebra element sum_a h_a X_a for a real coefficient vector."""
+    """Algebra element sum_a h_a X_a of a real coefficient vector, over any leading axes."""
     h = np.asarray(coeffs, dtype=float)
-    if h.shape != (basis.dim,):
+    if h.shape[-1:] != (basis.dim,):
         raise InvalidElementError(f"expected {basis.dim} coefficients, got shape {h.shape}")
-    return np.tensordot(h, basis.generators, axes=1)
+    # entry (i, j) sums h_a T[a, i n + j] down column i n + j of T, which is
+    # never empty: the span of an su(n) basis reaches every matrix unit
+    t = basis.coefficients
+    element = np.add.reduceat(h[..., t.indices] * t.data, t.indptr[:-1], axis=-1)
+    return element.reshape(*h.shape[:-1], basis.n, basis.n)

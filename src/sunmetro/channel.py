@@ -134,14 +134,13 @@ class GeneratorMatrix:
     hmat: np.ndarray
 
     def __post_init__(self):
-        hmat = np.asarray(self.hmat, dtype=float)
+        hmat = np.ascontiguousarray(self.hmat, dtype=float)
         hmat.setflags(write=False)
         object.__setattr__(self, "hmat", hmat)
 
     @cached_property
     def metric(self) -> np.ndarray:
-        g = self.hmat @ self.hmat.T
-        g = (g + g.T) / 2.0
+        g = self.hmat @ self.hmat.T  # one syrk of the C-ordered rows, so exactly symmetric
         g.setflags(write=False)
         return g
 
@@ -239,40 +238,44 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def _rows_from_elements(elements: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    # Batched expand(): one (m, n^2) x (n^2, d) product gives 2 Re Tr(X_a E_c),
-    # the trace form against E_c's Hermitian part, so E_c is not symmetrized;
-    # conj(X_a) is X_a transposed, as X_a is Hermitian
-    m, d = len(elements), basis.dim
-    rows = elements.reshape(m, -1) @ basis.generators.conj().reshape(d, -1).T
-    return INNER_PRODUCT_SCALE * rows.real
+    # Batched expand(): T times the (n^2, m) conjugated elements gives 2 Re Tr(X_a E_c)
+    # for Hermitian X_a, the trace form against E_c's Hermitian part, so E_c is not
+    # symmetrized; the elements are conjugated because conjugating T copies it
+    rows = basis.coefficients @ elements.reshape(len(elements), -1).conj().T
+    return INNER_PRODUCT_SCALE * rows.real.T
 
 
 def generators_closed_form(p: Parametrization, theta) -> GeneratorMatrix:
     """Generator rows via eigendecomposition (no numerical integration).
 
     For the exponential chart, H_j = -V (V^dagger X_j V ∘ Phi) V^dagger where
-    theta . X = V diag(lambda) V^dagger and Phi_ab = phi(i (lambda_b -
-    lambda_a)).  For product charts each factor contributes its axis
-    conjugated by the factors at and after it, with no integral left over.
-    Every step is a product over the whole (m, n, n) stack of elements, bar
-    the running product of the factors.
+    theta . X = V diag(lambda) V^dagger and Phi_pq = phi(i (lambda_q -
+    lambda_p)).  With A = T (conj(V) ⊗ V), whose row a is V^dagger X_a V
+    flattened, the rows 2 Tr(X_a H_j) are one Phi-weighted Gram,
+    -2 Re((A ∘ Phi) A^dagger).  For product charts each factor contributes
+    its axis conjugated by the factors at and after it, with no integral left
+    over.  Every step is a product over all rows at once, bar the running
+    product of the factors.
     """
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
     if p.kind == "exponential":
         vals, vecs = np.linalg.eigh(from_coefficients(t, basis))
         phi = _phi1(1j * (vals[None, :] - vals[:, None]))
-        vh = vecs.conj().T
-        elements = -(vecs @ ((vh @ basis.generators @ vecs) * phi) @ vh)
+        kron = (vecs.conj()[:, None, :, None] * vecs[None, :, None, :]).reshape(p.n**2, -1)
+        a = basis.coefficients @ kron
+        # Re(B A^dagger) is the real product of the interleaved real views
+        hmat = -INNER_PRODUCT_SCALE * ((a * phi.ravel()).view(float) @ a.view(float).T)
     else:
-        axes = np.tensordot(_factor_axes(p, basis), basis.generators, axes=1)  # (m, n, n)
+        axes = from_coefficients(_factor_axes(p, basis), basis)  # (m, n, n)
         factors = exp_hermitian(-t[:, None, None] * axes)
         suffixes = np.empty_like(factors)  # product of the factors from k on
         suffix = np.eye(p.n, dtype=complex)
         for k in range(len(axes) - 1, -1, -1):
             suffix = suffixes[k] = factors[k] @ suffix
         elements = suffixes.conj().transpose(0, 2, 1) @ axes @ suffixes
-    return GeneratorMatrix(hmat=_rows_from_elements(elements, basis))
+        hmat = _rows_from_elements(elements, basis)
+    return GeneratorMatrix(hmat=hmat)
 
 
 def generators_quadrature(p: Parametrization, theta, order: int = 32) -> GeneratorMatrix:
@@ -290,7 +293,7 @@ def generators_quadrature(p: Parametrization, theta, order: int = 32) -> Generat
 
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
-    x = basis.generators
+    x = basis.coefficients.toarray().reshape(basis.dim, p.n, p.n)
     nodes, weights = roots_legendre(order)
     betas = (nodes + 1.0) / 2.0
     weights = weights / 2.0

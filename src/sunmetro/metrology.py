@@ -209,18 +209,17 @@ def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _inverse_trace(matrix: np.ndarray, weight: np.ndarray | None = None):
-    """Tr[W M^(-1)] of a symmetric M, None when M is singular, and M's rank and
-    condition number, all from one decomposition of M.
+    """Tr[W M^(-1)] of an exactly symmetric M, None when M is singular, and M's
+    rank and condition number, all from one decomposition of M.
 
     Without a weight W is the identity and the eigenvalues alone give
     sum_i 1 / lambda_i; with one, M = V diag(lambda) V^T gives
-    sum_i (V^T W V)_ii / lambda_i.
+    sum_i (V^T W V)_ii / lambda_i.  M is read as it is, with no d x d copy.
     """
-    sym = (matrix + matrix.T) / 2.0
     if weight is None:
-        eigs = np.linalg.eigvalsh(sym)
+        eigs = np.linalg.eigvalsh(matrix)
     else:
-        eigs, vecs = np.linalg.eigh(sym)
+        eigs, vecs = np.linalg.eigh(matrix)
     rank, cond = _rank_and_condition(eigs)
     if rank < len(matrix):
         return None, rank, cond
@@ -328,7 +327,7 @@ def intrinsic_bound(cov: np.ndarray) -> float:
         direction carries no signal, so not every parameter is estimable.
     """
     c = np.asarray(cov, dtype=float)
-    value, rank, cond = _inverse_trace(c)
+    value, rank, cond = _inverse_trace((c + c.T) / 2.0)
     if value is None:
         raise _covariance_error(rank, c.shape[0], cond)
     return 0.25 * value
@@ -356,7 +355,8 @@ def weighted_bound(weight: np.ndarray, qfim_matrix: np.ndarray) -> float:
         shape, or if Tr[W Q^(-1)] overflows.
     """
     q = np.asarray(qfim_matrix, dtype=float)
-    value, rank, cond = _inverse_trace(q, _check_weight(weight, q.shape))
+    w = _check_weight(weight, q.shape)  # first: a non-square Q fails here, not in q + q.T
+    value, rank, cond = _inverse_trace((q + q.T) / 2.0, w)
     if value is None:
         raise _information_error(rank, q.shape[0], cond)
     return value
@@ -369,21 +369,32 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bo
     first-order unpolarized probe passes for every chart.  Without ``gm``
     the H_j are the basis generators themselves: the exponential chart's
     rows at the origin are -I, and the sign cancels in every product.  The
-    expectations are i :func:`_commutator_expectations`, a real matrix.
+    expectations are i :func:`_commutator_expectations`; without a chart
+    only its entries with j < k are formed, so no d x d array is.
     """
-    expectations = _commutator_expectations(state, gm)
+    expectations = _adjoint_upper(state)[1] if gm is None else _commutator_expectations(state, gm)
     return float(max(expectations.max(), -expectations.min())) < SATURATION_TOL
+
+
+def _adjoint_upper(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
+    # the index in upper of each pair j < k that has constants, and ad(m)_jk =
+    # sum_l f_jkl m_l over the pair's run of it: upper is sorted by (j, k)
+    j, k, l, f = structure_constants(state.rep.basis).upper
+    first = np.flatnonzero(np.concatenate(([True], (j[1:] != j[:-1]) | (k[1:] != k[:-1]))))
+    terms = state._moments[0][l]
+    terms *= f
+    return first, np.add.reduceat(terms, first)
 
 
 def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
     # <[H_j, H_k]> / i: every representation passed its commutator check, so
     # <[X_j, X_k]> = i sum_l f_jkl m_l = i ad(m)_jk in any state, pure or mixed;
-    # ad(m) from the constants with j < k, or 𝗛 ad(m) 𝗛^T through a chart's rows
-    j, k, l, f = structure_constants(state.rep.basis).upper
-    d = state.rep.basis.dim
-    w = f * state._moments[0][l]
-    ad = np.bincount(np.concatenate([j * d + k, k * d + j]), np.concatenate([w, -w]), d * d)
-    ad = ad.reshape(d, d)
+    # ad(m), or 𝗛 ad(m) 𝗛^T through a chart's rows
+    j, k = structure_constants(state.rep.basis).upper[:2]
+    first, entries = _adjoint_upper(state)
+    ad = np.zeros((state.rep.basis.dim,) * 2)
+    ad[j[first], k[first]] = entries
+    ad[k[first], j[first]] = -entries
     return ad if gm is None else gm.hmat @ ad @ gm.hmat.T
 
 

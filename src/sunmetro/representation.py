@@ -565,9 +565,6 @@ def _product_matrices(stack: sparse.csr_array, constants: StructureConstants):
     tj, tk, tl, f = constants.upper
     pj, pk = _pairs(d)
     npair = pj.size
-    # the pair rows hold (d - 1) nnz stack entries and |f| D constants, the
-    # invariant rows nnz entries
-    fits = (d - 1) * nnz + f.size * dim + nnz <= CHECK_BUDGET
     idx = stack.indices.dtype
     data = np.concatenate([stack.data, -stack.data, -1j * f])
     cols = np.concatenate([stack.indices, stack.indices, tl * dim], dtype=idx)
@@ -576,12 +573,10 @@ def _product_matrices(stack: sparse.csr_array, constants: StructureConstants):
     per_first = per_pair.cumsum() - per_pair + 2 * nnz
     count = (stack.indptr[1:] - stack.indptr[:-1]).reshape(d, dim)
     start = stack.indptr[:-1].reshape(d, dim)
-    if fits:
-        runs = [(0, npair + 1)]
-    else:
-        size = count.sum(axis=1)
-        runs = _runs(np.concatenate([size[pj] + size[pk] + per_pair * dim, [nnz]]))
-    for lo, hi in runs:
+    # a pair's rows hold its two generators' entries and D copies of its
+    # constants, the invariant rows nnz entries
+    size = count.sum(axis=1)
+    for lo, hi in _runs(np.concatenate([size[pj] + size[pk] + per_pair * dim, [nnz]])):
         j, k = pj[lo:hi], pk[lo:hi]
         ncomm = 3 * j.size * dim
         seg = np.empty((3, ncomm + d * dim * (hi > npair)), dtype=idx)  # length, source start, shift

@@ -94,7 +94,7 @@ def dense_gellmann(n):
 
 def rotated_basis(n):
     """An orthonormal su(n) basis in which every generator has diagonal and off-diagonal entries."""
-    x = gellmann_basis(n).generators
+    x = dense_gellmann(n)
     rotation, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((len(x), len(x))))
     return GeneratorBasis(n=n, coefficients=np.tensordot(rotation, x, axes=1).reshape(len(x), -1))
 

@@ -21,6 +21,7 @@ from sunmetro import (
     structure_constants,
 )
 from sunmetro import algebra
+from sunmetro.algebra import INNER_PRODUCT_SCALE
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -29,8 +30,13 @@ SQRT3_2 = np.sqrt(3.0) / 2.0
 GELLMANN_PERMUTATION = (0, 3, 6, 1, 4, 2, 5, 7)
 
 
+def _dense(basis):
+    # the (d, n, n) matrices the basis' map T stands for
+    return basis.coefficients.toarray().reshape(basis.dim, basis.n, basis.n)
+
+
 def test_su2_basis_is_spin_operators():
-    x = gellmann_basis(2).generators
+    x = _dense(gellmann_basis(2))
     sx = np.array([[0.0, 0.5], [0.5, 0.0]])
     sy = np.array([[0.0, -0.5j], [0.5j, 0.0]])
     sz = np.array([[0.5, 0.0], [0.0, -0.5]])
@@ -42,7 +48,7 @@ def test_su2_basis_is_spin_operators():
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_basis_orthonormal_hermitian_traceless(n):
     basis = gellmann_basis(n)
-    x = basis.generators
+    x = _dense(basis)
     d = n * n - 1
     assert basis.dim == d and x.shape == (d, n, n)
     assert np.max(np.abs(x - x.conj().transpose(0, 2, 1))) < 1e-12
@@ -83,7 +89,7 @@ def _dense_gram_deviation(x: np.ndarray) -> float:
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_basis_check_refuses_families_that_are_not_orthonormal(n):
     # the sparse Gram check reports the deviation the dense Gram has
-    x = gellmann_basis(n).generators
+    x = dense_gellmann(n)
     rng = np.random.default_rng(n)
     rotation, _ = np.linalg.qr(rng.standard_normal((len(x), len(x))))
     rotated = np.tensordot(rotation, x, axes=1)
@@ -159,7 +165,8 @@ def test_expand_trig_combination():
     psi = 0.7
     for n in (2, 3):
         basis = gellmann_basis(n)
-        h = np.sin(psi) * basis.generators[0] + np.cos(psi) * basis.generators[1]
+        x = dense_gellmann(n)
+        h = np.sin(psi) * x[0] + np.cos(psi) * x[1]
         coeffs = expand(h, basis)
         expected = np.zeros(basis.dim)
         expected[0] = np.sin(psi)
@@ -206,26 +213,43 @@ def test_basis_rejects_n_below_two():
         gellmann_basis(1)
 
 
-def test_basis_generators_read_only():
-    basis = gellmann_basis(2)
-    with pytest.raises(ValueError):
-        basis.generators[0, 0, 0] = 1.0
-
-
 @pytest.mark.parametrize("n", range(2, 9))
 def test_dense_view_matches_the_reference_build(n):
-    # the charts' batched products round by memory order, so the view is C-ordered
-    x = gellmann_basis(n).generators
-    reference = dense_gellmann(n)
-    assert x.shape == reference.shape and x.tobytes() == reference.tobytes()
-    assert x.flags.c_contiguous and not x.flags.writeable
+    # array_equal, not bytes: toarray() sums into zeros, so -0.0 entries lose their sign
+    x = gellmann_basis(n).coefficients.toarray()
+    reference = dense_gellmann(n).reshape(n * n - 1, n * n)
+    assert x.shape == reference.shape and np.array_equal(x, reference)
+
+
+EXPANSION_BASES = [*(gellmann_basis(n) for n in range(2, 9)), rotated_basis(3), rotated_basis(4)]
+
+
+@pytest.mark.parametrize(
+    "basis",
+    EXPANSION_BASES,
+    ids=lambda basis: f"su{basis.n}" + ("" if basis is gellmann_basis(basis.n) else "-rotated"),
+)
+def test_expansions_match_the_dense_contractions(basis):
+    # the column sums over T and the product with T against einsum and
+    # tensordot over the dense matrices, for single and stacked coefficients
+    x = dense_gellmann(basis.n) if basis is gellmann_basis(basis.n) else _dense(basis)
+    rng = np.random.default_rng(basis.dim)
+    coeffs = rng.uniform(-3.0, 3.0, (4, basis.dim))
+    elements = from_coefficients(coeffs, basis)
+    reference = np.tensordot(coeffs, x, axes=1)
+    assert elements.shape == reference.shape
+    assert np.max(np.abs(elements - reference)) <= 1e-14 * np.max(np.abs(reference))
+    for c, stacked, element in zip(coeffs, elements, reference):
+        assert np.array_equal(from_coefficients(c, basis), stacked)
+        want = INNER_PRODUCT_SCALE * np.einsum("aij,ji->a", x, element).real
+        assert np.max(np.abs(expand(element, basis) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(2, 1, 1), (0, 0, 1)], ids=["diagonal", "off-diagonal"])
 def test_basis_refuses_non_finite_entries(entry, value, monkeypatch):
     # each residual test is False for NaN, so the check must come before them
-    x = gellmann_basis(2).generators.copy()
+    x = dense_gellmann(2)
     x[entry] = value
 
     def no_constants(*args):
@@ -246,4 +270,4 @@ def test_basis_of_su100_keeps_only_its_sparse_map():
     finally:
         tracemalloc.stop()
     assert kept < 2**20
-    assert "generators" not in vars(basis) and "_structure_constants" not in vars(basis)
+    assert set(vars(basis)) == {"n", "coefficients"}

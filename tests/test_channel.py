@@ -1,10 +1,12 @@
 """Charts on SU(n): generator rows, metrics, quadrature oracle, singularities."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_generators, sym_rep
+from conftest import dense_gellmann, dense_generators, sym_rep
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -126,13 +128,13 @@ def test_quadrature_matches_closed_form_product_charts():
 
 
 def _reference_rows(chart, theta):
-    # the closed form term by term: three-operand einsums for the exponential
-    # chart, one exponential and one expansion per factor for product charts
-    basis = gellmann_basis(chart.n)
-    x = basis.generators
+    # the closed form term by term on the dense (d, n, n) basis: three-operand
+    # einsums conjugating back for the exponential chart, one exponential and
+    # one expansion per factor for product charts
+    x = dense_gellmann(chart.n)
     theta = np.asarray(theta, dtype=float)
     if chart.kind == "exponential":
-        vals, vecs = np.linalg.eigh(from_coefficients(theta, basis))
+        vals, vecs = np.linalg.eigh(np.tensordot(theta, x, axes=1))
         phi = channel._phi1(1j * (vals[None, :] - vals[:, None]))
         xt = np.einsum("pi,aij,jq->apq", vecs.conj().T, x, vecs)
         elements = -np.einsum("pi,aij,jq->apq", vecs, xt * phi[None, :, :], vecs.conj().T)
@@ -144,7 +146,7 @@ def _reference_rows(chart, theta):
         suffix = np.eye(chart.n, dtype=complex)
         conjugated = [None] * len(axes)
         for k in range(len(axes) - 1, -1, -1):
-            b = from_coefficients(axes[k], basis)
+            b = np.tensordot(axes[k], x, axes=1)
             suffix = exp_hermitian(-theta[k] * b) @ suffix
             conjugated[k] = suffix.conj().T @ b @ suffix
         elements = np.array(conjugated)
@@ -165,7 +167,32 @@ def test_batched_rows_match_the_term_by_term_reference(n):
         if chart.kind == "exponential":
             theta *= rng.uniform(0.1, 2.5) / np.linalg.norm(theta)
         rows = generators_closed_form(chart, theta).hmat
-        assert np.max(np.abs(rows - _reference_rows(chart, theta))) < 1e-12
+        reference = _reference_rows(chart, theta)
+        assert np.max(np.abs(rows - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("kind", ["exponential", "product_of_exponentials"])
+def test_chart_rows_leave_nothing_on_the_basis(kind):
+    # the rows read the sparse map T alone; a dense (d, n, n) copy of su(20)
+    # kept on the cached basis would be 2.4 MiB
+    n, d = 20, 399
+    rng = np.random.default_rng(20)
+    axes = rng.standard_normal((5, d))
+    chart = exponential(n) if kind == "exponential" else product_of_exponentials(n, axes)
+    theta = rng.uniform(-0.5, 0.5, chart.param_count)
+    basis = gellmann_basis(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = generators_closed_form(chart, theta).hmat
+        del rows
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 64 * 2**10
+    assert set(vars(basis)) <= {"n", "coefficients", "_structure_constants"}
 
 
 # factor angles whose exponent eigenvalue gaps fall on both sides of the cutoff

@@ -24,7 +24,6 @@ import sunmetro.cli as cli
 import sunmetro.metrology as metrology
 import sunmetro.representation as representation
 from sunmetro import (
-    GeneratorBasis,
     Parametrization,
     ProbeSpec,
     Representation,
@@ -585,21 +584,6 @@ def test_cap_refuses_before_the_basis_is_built(tmp_path, capsys, argv):
         assert rc == 1 and "symmetric(40, 1) has dimension 40 > cap 20" in captured.err
     info = gellmann_basis.cache_info()
     assert info.hits == info.misses == info.currsize == 0
-
-
-def test_check_scan_and_optimize_build_no_dense_basis(tmp_path, capsys, monkeypatch):
-    # only the charts and the coefficient expansions read the dense (d, n, n) view
-    def dense_view(basis):
-        raise AssertionError(f"the dense view of su({basis.n}) was built")
-
-    monkeypatch.setattr(GeneratorBasis, "generators", property(dense_view))
-    path = tmp_path / "ghz40.json"
-    path.write_text(json.dumps({"kind": "ghz", "n": 40, "N": 1}))
-    assert main(["check", str(path)]) == 0
-    scan = ["scan", "--n", "3", "--nmin", "2", "--nmax", "3", "--states", "ghz,optimized", "--seed", "1"]
-    assert main(scan) == 0
-    assert main(["optimize", "--n", "2", "--particles", "4", "--seed", "7"]) == 0
-    capsys.readouterr()
 
 
 def test_optimize_command(tmp_path, capsys):

@@ -40,6 +40,7 @@ from sunmetro import (
     pure_state,
     qfim,
     saturation_check,
+    structure_constants,
     unpolarized_report,
     weighted_bound,
 )
@@ -186,7 +187,8 @@ def test_inverse_trace_matches_a_cholesky_solve(size):
         q = (axes * spectrum) @ axes.T
         a = rng.standard_normal((size, size))
         w = a @ a.T + 0.1 * np.eye(size)
-        value, rank, q_cond = metrology._inverse_trace(q, w)
+        # _inverse_trace reads an exactly symmetric M, the average weighted_bound passes
+        value, rank, q_cond = metrology._inverse_trace((q + q.T) / 2.0, w)
         reference = _solve_trace(q, w)
         assert rank == size
         assert abs(q_cond - np.linalg.cond(q)) <= 1e-6 * q_cond
@@ -548,9 +550,11 @@ def test_cached_moments_are_read_only():
 @pytest.mark.parametrize("particles", [1, 2])
 def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
     # the commutator expectations are read from the mean, so the state holds
-    # its mean and C alone, and the check's peak is ad(m) and its upper
-    # triangle beside C
+    # its mean and C alone, and the chart-free check forms only arrays of the
+    # size of the structure constants, no d x d ad(m) beside C; the constants
+    # themselves are built once per basis, before the trace
     rep = make_ghz(40, particles).rep
+    structure_constants(rep.basis)
     tracemalloc.start()
     try:
         state = make_ghz(40, particles, rep=rep)
@@ -559,12 +563,12 @@ def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
         held = tracemalloc.get_traced_memory()[0] - before
         tracemalloc.reset_peak()
         saturable = saturation_check(state)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - before - held
     finally:
         tracemalloc.stop()
     assert saturable == (particles > 1)
     assert held <= 1.01 * (cov.nbytes + mean.nbytes)
-    assert peak <= 4 * cov.nbytes
+    assert peak <= 0.25 * cov.nbytes
 
 
 @pytest.mark.parametrize("particles, bound", [(1, 1.5), (2, 4.0)])
@@ -584,18 +588,20 @@ def test_ghz_covariance_at_su40_peaks_near_its_size(particles, bound):
 
 def test_report_on_ghz_at_su40_forms_no_second_covariance():
     # the isotropy deviation reads C's diagonal and off-diagonal entries in
-    # place, and C's rank comes from the 80 x 80 Gram of V
-    rep = make_ghz(40, 1).rep
-    state = make_ghz(40, 1, rep=rep)
-    cov = covariance(state)[1]
-    tracemalloc.start()
-    try:
-        report = build_report(state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.covariance_rank == 78 and report.unpolarized["deviation"] > 0.0
-    assert peak <= 0.5 * cov.nbytes
+    # place; at N = 1 C's rank comes from the 80 x 80 Gram of V, and at N = 2
+    # C itself is decomposed, as it is, without a symmetrized copy
+    for particles, rank in ((1, 78), (2, 819)):
+        rep = make_ghz(40, particles).rep
+        state = make_ghz(40, particles, rep=rep)
+        cov = covariance(state)[1]
+        tracemalloc.start()
+        try:
+            report = build_report(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.covariance_rank == rank and report.unpolarized["deviation"] > 0.0
+        assert peak <= 0.5 * cov.nbytes
 
 
 def test_mixed_state_leaves_the_callers_density_writable():

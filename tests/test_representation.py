@@ -14,6 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from conftest import (
+    dense_gellmann,
     dense_generators,
     dense_structure_constants,
     drop_held_sectors,
@@ -54,7 +55,8 @@ def dense_collective_stack(basis, particles):
     index = state_index(fock)
     mats = np.zeros((basis.dim, dim, dim), dtype=complex)
     occs = fock.occupations
-    diag = basis.generators[:, range(n), range(n)].real
+    x = basis.coefficients.toarray().reshape(basis.dim, n, n)
+    diag = x[:, range(n), range(n)].real
     mats[:, range(dim), range(dim)] = diag @ occs.T
     for s_idx, occ in enumerate(occs.tolist()):
         for j in range(n):
@@ -68,7 +70,7 @@ def dense_collective_stack(basis, particles):
                 target[i] += 1
                 t_idx = index[tuple(target)]
                 amp = np.sqrt(occ[j] * (occ[i] + 1))
-                mats[:, t_idx, s_idx] += basis.generators[:, i, j] * amp
+                mats[:, t_idx, s_idx] += x[:, i, j] * amp
     return mats
 
 
@@ -331,7 +333,7 @@ def test_held_sectors_add_up_under_concurrent_requests(monkeypatch):
 def test_reducible_stack_fails_casimir():
     basis = gellmann_basis(2)
     gens = np.zeros((3, 3, 3), dtype=complex)
-    gens[:, :2, :2] = basis.generators  # fundamental plus a trivial block
+    gens[:, :2, :2] = dense_gellmann(2)  # fundamental plus a trivial block
     with pytest.raises(NotIrreducibleError):
         Representation(basis=basis, stack=gens.reshape(9, 3), label="fundamental+trivial")
 
