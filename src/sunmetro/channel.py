@@ -134,7 +134,8 @@ class GeneratorMatrix:
     hmat: np.ndarray
 
     def __post_init__(self):
-        hmat = np.ascontiguousarray(self.hmat, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        hmat = np.array(self.hmat, dtype=float, order="C")
         hmat.setflags(write=False)
         object.__setattr__(self, "hmat", hmat)
 

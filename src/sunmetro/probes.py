@@ -9,6 +9,7 @@ occupation tuples).
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
@@ -64,6 +65,14 @@ POLISH_RCOND = 1e-8
 #: A polish stops once the residual is below this fraction of the
 #: second-order grade's tolerances.
 POLISH_MARGIN = 1e-2
+
+# The descent's fixed settings, those of scipy's L-BFGS-B: correction pairs
+# kept (maxcor), the strong-Wolfe constants of the line search (dcsrch's
+# sufficient decrease and curvature) and evaluations per search (maxls).
+_PAIRS = 10
+_DECREASE = 1e-3
+_CURVATURE = 0.9
+_SEARCH_EVALS = 20
 
 
 @dataclass(frozen=True)
@@ -281,8 +290,9 @@ class OptimizerConfig:
     """Search settings for :func:`optimize_probe`.
 
     ``seed`` is mandatory and non-negative; there is no silent time-based
-    fallback.  The search is L-BFGS-B with the analytic gradient of the
-    scale-invariant objective.
+    fallback.  Each restart is an L-BFGS descent with the analytic gradient
+    of the scale-invariant objective: ``max_iters`` bounds its steps and
+    ``tolerance`` the largest gradient component it stops at.
     """
 
     restarts: int = 20
@@ -337,17 +347,18 @@ class OptimizeResult:
     """Best probe found, its bound, and the unbeatable floor d^2/(4 c2).
 
     ``diagnostics["restarts"]`` holds one trace per restart run:
-    ``iterations`` (scipy's iteration count), ``gradient_norm`` (the largest
-    component of the final gradient of f(z / |z|), the figure L-BFGS-B
-    compares with ``tolerance``) and ``stop``: "floor" (L-BFGS-B was
+    ``iterations`` (the descent's steps), ``gradient_norm`` (the largest
+    component of the final gradient of f(z / |z|), the figure the descent
+    compares with ``tolerance``) and ``stop``: "floor" (the descent was
     stopped near the floor and the state polished to one unpolarized to
     second order, which sits on the floor and so is a global minimum; the
     restart counts as converged, is the last one run, and its iterations
-    and gradient norm are read where L-BFGS-B was stopped), "max_iters" (the iteration or evaluation limit was
-    reached; the restart counts as not converged), "tolerance" (the
-    gradient norm is below ``tolerance``), "line_search" (scipy stopped
-    before either, e.g. on a line search that found no descent) or
-    "singular" (the restart ended in the barrier region and was discarded).
+    and gradient norm are read where the descent was stopped), "max_iters"
+    (the iteration limit was reached; the restart counts as not converged),
+    "tolerance" (the gradient norm is at most ``tolerance``), "line_search"
+    (the descent stopped before either, on a line search that found no
+    lower point, even along the steepest descent) or "singular" (the
+    restart ended in the barrier region and was discarded).
     """
 
     state: ProbeState
@@ -361,21 +372,22 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     """Minimize Tr[C^(-1)] over pure states of ``rep`` from random restarts.
 
     Each restart minimizes the scale-invariant objective f(z / |z|) over
-    real-and-imaginary stacked amplitude vectors z with
-    ``scipy.optimize.minimize``: L-BFGS-B with the analytic gradient (one
-    evaluation of the moments and one ``eigh`` of C per step, and two sparse
-    products with the generator stack), stopping on a gradient below
-    ``tolerance``, after ``max_iters`` iterations or on a stalled line search.  A barrier
+    real-and-imaginary stacked amplitude vectors z by L-BFGS
+    (:func:`_lbfgs`, numpy only, with the fixed settings of scipy's
+    L-BFGS-B) with the analytic gradient: one evaluation of the moments and
+    one ``eigh`` of C per evaluation, and two sparse products with the
+    generator stack.  It stops on a gradient at most ``tolerance``, after
+    ``max_iters`` iterations or on a stalled line search.  A barrier
     replaces Tr[C^(-1)] on near-singular covariances.
 
     Tr[C^(-1)] >= d^2 / c2 for every pure state, with equality exactly when
-    the mean vanishes and C = (c2/d) I.  L-BFGS-B stops as soon as Tr[C^(-1)]
+    the mean vanishes and C = (c2/d) I.  The descent stops as soon as Tr[C^(-1)]
     comes within ``FLOOR_GAP`` of that floor, and the state is polished by
     Gauss-Newton on those two conditions.  If the polish certifies its
     result (see :func:`_polish`), the state is a global minimum: the
     restart stops as "floor" and no further restart runs.  If not, the
     restart runs again from its start without the gap test, so its result
-    is the one L-BFGS-B alone gives.
+    is the one the descent alone gives.
     Deterministic for a fixed seed and config: restarts are merged by
     objective, and of those within ``RESTART_TIE`` of each other (relative)
     the earliest wins.
@@ -393,20 +405,15 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     if _pure_rank_deficient(rep):
         # every restart would end in the barrier region
         raise _all_singular(rep, config.restarts)
-    from scipy.optimize import minimize  # local: only optimizer requests load scipy.optimize
-
     d = rep.basis.dim
     dim = rep.space_dim
     floor = intrinsic_floor(rep)
     barrier = BARRIER_CUTOFF * casimir(rep) / d
     objective, value_and_gradient = _objective_and_gradient(rep, barrier)
-    options = {"maxiter": config.max_iters, "gtol": config.tolerance, "ftol": 0.0}
-    descend = partial(minimize, value_and_gradient, method="L-BFGS-B", jac=True, options=options)
+    descend = partial(
+        _lbfgs, value_and_gradient, max_iters=config.max_iters, tolerance=config.tolerance
+    )
     gap = 4.0 * floor * (1.0 + FLOOR_GAP)
-
-    def stop_in_gap(intermediate_result):
-        if intermediate_result.fun <= gap:
-            raise StopIteration
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -415,33 +422,26 @@ def optimize_probe(rep: Representation, config: OptimizerConfig) -> OptimizeResu
     for restart in range(config.restarts):
         z0 = rng.standard_normal(2 * dim)
         z0 /= np.linalg.norm(z0)
-        res = descend(z0, callback=stop_in_gap)
-        if res.fun <= gap:
-            polished, certified = _polish(rep, res.x / np.linalg.norm(res.x))
+        z, gnorm, iterations, stop = descend(z0, gap=gap)
+        if stop == "floor":
+            polished, certified = _polish(rep, z / np.linalg.norm(z))
             if certified:
                 # on the floor, so no other restart can do better
-                gnorm = float(np.abs(res.jac).max())
-                traces.append({"iterations": int(res.nit), "gradient_norm": gnorm, "stop": "floor"})
+                traces.append({"iterations": iterations, "gradient_norm": gnorm, "stop": "floor"})
                 best = (polished, objective(polished)[0], True, restart)
                 break
             # not certified: the restart runs again as if there were no gap
-            res = descend(z0)
-        z = res.x / np.linalg.norm(res.x)
+            z, gnorm, iterations, stop = descend(z0)
+        z = z / np.linalg.norm(z)
         value, smallest = objective(z)
-        gnorm = float(np.abs(res.jac).max())
-        if res.status == 1:
-            stop = "max_iters"
-        else:
-            stop = "tolerance" if gnorm < config.tolerance else "line_search"
-        converged = stop != "max_iters"
-        trace = {"iterations": int(res.nit), "gradient_norm": gnorm, "stop": stop}
+        trace = {"iterations": iterations, "gradient_norm": gnorm, "stop": stop}
         if smallest <= barrier:
             singular_restarts += 1
             traces.append({**trace, "stop": "singular"})
             continue
         traces.append(trace)
         if best is None or value < best[1] * (1.0 - RESTART_TIE):
-            best = (z, value, converged, restart)
+            best = (z, value, stop != "max_iters", restart)
     if best is None:
         raise _all_singular(rep, config.restarts)
     z, value, converged, which = best
@@ -520,6 +520,120 @@ def _objective_and_gradient(rep: Representation, barrier: float):
         return value, (grad - (grad @ unit) * unit) / norm
 
     return objective, value_and_gradient
+
+
+def _lbfgs(value_and_gradient, z, max_iters: int, tolerance: float, gap: float = -math.inf):
+    """Minimize from z by L-BFGS (Liu and Nocedal, Math. Prog. 45, 503 (1989)).
+
+    ``value_and_gradient(z)`` returns f(z) and its gradient.  Each step runs
+    along the two-loop direction from the last ``_PAIRS`` pairs (s, y) whose
+    s^T y > eps y^T y, the first from 1 / |g| along -g and every later one
+    from 1, to a strong-Wolfe point (:func:`_wolfe_step`).  A search that
+    fails drops the pairs and tries again along -g, as L-BFGS-B does.
+
+    Returns ``(z, gradient_norm, iterations, stop)``: the last iterate, the
+    largest component of its gradient, the steps taken, and why the descent
+    stopped, tested in this order after each step: "floor" (f <= ``gap``),
+    "max_iters" (``max_iters`` steps), "tolerance" (gradient norm <=
+    ``tolerance``, also tested at the start) or "line_search" (a search
+    along -g failed; z is then the point it left).  A step is taken only
+    where f is strictly lower, so L-BFGS-B's stop on a step that does not
+    lower f is this one.
+    """
+    value, grad = value_and_gradient(z)
+    gnorm = float(np.abs(grad).max())
+    if gnorm <= tolerance:
+        return z, gnorm, 0, "tolerance"
+    pairs = deque(maxlen=_PAIRS)
+    iterations = 0
+    while True:
+        direction = _direction(grad, pairs)
+        step = 1.0 if iterations else 1.0 / np.linalg.norm(direction)
+        found = _wolfe_step(value_and_gradient, z, value, grad @ direction, direction, step)
+        if found is None:
+            if not pairs:
+                return z, gnorm, iterations, "line_search"
+            pairs.clear()
+            continue
+        s, y = found[0] - z, found[2] - grad
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y, 1.0 / (s @ y)))
+        z, value, grad = found
+        gnorm = float(np.abs(grad).max())
+        iterations += 1
+        for stop, met in (
+            ("floor", value <= gap),
+            ("max_iters", iterations >= max_iters),
+            ("tolerance", gnorm <= tolerance),
+        ):
+            if met:
+                return z, gnorm, iterations, stop
+
+
+def _direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad by the two-loop recursion, H0 = (s^T y / y^T y) I of the newest pair."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q = q - alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q = q / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - rho * (y @ q)) * s
+    return q
+
+
+def _wolfe_step(value_and_gradient, z, value, slope, direction, step):
+    """A point z + t direction that meets the strong Wolfe conditions.
+
+    Starts from t = ``step`` (``value`` and ``slope`` are f and its
+    directional derivative at t = 0), extrapolates by 4 until the minimum is
+    bracketed, then shrinks the bracket by safeguarded cubic interpolation.
+    Returns ``(point, value, gradient)``, or None when ``slope`` is not
+    negative or ``_SEARCH_EVALS`` evaluations find no such point.
+    """
+    if not slope < 0.0:
+        return None
+    lo, hi = (0.0, value, slope), None
+    for _ in range(_SEARCH_EVALS):
+        point = z + step * direction
+        f, grad = value_and_gradient(point)
+        trial = (step, f, float(grad @ direction))
+        if not f <= value + _DECREASE * step * slope or f >= lo[1]:
+            hi = trial
+        elif abs(trial[2]) <= -_CURVATURE * slope:
+            return point, f, grad
+        else:
+            if trial[2] * (step - lo[0]) >= 0.0:  # f rises beyond the trial
+                hi = lo
+            lo = trial
+        if hi is None:
+            step = 4.0 * step
+        else:
+            step = _cubic_step(lo, hi)
+            if step in (lo[0], hi[0]):  # the bracket is below rounding
+                return None
+    return None
+
+
+def _cubic_step(lo, hi) -> float:
+    """The minimizer of the cubic through the bracket's ends (t, f, f'),
+    kept within its middle 80 per cent."""
+    (a, fa, da), (b, fb, db) = lo, hi
+    width = b - a
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    frac = 0.5
+    if disc >= 0.0:
+        d2 = math.copysign(math.sqrt(disc), width)
+        denom = db - da + 2.0 * d2
+        if denom != 0.0:
+            frac = 1.0 - (db + d2 - d1) / denom
+    if not math.isfinite(frac):
+        frac = 0.5
+    return a + min(max(frac, 0.1), 0.9) * width
 
 
 def _isotropy_residual(rep: Representation):

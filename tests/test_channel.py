@@ -59,6 +59,14 @@ def test_exponential_rows_at_origin(n):
     assert not gm.hmat.flags.writeable
 
 
+def test_generator_matrix_leaves_the_callers_rows_writable():
+    h = np.eye(3)
+    gm = channel.GeneratorMatrix(h)
+    assert h.flags.writeable and not gm.hmat.flags.writeable
+    h[0, 0] = 5.0
+    assert gm.hmat[0, 0] == 1.0
+
+
 def test_euler_rows_and_metric_match_frozen_formulas():
     chart = euler_su2()
     rng = np.random.default_rng(91)

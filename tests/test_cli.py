@@ -702,7 +702,7 @@ def test_optimize_refuses_one_particle_with_the_same_line(n, capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("a restart ran")
 
-    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    monkeypatch.setattr("sunmetro.probes._lbfgs", refuse)
     assert main(["optimize", "--n", str(n), "--particles", "1", "--seed", "0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from functools import cache
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from conftest import dense_generators, random_pure, sym_rep
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
-import scipy.optimize
 from scipy.optimize import minimize
 
 from sunmetro import (
@@ -43,6 +43,7 @@ from sunmetro import probes
 from sunmetro.probes import (
     BARRIER_CUTOFF,
     _isotropy_residual,
+    _lbfgs,
     _objective_and_gradient,
     _unit_state,
 )
@@ -312,7 +313,7 @@ def test_optimizer_refuses_one_particle_before_any_restart(n, monkeypatch):
     # a pure C has rank at most 2(D - 1) = 2(n - 1) < d on sym(n, 1), so every
     # restart would end singular; none runs
     calls = []
-    monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(probes, "_lbfgs", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(OptimizationFailedError, match=rf"all 7 restarts .* of symmetric\({n}, 1\)") as err:
         optimize_probe(sym_rep(n, 1), OptimizerConfig(seed=0, restarts=7))
     assert calls == []
@@ -541,15 +542,17 @@ def test_sectors_below_the_floor_keep_their_minima(n, particles, ratio, monkeypa
     seeds = (1, 2)
     fast = [optimize_probe(rep, OptimizerConfig(seed=k)) for k in seeds]
 
-    def separate_calls(fun, x0, jac, **kwargs):
-        assert jac is True
-        return minimize(lambda z: fun(z)[0], x0, jac=lambda z: fun(z)[1], **kwargs)
+    descend = probes._lbfgs
+    calls = []
+
+    def separate_calls(fun, z0, **kwargs):
+        calls.append(z0)
+        return descend(lambda z: (fun(z)[0], fun(z)[1]), z0, **kwargs)
 
     def no_polish(rep, z):
         raise AssertionError("a restart below the floor was polished")
 
-    # optimize_probe imports minimize when it runs, so the patch goes on scipy.optimize
-    monkeypatch.setattr(scipy.optimize, "minimize", separate_calls)
+    monkeypatch.setattr(probes, "_lbfgs", separate_calls)
     monkeypatch.setattr(probes, "_polish", no_polish)
     for k, result in zip(seeds, fast):
         assert result.converged
@@ -559,6 +562,7 @@ def test_sectors_below_the_floor_keep_their_minima(n, particles, ratio, monkeypa
         assert slow.bound_achieved == result.bound_achieved
         np.testing.assert_array_equal(slow.state.vector, result.state.vector)
         assert slow.diagnostics == result.diagnostics
+    assert len(calls) == 2 * OptimizerConfig().restarts
 
 
 def test_certified_restart_ends_the_search(monkeypatch):
@@ -571,9 +575,9 @@ def test_certified_restart_ends_the_search(monkeypatch):
     assert traces[-1]["stop"] == "floor" and len(traces) < 20
     assert result.diagnostics["best_restart"] == len(traces) - 1
 
-    # a polish that does not certify leaves every restart as L-BFGS-B ends it
-    # without the gap test: with no Gauss-Newton step, the polish grades the
-    # state where L-BFGS-B stopped, which is not on the floor
+    # a polish that does not certify leaves every restart as the descent ends
+    # it without the gap test: with no Gauss-Newton step, the polish grades
+    # the state where the descent stopped, which is not on the floor
     config = OptimizerConfig(seed=1018, restarts=3)
     monkeypatch.setattr(probes, "POLISH_STEPS", 0)
     uncertified = optimize_probe(rep, config)
@@ -590,6 +594,144 @@ def test_certified_restart_ends_the_search(monkeypatch):
 # the optimize-small benchmark deck: its sectors in slot order; pass k runs
 # slot s with seed 1000 (k + 1) + s and 2 restarts
 OPTIMIZE_SMALL = [(2, p) for p in range(4, 20)] + [(3, p) for p in range(3, 10)] + [(4, 3), (4, 4)]
+
+
+def _scipy_descent(value_and_gradient, z0, max_iters, tolerance, gap=-math.inf):
+    """The reference for ``probes._lbfgs``: the descent optimize_probe used to
+    run, scipy's L-BFGS-B stopped by a callback once f is within the gap."""
+
+    def stop_in_gap(intermediate_result):
+        if intermediate_result.fun <= gap:
+            raise StopIteration
+
+    options = {"maxiter": max_iters, "gtol": tolerance, "ftol": 0.0}
+    res = minimize(
+        value_and_gradient, z0, method="L-BFGS-B", jac=True, options=options, callback=stop_in_gap
+    )
+    gnorm = float(np.abs(res.jac).max())
+    if res.fun <= gap:
+        stop = "floor"
+    elif res.status == 1:
+        stop = "max_iters"
+    else:
+        stop = "tolerance" if gnorm < tolerance else "line_search"
+    return res.x, gnorm, int(res.nit), stop
+
+
+@pytest.mark.parametrize("slot", range(len(OPTIMIZE_SMALL)))
+def test_descent_matches_scipy_lbfgsb_on_the_benchmark_deck(slot, monkeypatch):
+    rep = sym_rep(*OPTIMIZE_SMALL[slot])
+    for k in range(2):
+        config = OptimizerConfig(seed=1000 * (k + 1) + slot, restarts=2)
+        result = optimize_probe(rep, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(probes, "_lbfgs", _scipy_descent)
+            reference = optimize_probe(rep, config)
+        assert result.bound_achieved == pytest.approx(reference.bound_achieved, rel=1e-9, abs=0)
+        assert result.converged == reference.converged
+        stops = [[trace["stop"] for trace in r.diagnostics["restarts"]] for r in (result, reference)]
+        assert stops[0] == stops[1]
+
+
+def _rosenbrock(z):
+    x, y = z
+    value = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
+    return value, np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)])
+
+
+def test_descent_stops_at_max_iters():
+    z, gnorm, iterations, stop = _lbfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iters=5, tolerance=1e-12)
+    assert (iterations, stop) == (5, "max_iters")
+    assert gnorm == np.abs(_rosenbrock(z)[1]).max() > 1e-12
+    # left to run, it reaches the minimum at (1, 1)
+    z, gnorm, iterations, stop = _lbfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iters=400, tolerance=1e-8)
+    assert stop == "tolerance" and gnorm <= 1e-8 and 5 < iterations < 100
+    np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-7)
+    # a last step that also meets the tolerance stops as "max_iters", as in L-BFGS-B
+    again = _lbfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iters=iterations, tolerance=1e-8)
+    assert again[2:] == (iterations, "max_iters")
+    np.testing.assert_array_equal(again[0], z)
+
+
+def test_descent_reaches_the_tolerance_on_a_convex_quadratic():
+    rng = np.random.default_rng(5)
+    q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    a = (q * np.geomspace(1.0, 100.0, 30)) @ q.T
+    b = rng.standard_normal(30)
+
+    def quadratic(z):
+        return 0.5 * z @ a @ z - b @ z, a @ z - b
+
+    z, gnorm, iterations, stop = _lbfgs(quadratic, np.zeros(30), max_iters=400, tolerance=1e-6)
+    assert stop == "tolerance" and gnorm <= 1e-6 and gnorm == np.abs(a @ z - b).max()
+    np.testing.assert_allclose(z, np.linalg.solve(a, b), atol=1e-5)
+    # scipy's L-BFGS-B takes 71 iterations here; with 3 or 5 pairs the descent
+    # takes 78 or 75
+    options = {"maxiter": 400, "gtol": 1e-6, "ftol": 0.0}
+    reference = minimize(quadratic, np.zeros(30), method="L-BFGS-B", jac=True, options=options)
+    assert abs(iterations - reference.nit) <= 1
+    # a start already within the tolerance takes no step
+    assert _lbfgs(quadratic, z, 400, 1e-5)[2:] == (0, "tolerance")
+
+
+def test_line_search_takes_a_strong_wolfe_step_at_once():
+    # f = x^2 from x = 1 along -1: the step t reaches x = 1 - t, where the
+    # curvature condition |f'(t)| <= 0.9 |f'(0)| holds for |x| <= 0.9
+    calls = []
+
+    def square(x):
+        calls.append(x)
+        return float(x @ x), 2.0 * x
+
+    found = probes._wolfe_step(square, np.ones(1), 1.0, -2.0, -np.ones(1), 0.25)
+    assert len(calls) == 1 and found[0] == 0.75 and found[1] == 0.5625
+    calls.clear()
+    # x = -0.95 does not, so the search brackets and interpolates
+    point = probes._wolfe_step(square, np.ones(1), 1.0, -2.0, -np.ones(1), 1.95)[0]
+    assert len(calls) > 1 and abs(point[0]) <= 0.9
+    assert probes._wolfe_step(square, np.ones(1), 1.0, 2.0, np.ones(1), 1.0) is None
+
+
+def test_descent_drops_its_pairs_when_a_search_fails(monkeypatch):
+    # as in L-BFGS-B, a failed search along the two-loop direction is tried
+    # again along -g from a step of 1, and the descent goes on
+    search = probes._wolfe_step
+    searches = []
+
+    def fail_the_third(value_and_gradient, z, value, slope, direction, step):
+        searches.append((value_and_gradient(z)[1], direction, step))
+        if len(searches) == 3:
+            return None
+        return search(value_and_gradient, z, value, slope, direction, step)
+
+    monkeypatch.setattr(probes, "_wolfe_step", fail_the_third)
+    z, gnorm, iterations, stop = _lbfgs(_rosenbrock, np.array([-1.2, 1.0]), max_iters=400, tolerance=1e-8)
+    g0, d0, step0 = searches[0]
+    assert step0 == 1.0 / np.linalg.norm(g0)
+    np.testing.assert_array_equal(d0, -g0)
+    (g2, d2, _), (g3, d3, step3) = searches[2:4]
+    assert not np.allclose(d2, -g2)
+    np.testing.assert_array_equal(g3, g2)
+    np.testing.assert_array_equal(d3, -g3)
+    assert step3 == 1.0
+    assert stop == "tolerance" and iterations == len(searches) - 1
+    np.testing.assert_allclose(z, [1.0, 1.0], atol=1e-7)
+
+
+def test_descent_that_cannot_descend_stops_on_its_line_search():
+    # the gradient's sign is wrong, so no step along -g decreases f: the first
+    # search fails with no pairs to drop, and z is where it started
+    calls = []
+
+    def uphill(z):
+        calls.append(z)
+        return float(z @ z), -2.0 * z
+
+    z0 = np.array([1.0, -2.0, 0.5])
+    z, gnorm, iterations, stop = _lbfgs(uphill, z0, max_iters=400, tolerance=1e-6)
+    assert (iterations, stop) == (0, "line_search")
+    np.testing.assert_array_equal(z, z0)
+    assert gnorm == 4.0 and len(calls) == 1 + 20
 
 
 def test_polish_certificate_matches_the_second_order_grade(monkeypatch):
