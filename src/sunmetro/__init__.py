@@ -37,8 +37,6 @@ from .metrology import (
     ProbeState,
     build_report,
     covariance,
-    covariance_mixed,
-    covariance_pure,
     intrinsic_bound,
     intrinsic_floor,
     mixed_state,
@@ -69,7 +67,6 @@ from .representation import (
     casimir,
     exp_hermitian,
     fock_basis,
-    fundamental_representation,
     lift_unitary,
     symmetric_representation,
 )

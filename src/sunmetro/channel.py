@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
 
 from .algebra import INNER_PRODUCT_SCALE, GeneratorBasis, expand, from_coefficients, gellmann_basis
 from .exceptions import InvalidDimensionError, InvalidElementError
-from .representation import Representation, exp_hermitian, fundamental_representation, lift_unitary
+from .representation import Representation, exp_hermitian, lift_unitary, symmetric_sector
 
 PARAMETRIZATION_KINDS = ("exponential", "euler_su2", "product_of_exponentials")
 
@@ -191,22 +191,18 @@ def _factor_axes(p: Parametrization, basis: GeneratorBasis) -> np.ndarray:
     return np.array(p.factors, dtype=float)
 
 
-@lru_cache(maxsize=None)
-def _fundamental(n: int) -> Representation:
-    """The defining representation of su(n), built and checked once per n."""
-    return fundamental_representation(gellmann_basis(n))
-
-
 def unitary_at(p: Parametrization, theta, rep: Representation | None = None) -> np.ndarray:
-    """Evaluate U(theta), in the fundamental representation by default.
+    """Evaluate U(theta), in the defining representation by default.
 
-    Passing a collective ``rep`` lifts every factor with the representation's
+    The defining representation is the one-boson sector, read from the held
+    ``symmetric_sector(n, 1)``: its stack is the basis map itself.  Passing a
+    collective ``rep`` lifts every factor with the representation's
     generators, which commutes with taking the product.
     """
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
     if rep is None:
-        rep = _fundamental(p.n)
+        rep = symmetric_sector(p.n, 1)
     elif rep.basis.n != p.n:
         raise InvalidDimensionError(
             f"representation is for n = {rep.basis.n}, parametrization for n = {p.n}"

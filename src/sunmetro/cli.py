@@ -324,10 +324,12 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--n", type=int, required=True, help="number of modes")
     scan.add_argument("--nmin", type=int, required=True, help="first particle number")
     scan.add_argument("--nmax", type=int, required=True, help="last particle number")
+    # floor stays accepted so that existing command lines keep working
     scan.add_argument(
         "--states",
         default="ghz,floor",
-        help="comma subset of ghz,floor,optimized (default ghz,floor)",
+        help="comma subset of ghz,floor,optimized (default ghz,floor); "
+        "cs_floor is written on every row, so floor selects nothing",
     )
     scan.add_argument("--out", default=None, help="CSV path (default stdout)")
     scan.add_argument("--plot", default=None, help="also write an SVG log-log plot here")

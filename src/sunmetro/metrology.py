@@ -84,7 +84,7 @@ class ProbeState:
     @cached_property
     def _moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Mean m and covariance C, read-only, from one product with the stack:
-        F psi, or F P_s (see :func:`covariance_mixed`).  Nothing else is kept.
+        F psi, or F P_s (see :func:`covariance`).  Nothing else is kept.
         """
         if self.is_pure:
             _, mean, rows = _pure_moments(self.rep, self.vector)
@@ -107,11 +107,8 @@ class ProbeState:
         return mean, cov
 
 
-def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeState:
-    """Wrap an amplitude vector as a probe on ``rep``.
-
-    The vector must be unit norm within 1e-12 unless ``normalize`` is set.
-    """
+def pure_state(rep: Representation, vector) -> ProbeState:
+    """Wrap an amplitude vector, unit norm within 1e-12, as a probe on ``rep``."""
     v = np.asarray(vector, dtype=complex).reshape(-1)
     if v.shape != (rep.space_dim,):
         raise InvalidStateError(
@@ -119,19 +116,9 @@ def pure_state(rep: Representation, vector, normalize: bool = False) -> ProbeSta
         )
     if not np.all(np.isfinite(v.view(float))):
         raise InvalidStateError("amplitudes must be finite")
-    if normalize:
-        peak = float(np.max(np.abs(v.view(float)), initial=0.0))
-        if peak == 0.0:
-            raise InvalidStateError("cannot normalize the zero vector")
-        # scaling by a power of two near the largest entry is exact, so the
-        # norm neither overflows nor underflows and the result is unchanged
-        # wherever it did neither before
-        v = np.ldexp(v.view(float), -np.frexp(peak)[1]).view(complex)
-        v = v / np.linalg.norm(v)
-    else:
-        norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
-            raise InvalidStateError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > 1e-12:
+        raise InvalidStateError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
     return ProbeState(rep=rep, vector=v)
 
 
@@ -170,21 +157,15 @@ def _pure_moments(rep: Representation, psi: np.ndarray):
     return images, mean, centred
 
 
-def covariance_pure(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of a pure state's generators, kept read-only by the state.
+def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance of a pure or mixed state, read-only and computed once:
+    the state keeps them.
 
-    [C]_jk = (1/2) <X_j X_k + X_k X_j> - <X_j> <X_k> = Re <V_j|V_k>, one real Gram
-    of V_a = (X_a - <X_a>) psi.  Its trace is the quadratic invariant minus |<X>|^2.
-    """
-    if not state.is_pure:
-        raise InvalidStateError("covariance_pure needs a pure state")
-    return state._moments
+    For a pure state, [C]_jk = (1/2) <X_j X_k + X_k X_j> - <X_j> <X_k> = Re <V_j|V_k>,
+    one real Gram of V_a = (X_a - <X_a>) psi.  Its trace is the quadratic
+    invariant minus |<X>|^2.
 
-
-def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance kernel of a mixed state, read-only: the state keeps them.
-
-    In the eigenbasis rho = sum_u lambda_u |u><u|,
+    For a mixed state, in the eigenbasis rho = sum_u lambda_u |u><u|,
 
         [C]_jk = (1/2) sum_uv ((lambda_u - lambda_v)^2 / (lambda_u + lambda_v))
                  <u|X_j|v><v|X_k|u>,
@@ -194,17 +175,10 @@ def covariance_mixed(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     ``SUPPORT_CUTOFF / 2``, so the matrix elements are read from the stack F
     as P^dagger (F P_s) for the eigenvectors P_s above that, d D r entries
     for a state of that rank r; the mean sums over the same eigenvectors.
-    For a rank-one density matrix this reduces to :func:`covariance_pure`;
-    for the maximally mixed state it vanishes.  C is the real Gram of the
-    weighted elements sqrt(K_uv) <u|X_j|v>, with K_uv the kernel above.
+    For a rank-one density matrix this reduces to the pure-state C; for the
+    maximally mixed state it vanishes.  C is the real Gram of the weighted
+    elements sqrt(K_uv) <u|X_j|v>, with K_uv the kernel above.
     """
-    if state.is_pure:
-        raise InvalidStateError("covariance_mixed needs a density matrix")
-    return state._moments
-
-
-def covariance(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of a pure or mixed state, read-only and computed once."""
     return state._moments
 
 
@@ -369,8 +343,8 @@ def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bo
     first-order unpolarized probe passes for every chart.  Without ``gm``
     the H_j are the basis generators themselves: the exponential chart's
     rows at the origin are -I, and the sign cancels in every product.  The
-    expectations are i :func:`_commutator_expectations`; without a chart
-    only its entries with j < k are formed, so no d x d array is.
+    expectations are i ad(m)_jk (see :func:`_commutator_expectations`); without
+    a chart only the entries with j < k are formed, so no d x d array is.
     """
     expectations = _adjoint_upper(state)[1] if gm is None else _commutator_expectations(state, gm)
     return float(max(expectations.max(), -expectations.min())) < SATURATION_TOL
@@ -386,16 +360,16 @@ def _adjoint_upper(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
     return first, np.add.reduceat(terms, first)
 
 
-def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix | None) -> np.ndarray:
-    # <[H_j, H_k]> / i: every representation passed its commutator check, so
-    # <[X_j, X_k]> = i sum_l f_jkl m_l = i ad(m)_jk in any state, pure or mixed;
-    # ad(m), or 𝗛 ad(m) 𝗛^T through a chart's rows
+def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix) -> np.ndarray:
+    # <[H_j, H_k]> / i through a chart's rows: every representation passed its
+    # commutator check, so <[X_j, X_k]> = i sum_l f_jkl m_l = i ad(m)_jk in any
+    # state, pure or mixed, and the chart gives 𝗛 ad(m) 𝗛^T
     j, k = structure_constants(state.rep.basis).upper[:2]
     first, entries = _adjoint_upper(state)
     ad = np.zeros((state.rep.basis.dim,) * 2)
     ad[j[first], k[first]] = entries
     ad[k[first], j[first]] = -entries
-    return ad if gm is None else gm.hmat @ ad @ gm.hmat.T
+    return gm.hmat @ ad @ gm.hmat.T
 
 
 def unpolarized_report(state: ProbeState) -> dict:

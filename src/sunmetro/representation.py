@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -165,7 +165,9 @@ class Representation:
         ``(a + 1) * D - 1`` hold X_a^(R).  It is the only form of the
         generators a representation keeps.
     label : str
-        Either ``"fundamental"`` or ``"symmetric(n, 𝒩)"``.
+        ``"symmetric(n, 𝒩)"`` for a collective representation, else the name
+        given to the constructor.  The defining representation is the
+        one-boson sector ``"symmetric(n, 1)"``.
     fock : FockBasis or None
         Occupation basis for collective representations, None otherwise.
     """
@@ -204,12 +206,6 @@ class Representation:
     @cached_property
     def _transposed(self) -> sparse.csc_array:
         return self.stack.T  # a view: it shares the stack's arrays
-
-
-def fundamental_representation(basis: GeneratorBasis) -> Representation:
-    """The defining representation: the basis acting on C^n itself."""
-    stack = basis.coefficients.reshape((basis.dim * basis.n, basis.n))
-    return Representation(basis=basis, stack=stack, label="fundamental")
 
 
 def symmetric_representation(
@@ -548,7 +544,7 @@ def _merged_residuals(stack: sparse.csr_array, constants: StructureConstants):
     return comm, pair, *divmod(keys, dim), sums
 
 
-def _product_matrices(stack: sparse.csr_array, constants: StructureConstants):
+def _product_matrices(stack: sparse.csr_array, constants: StructureConstants, pj, pk):
     """The matrix Z of :func:`_product_residuals` in CSR form, a run of rows at a time.
 
     Each row of Z is a run of segments; a segment copies a run of source
@@ -557,13 +553,13 @@ def _product_matrices(stack: sparse.csr_array, constants: StructureConstants):
     segments, each invariant row d.  Yields (lo, pairs, z): z holds the rows
     of the pairs lo to lo + pairs - 1 and, in the last run, the invariant
     rows after them.  A run takes about ``CHECK_BUDGET`` entries of Z, and Z
-    is one run when it fits.  Indices are in the stack's integer type.
+    is one run when it fits.  Indices are in the stack's integer type.  The
+    pairs j < k are (pj, pk), in (j, k) order.
     """
     dim = stack.shape[1]
     d = stack.shape[0] // dim
     nnz = stack.nnz
     tj, tk, tl, f = constants.upper
-    pj, pk = _pairs(d)
     npair = pj.size
     idx = stack.indices.dtype
     data = np.concatenate([stack.data, -stack.data, -1j * f])
@@ -614,9 +610,9 @@ def _product_residuals(stack: sparse.csr_array, constants: StructureConstants):
     be in one product.  Returns what :func:`_merged_residuals` returns.
     """
     dim = stack.shape[1]
-    pj, pk = _pairs(stack.shape[0] // dim)
+    pj, pk = np.triu_indices(stack.shape[0] // dim, 1)
     comm, pair = 0.0, None
-    for lo, pairs, z in _product_matrices(stack, constants):
+    for lo, pairs, z in _product_matrices(stack, constants, pj, pk):
         prod = z @ stack
         split = prod.indptr[pairs * dim]
         if split:
@@ -627,15 +623,6 @@ def _product_residuals(stack: sparse.csr_array, constants: StructureConstants):
                 comm, pair = resid[at], (int(pj[p]), int(pk[p]))
     inv_row = np.arange(dim).repeat(np.diff(prod.indptr[pairs * dim :]))
     return comm, pair, inv_row, prod.indices[split:], prod.data[split:]
-
-
-@lru_cache(maxsize=None)
-def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
-    # the pairs j < k of d generators in (j, k) order
-    pj, pk = np.triu_indices(d, 1)
-    pj.setflags(write=False)
-    pk.setflags(write=False)
-    return pj, pk
 
 
 def _choose_kernel(stack: sparse.csr_array):

@@ -6,13 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_gellmann, dense_generators, sym_rep
+from conftest import dense_gellmann, dense_generators, drop_held_sectors, sym_rep
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import roots_legendre
 
 import sunmetro.channel as channel
+import sunmetro.representation as representation
 
 from sunmetro import (
     InvalidDimensionError,
@@ -24,13 +25,13 @@ from sunmetro import (
     exponential,
     exponential_coordinates,
     from_coefficients,
-    fundamental_representation,
     gellmann_basis,
     generators_closed_form,
     generators_quadrature,
     metric_at,
     product_of_exponentials,
     singularity_report,
+    symmetric_representation,
     unitary_at,
 )
 from sunmetro.algebra import INNER_PRODUCT_SCALE
@@ -405,25 +406,31 @@ def test_unitary_at_lifted():
 
 
 def test_unitary_at_builds_the_fundamental_representation_once(monkeypatch):
+    # without a rep, unitary_at lifts with the held one-boson sector: the first
+    # call for an n builds it, later ones build no sector
     built = []
+    build = representation.symmetric_representation
 
-    def counting(basis):
-        built.append(basis.n)
-        return fundamental_representation(basis)
+    def counting(basis, particles, **kwargs):
+        built.append((basis.n, particles))
+        return build(basis, particles, **kwargs)
 
     charts = [euler_su2(), exponential(2), exponential(3), product_of_exponentials(3, np.eye(8)[:3])]
     rng = np.random.default_rng(12)
     points = [(chart, rng.uniform(-1.0, 1.0, chart.param_count)) for chart in charts for _ in range(5)]
-    channel._fundamental.cache_clear()
-    monkeypatch.setattr(channel, "fundamental_representation", counting)
+    drop_held_sectors()
+    monkeypatch.setattr(representation, "symmetric_representation", counting)
     try:
-        cached = [unitary_at(chart, theta) for chart, theta in points]
+        first = [unitary_at(chart, theta) for chart, theta in points]
+        assert sorted(built) == [(2, 1), (3, 1)]
+        again = [unitary_at(chart, theta) for chart, theta in points]
+        assert sorted(built) == [(2, 1), (3, 1)]
     finally:
-        channel._fundamental.cache_clear()
-    assert sorted(built) == [2, 3]
-    for (chart, theta), u in zip(points, cached):
-        uncached = unitary_at(chart, theta, rep=fundamental_representation(gellmann_basis(chart.n)))
-        assert np.array_equal(u, uncached)
+        drop_held_sectors()
+    for (chart, theta), u, v in zip(points, first, again):
+        sector = symmetric_representation(gellmann_basis(chart.n), 1)
+        reference = unitary_at(chart, theta, rep=sector).tobytes()
+        assert u.tobytes() == reference and v.tobytes() == reference
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -425,6 +425,15 @@ def test_scan_optimized_row_within_bracket(files, tmp_path, capsys):
     assert ghz >= floor
 
 
+@pytest.mark.parametrize("states", [["ghz"], ["optimized", "--seed", "1"]], ids=["ghz", "optimized"])
+def test_scan_writes_the_floor_whatever_states_select(capsys, states):
+    # cs_floor is written on every row, so floor in --states selects nothing
+    assert main(["scan", "--n", "2", "--nmin", "2", "--nmax", "3", "--states", *states]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["cs_floor"] for row in rows] == ["1.125", "0.6"]
+    assert [row["casimir"] for row in rows] == ["2", "3.75"]
+
+
 def test_scan_cap_marks_skipped_rows(capsys):
     rc = main(["scan", "--n", "3", "--nmin", "1", "--nmax", "3", "--cap", "5"])
     out = capsys.readouterr().out

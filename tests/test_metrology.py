@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import sunmetro.metrology as metrology
 from sunmetro import (
+    GeneratorMatrix,
     InvalidElementError,
     InvalidStateError,
     ProbeSpec,
@@ -24,12 +25,8 @@ from sunmetro import (
     build_report,
     casimir,
     covariance,
-    covariance_mixed,
-    covariance_pure,
     euler_su2,
     exponential,
-    fundamental_representation,
-    gellmann_basis,
     generators_closed_form,
     intrinsic_bound,
     make_fock,
@@ -54,7 +51,7 @@ def stretched(sym24):
 
 
 def test_stretched_state_covariance(stretched):
-    mean, cov = covariance_pure(stretched)
+    mean, cov = covariance(stretched)
     np.testing.assert_allclose(mean, [0.0, 0.0, 2.0], atol=1e-12)
     np.testing.assert_allclose(cov, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
@@ -240,7 +237,7 @@ def test_intrinsic_bound_singular_diagnostics(stretched):
 
 
 def test_mixed_qubit_dephased_covariance():
-    fund = fundamental_representation(gellmann_basis(2))
+    fund = sym_rep(2, 1)
     state = mixed_state(fund, np.diag([0.8, 0.2]))
     mean, cov = covariance(state)
     np.testing.assert_allclose(mean, [0.0, 0.0, 0.3], atol=1e-12)
@@ -255,8 +252,8 @@ def test_rank_one_density_matches_pure():
     for _ in range(10):
         state = random_pure(rep, rng)
         rho = np.outer(state.vector, state.vector.conj())
-        mean_p, cov_p = covariance_pure(state)
-        mean_m, cov_m = covariance_mixed(mixed_state(rep, rho))
+        mean_p, cov_p = covariance(state)
+        mean_m, cov_m = covariance(mixed_state(rep, rho))
         assert np.max(np.abs(cov_m - cov_p)) < 1e-10
         assert np.max(np.abs(mean_m - mean_p)) < 1e-10
 
@@ -286,7 +283,7 @@ def test_mixed_kernel_symmetric_psd():
 
 
 def _dense_covariance_mixed(state, support_cutoff=metrology.SUPPORT_CUTOFF):
-    # the dense (d, D, D) route covariance_mixed replaced
+    # the dense (d, D, D) route the mixed-state kernel of covariance replaced
     g = dense_generators(state.rep)
     rho = state.density
     mean = np.einsum("ij,aji->a", rho, g).real
@@ -322,7 +319,7 @@ def test_mixed_covariance_matches_dense_route(n, particles):
     for _ in range(3):
         state = mixed_state(rep, _random_density(rep, rng))
         assert np.linalg.eigvalsh(state.density)[0] > 1e-6  # full rank
-        mean, cov = covariance_mixed(state)
+        mean, cov = covariance(state)
         mean_ref, cov_ref = _dense_covariance_mixed(state)
         assert np.max(np.abs(mean - mean_ref)) < 1e-12
         assert np.max(np.abs(cov - cov_ref)) < 1e-12
@@ -345,18 +342,22 @@ def test_commutator_expectations_match_dense_route(n, particles):
 
 @pytest.mark.parametrize("n, particles", SIZES)
 def test_chart_free_saturation_matches_the_origin_chart(n, particles):
-    # without a chart the images are X_a u; the exponential chart's rows at
-    # the origin, -I up to rounding, only flip their sign
+    # without a chart the images are X_a u, the rows of the identity chart;
+    # the exponential chart's rows at the origin, -I up to rounding, only flip
+    # their sign
     rep = sym_rep(n, particles)
     rng = np.random.default_rng(300 * n + particles)
+    identity = GeneratorMatrix(np.eye(rep.basis.dim))
     origin = generators_closed_form(exponential(n), np.zeros(n * n - 1))
     states = [mixed_state(rep, _random_density(rep, rng)) for _ in range(3)]
     states += [random_pure(rep, rng), mixed_state(rep, np.eye(rep.space_dim) / rep.space_dim)]
     outcomes = set()
     for state in states:
-        free = metrology._commutator_expectations(state, None)
+        free = metrology._commutator_expectations(state, identity)
         charted = metrology._commutator_expectations(state, origin)
         assert np.max(np.abs(free - charted)) < 1e-12
+        # the chart-free check reads the pairs j < k of the same ad(m)
+        assert np.max(np.abs(metrology._adjoint_upper(state)[1])) == np.max(np.abs(free))
         outcomes.add(saturation_check(state))
         assert saturation_check(state) == saturation_check(state, origin)
     assert outcomes == {True, False}
@@ -395,9 +396,10 @@ def test_saturable_matches_the_second_moment_route(doc):
         generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, d)),
         generators_closed_form(product_of_exponentials(n, axes), rng.uniform(-0.5, 0.5, d)),
     ]
+    identity = GeneratorMatrix(np.eye(d))  # the chart-free rows
     for gm in [None, *charts]:
         reference = _second_moment_commutators(state, gm)
-        expectations = 1j * metrology._commutator_expectations(state, gm)
+        expectations = 1j * metrology._commutator_expectations(state, identity if gm is None else gm)
         assert np.max(np.abs(expectations - reference)) <= 1e-12
         flag = float(np.max(np.abs(reference))) < metrology.SATURATION_TOL
         assert saturation_check(state, gm) == flag
@@ -464,8 +466,8 @@ def test_rank_one_mixed_state_reproduces_pure_hypothesis(size, draw):
     rng = np.random.default_rng(draw)
     pure = random_pure(rep, rng)
     mixed = mixed_state(rep, np.outer(pure.vector, pure.vector.conj()))
-    mean_p, cov_p = covariance_pure(pure)
-    mean_m, cov_m = covariance_mixed(mixed)
+    mean_p, cov_p = covariance(pure)
+    mean_m, cov_m = covariance(mixed)
     assert np.max(np.abs(mean_m - mean_p)) < 1e-10
     assert np.max(np.abs(cov_m - cov_p)) < 1e-10
     gm = generators_closed_form(exponential(n), rng.uniform(-1.0, 1.0, n * n - 1))
@@ -625,22 +627,6 @@ def test_pure_state_does_not_follow_later_edits_of_its_vector():
     np.testing.assert_array_equal(covariance(pure_state(rep, state.vector))[0], mean)
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e-170, 5e-324])
-def test_normalize_survives_overflow_and_underflow(scale):
-    # the plain norm overflows to inf at 1e300 and underflows to 0 at 1e-170
-    rep = sym_rep(2, 1)
-    state = pure_state(rep, [scale, scale], normalize=True)
-    np.testing.assert_allclose(state.vector, np.array([1.0, 1.0]) / np.sqrt(2.0), rtol=0, atol=1e-15)
-
-
-def test_normalize_keeps_every_bit_where_the_norm_is_finite():
-    rep = sym_rep(3, 3)
-    rng = np.random.default_rng(17)
-    for exponent in (-150, -3, 0, 5, 150):
-        v = (rng.standard_normal(10) + 1j * rng.standard_normal(10)) * 10.0**exponent
-        assert np.array_equal(pure_state(rep, v, normalize=True).vector, v / np.linalg.norm(v))
-
-
 def test_state_validation():
     rep = sym_rep(2, 3)
     with pytest.raises(InvalidStateError):
@@ -648,11 +634,9 @@ def test_state_validation():
     with pytest.raises(InvalidStateError):
         pure_state(rep, np.ones(4))  # not normalized
     with pytest.raises(InvalidStateError):
-        pure_state(rep, np.zeros(4), normalize=True)
+        pure_state(rep, np.zeros(4))
     with pytest.raises(InvalidStateError):
         pure_state(rep, [np.nan, 0, 0, 0])
-    renormalized = pure_state(rep, np.ones(4), normalize=True)
-    assert abs(np.linalg.norm(renormalized.vector) - 1.0) < 1e-12
     with pytest.raises(InvalidStateError):
         mixed_state(rep, np.eye(4))  # trace 4
     with pytest.raises(InvalidStateError):
@@ -663,11 +647,6 @@ def test_state_validation():
         mixed_state(rep, bad)
     with pytest.raises(InvalidStateError):
         ProbeState(rep=rep)
-    state = random_pure(rep, np.random.default_rng(0))
-    with pytest.raises(InvalidStateError):
-        covariance_mixed(state)
-    with pytest.raises(InvalidStateError):
-        covariance_pure(mixed_state(rep, np.eye(4) / 4.0))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -699,7 +678,7 @@ def test_saturation_conditions(tetrahedron, stretched):
     assert saturation_check(ghz, chart3)  # vanishing mean suffices in any chart
     regular = generators_closed_form(euler_su2(), [0.3, 1.1, -0.4])
     assert not saturation_check(stretched, regular)
-    fund = fundamental_representation(gellmann_basis(2))
+    fund = sym_rep(2, 1)
     up = pure_state(fund, [1.0, 0.0])
     assert not saturation_check(up, origin2)
 

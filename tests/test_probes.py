@@ -19,13 +19,12 @@ from sunmetro import (
     OptimizationFailedError,
     OptimizerConfig,
     ProbeSpec,
+    Representation,
     build_probe,
     build_report,
     canonical_phase,
     casimir,
     covariance,
-    covariance_pure,
-    fundamental_representation,
     gellmann_basis,
     intrinsic_bound,
     lift_unitary,
@@ -70,8 +69,11 @@ def test_ghz_reuses_given_representation():
     np.testing.assert_array_equal(state.vector, make_ghz(3, 9).vector)
     with pytest.raises(InvalidStateError):
         make_ghz(3, 8, rep=rep)
+    # the defining representation built by hand carries no Fock basis to place amplitudes by
+    basis = gellmann_basis(2)
+    defining = Representation(basis, basis.coefficients.reshape((basis.dim * 2, 2)))
     with pytest.raises(InvalidStateError):
-        make_ghz(2, 1, rep=fundamental_representation(gellmann_basis(2)))
+        make_ghz(2, 1, rep=defining)
 
 
 @pytest.mark.parametrize("n,particles", [(2, 2), (2, 5), (3, 2), (3, 7), (4, 3)])
@@ -114,7 +116,7 @@ def test_covariance_pure_is_the_optimizer_kernel(n, particles):
         z = rng.standard_normal(2 * dim) * rng.uniform(0.5, 3.0)
         _, mean, cov = probes._moments(rep, z)
         psi = (z[:dim] + 1j * z[dim:]) / np.sqrt(z @ z)
-        got_mean, got_cov = covariance_pure(pure_state(rep, psi))
+        got_mean, got_cov = covariance(pure_state(rep, psi))
         assert np.array_equal(got_mean, mean) and np.array_equal(got_cov, cov)
 
 
@@ -302,7 +304,7 @@ def test_optimizer_requires_seed(sym24):
 
 
 def test_optimizer_fails_on_fundamental():
-    fund = fundamental_representation(gellmann_basis(2))
+    fund = sym_rep(2, 1)
     with pytest.raises(OptimizationFailedError) as err:
         optimize_probe(fund, OptimizerConfig(seed=0, restarts=3, max_iters=50))
     assert err.value.diagnostics["singular_restarts"] == 3
@@ -780,7 +782,8 @@ def test_bound_and_grade_are_su_n_invariant_hypothesis(which, draw):
     state = _invariance_states()[which]
     rep = state.rep
     h = np.random.default_rng(draw).uniform(-np.pi, np.pi, rep.basis.dim)
-    moved = pure_state(rep, lift_unitary(rep, h) @ state.vector, normalize=True)
+    moved = lift_unitary(rep, h) @ state.vector
+    moved = pure_state(rep, moved / np.linalg.norm(moved))
     before, after = build_report(state), build_report(moved)
     assert after.intrinsic_bound == pytest.approx(before.intrinsic_bound, rel=1e-9)
     assert after.unpolarized["second_order"] == before.unpolarized["second_order"]

@@ -34,7 +34,6 @@ from sunmetro import (
     casimir,
     exp_hermitian,
     fock_basis,
-    fundamental_representation,
     gellmann_basis,
     lift_unitary,
     structure_constants,
@@ -88,11 +87,14 @@ def test_fock_basis_rejects_bad_sizes(modes, particles):
         fock_basis(modes, particles)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_one_particle_sector_is_fundamental(n):
-    rep = sym_rep(n, 1)
-    fund = fundamental_representation(gellmann_basis(n))
-    assert np.max(np.abs(dense_generators(rep) - dense_generators(fund))) < 1e-12
+    # one boson in n modes is C^n itself: X_a^(R) = X_a, so the sector's stack
+    # is the basis map T with row a read as the (n, n) block of X_a
+    for basis in (gellmann_basis(n), rotated_basis(n)):
+        stack = symmetric_representation(basis, 1).stack
+        defining = basis.coefficients.reshape((basis.dim * n, n))
+        assert np.array_equal(stack.toarray(), defining.toarray())
 
 
 def test_su2_diagonal_generator_spectrum(sym24):
@@ -103,7 +105,7 @@ def test_su2_diagonal_generator_spectrum(sym24):
 
 
 def test_casimir_frozen_values(sym24, sym39):
-    fund = fundamental_representation(gellmann_basis(2))
+    fund = sym_rep(2, 1)
     assert abs(casimir(fund) - 0.75) < 1e-8
     assert abs(casimir(sym24) - 6.0) < 1e-8  # J(J+1) at J = 2
     assert abs(casimir(sym39) - 36.0) < 1e-8
@@ -146,7 +148,7 @@ def _two_particle_symmetrizer(n, fock):
 @pytest.mark.parametrize("n", [2, 3])
 def test_two_particle_lift_matches_tensor_square(n):
     rep = sym_rep(n, 2)
-    fund = fundamental_representation(gellmann_basis(n))
+    fund = sym_rep(n, 1)
     s = _two_particle_symmetrizer(n, rep.fock)
     rng = np.random.default_rng(5 + n)
     for _ in range(5):
@@ -167,7 +169,7 @@ def test_sector_conserves_particle_number(n, particles):
 
 
 def test_lift_unitary_diagonal_phase():
-    fund = fundamental_representation(gellmann_basis(2))
+    fund = sym_rep(2, 1)
     u = lift_unitary(fund, np.array([0.0, 0.0, np.pi]))
     np.testing.assert_allclose(u, np.diag([np.exp(0.5j * np.pi), np.exp(-0.5j * np.pi)]), atol=1e-12)
 
@@ -352,7 +354,7 @@ def test_representation_rejects_non_hermitian_stack():
     "build, kernel",
     [
         (lambda: sym_rep(2, 3), representation._product_residuals),
-        (lambda: fundamental_representation(gellmann_basis(3)), representation._merged_residuals),
+        (lambda: sym_rep(3, 1), representation._merged_residuals),
     ],
     ids=["sym(2,3)", "fundamental(3)"],
 )
