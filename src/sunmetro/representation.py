@@ -20,16 +20,14 @@ sqrt(n_j (n_i + 1)), so it has O(n**2 D) non-zeros out of D**2.  The d
 collective generators are therefore stored as one sparse stack: a CSR matrix
 of shape (d D, D) whose a-th block of D rows is X_a^(R).
 
-Every stack is checked when a representation is built: finite entries,
-Hermiticity, the full commutator table and a scalar quadratic invariant.  The
-last two come from sparse products Z F, whose rows are
-[X_j, X_k] - i f_jkl X_l for every pair and sum_a X_a X_a, where the
-generators couple densely; where they do not (large n, few particles) they
-come from the grouped terms of the Gram product F F^dagger, which are then
-fewer.  Either kernel works through its output rows in runs of about
-``CHECK_BUDGET`` terms, and the Hermiticity check through runs of
-generators, so their memory stays a few times the stack's at any size; a Z
-that fits the budget is one product.
+Every stack is checked when a representation is built (see
+:func:`_construction_checks`).  In the occupation basis the image rho(E_pq)
+of each matrix unit is a weighted partial permutation of the states, so the
+check reads the images from the stack as tables and tests, entry by entry,
+adjointness, [rho(s), rho(y)] = rho([s, y]) for s = E_0j and the diagonal
+units, which bound every commutator through one Jacobi step, and a scalar
+quadratic invariant, in about n times the stack's entries and with no
+structure constants.  A stack not in occupation form is refused.
 
 :func:`symmetric_representation` builds and checks a new stack on every
 call.  :func:`symmetric_sector`, which the probes and ``optimize`` build
@@ -45,25 +43,20 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
 from scipy import sparse
 
-from .algebra import GeneratorBasis, StructureConstants, gellmann_basis, structure_constants
+from .algebra import GeneratorBasis, gellmann_basis
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
 #: Default guard on the representation dimension; raise above this.  The
-#: sparse stack holds O(n**2 D) entries.  Its construction checks form the
-#: product matrix Z, about (d - 1) nnz = O(n**4 D) entries, or the
-#: sum_m L_m**2 <= O(n**4 D) Gram terms (L_m the entries in column m),
-#: whichever is fewer, but hold only a run of about ``CHECK_BUDGET`` of them
-#: at a time (or one pair's rows, or one state row's terms, if that is more).
-#: A lifted unitary is one dense D x D matrix, and a mixed state of rank r
-#: holds its generator matrix elements as d D r complex entries.  The
-#: sectors :func:`symmetric_sector` holds have dimensions summing to at most
-#: this.
+#: sparse stack holds O(n**2 D) entries, and its checks tables of (n**2 + n)
+#: (D + 1).  A lifted unitary is one dense D x D matrix, and a mixed state of
+#: rank r holds d D r complex generator matrix elements.  The sectors
+#: :func:`symmetric_sector` holds have dimensions summing to at most this.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.
@@ -74,15 +67,6 @@ HERMITIAN_RTOL = 1e-12
 
 #: Relative tolerance for the commutator table of a collective representation.
 COMMUTATOR_RTOL = 1e-10
-
-#: Term budget of the construction checks.  The residual kernels build the
-#: product matrix Z, or the Gram terms, over runs of output rows of about this
-#: many entries each, and the Hermiticity check merges runs of generators of
-#: about this many terms, so that their memory stays a few times the stack's;
-#: a Z that fits is one product.  2**14 keeps every sector up to sym(4, 4) (a Z of
-#: 11475 entries) in one product, and a run's arrays near 1 MB.
-CHECK_BUDGET = 2**14
-
 
 @dataclass(frozen=True)
 class FockBasis:
@@ -152,9 +136,10 @@ class Representation:
     """A concrete unitary representation of the generator basis.
 
     The constructor takes the stack in any form ``scipy.sparse.csr_array``
-    accepts and runs the construction checks on it: finite entries,
-    Hermiticity, the full commutator table and a scalar quadratic invariant.
-    It raises if one fails; :func:`casimir` returns the invariant they found.
+    accepts and checks it (see :func:`_construction_checks`), which raises
+    unless it is a Hermitian irreducible su(n) representation in occupation
+    form, as every stack this package builds is; :func:`casimir` returns the
+    invariant the checks found.
 
     Attributes
     ----------
@@ -166,7 +151,8 @@ class Representation:
         generators a representation keeps.
     label : str
         ``"symmetric(n, 𝒩)"`` for a collective representation, else the name
-        given to the constructor.  The defining representation is the
+        given to the constructor, or ``"a representation of su(n) on D
+        states"`` if it was given none.  The defining representation is the
         one-boson sector ``"symmetric(n, 1)"``.
     fock : FockBasis or None
         Occupation basis for collective representations, None otherwise.
@@ -177,18 +163,16 @@ class Representation:
         dim = stack.shape[-1]
         if dim < 1 or stack.shape != (basis.dim * dim, dim):
             raise InvalidElementError(f"expected a ({basis.dim} D, D) stack, got {stack.shape}")
+        label = label or f"a representation of su({basis.n}) on {dim} states"
         # every residual test below is False for NaN, so non-finite entries
         # would pass them; reject those before any residual is formed
         if not np.isfinite(stack.data).all():
-            raise InvalidElementError(
-                f"stack of {label or 'the representation'} has non-finite entries"
-            )
+            raise InvalidElementError(f"stack of {label} has non-finite entries")
         self.basis = basis
         self.stack = stack
         self.label = label
         self.fock = fock
-        kernel = _choose_kernel(stack)
-        self._casimir = _construction_checks(basis, stack, label, kernel)
+        self._casimir = _construction_checks(basis, stack, label)
 
     @property
     def space_dim(self) -> int:
@@ -213,9 +197,10 @@ def symmetric_representation(
 ) -> Representation:
     """Collective representation on 𝒩 bosons in n modes.
 
-    The sparse stack is built directly and checked at once: Hermiticity, the
-    full commutator table and a scalar quadratic invariant, whose value
-    :func:`casimir` then returns.
+    The sparse stack is built directly and checked at once (see
+    :class:`Representation`), and the invariant the checks find must equal
+    the closed form 𝒩(𝒩 + n)(n - 1) / (2n) within ``CASIMIR_RTOL`` (else
+    :class:`NotIrreducibleError`); :func:`casimir` then returns it.
 
     Parameters
     ----------
@@ -230,12 +215,17 @@ def symmetric_representation(
     n = basis.n
     check_cap(n, particles, cap)
     fock = fock_basis(n, particles)
-    return Representation(
-        basis=basis,
-        stack=_collective_stack(basis, fock),
-        label=f"symmetric({n}, {particles})",
-        fock=fock,
-    )
+    rep = Representation(basis, _collective_stack(basis, fock), f"symmetric({n}, {particles})", fock)
+    expected = _symmetric_casimir(n, particles)
+    if abs(rep._casimir - expected) > CASIMIR_RTOL * max(1.0, expected):
+        raise NotIrreducibleError(
+            f"quadratic invariant of {rep.label} is {rep._casimir!r}, not the closed form {expected!r}"
+        )
+    return rep
+
+
+def _symmetric_casimir(n: int, particles: int) -> float:
+    return particles * (particles + n) * (n - 1) / (2.0 * n)  # for 2 Tr(X_a X_b) = delta_ab
 
 
 def symmetric_sector(n: int, particles: int, cap: int = DIMENSION_CAP) -> Representation:
@@ -379,38 +369,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return (starts - counts.cumsum() + counts).repeat(counts) + np.arange(counts.sum())
 
 
-def _merge_in_order(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # distinct keys in ascending order and the sum of the values at each, added
-    # in the order given, so that no sum depends on the other keys (argsort
-    # leaves equal keys in an order that does); sorts keys in place
-    order = keys.argsort()
-    keys = np.take(keys, order, out=keys)
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    at = first.cumsum()
-    at -= 1
-    group = np.empty_like(at)
-    group[order] = at
-    del order, at
-    keys = keys[first]
-    sums = np.empty(keys.size, dtype=complex)
-    sums.real = np.bincount(group, weights=values.real, minlength=keys.size)
-    sums.imag = np.bincount(group, weights=values.imag, minlength=keys.size)
-    return keys, sums
-
-
-def _runs(cost: np.ndarray):
-    # consecutive runs [lo, hi) of units that cost at most CHECK_BUDGET together,
-    # or of one unit that costs more alone
-    total = np.concatenate(([0], cost.cumsum()))
-    lo = 0
-    while lo < cost.size:
-        hi = max(lo + 1, int(np.searchsorted(total, total[lo] + CHECK_BUDGET, side="right")) - 1)
-        yield lo, hi
-        lo = hi
-
-
 def _entries(stack: sparse.csr_array):
     # (generator, row, column, value) of every stored entry, in storage order
     dim = stack.shape[1]
@@ -419,267 +377,245 @@ def _entries(stack: sparse.csr_array):
     return block, row, stack.indices.astype(np.int64), stack.data
 
 
-def _check_hermitian(stack: sparse.csr_array, scale: float) -> None:
-    # each block merged with its conjugate transpose sums to X_a - X_a^dagger;
-    # both terms of a key lie in one block, so blocks are merged in runs of
-    # about CHECK_BUDGET terms
-    dim = stack.shape[1]
-    indptr = stack.indptr
-    herm = 0.0
-    for lo, hi in _runs(2 * np.diff(indptr[::dim])):
-        first, last = indptr[lo * dim], indptr[hi * dim]
-        # stack row a D + r, row r and column c of each entry of the run; the
-        # entry's key is (a D + r) D + c, its transpose's (a D + c) D + r
-        row = np.arange(lo * dim, hi * dim).repeat(np.diff(indptr[lo * dim : hi * dim + 1]))
-        r = row % dim
-        col = stack.indices[first:last].astype(np.int64)
-        val = stack.data[first:last]
-        _, sums = _merge_in_order(
-            np.concatenate([row * dim + col, (row - r + col) * dim + r]),
-            np.concatenate([val, -val.conj()]),
+def _unit(u, n: int) -> str:
+    # the matrix unit u = p n + q, named E_p,q; E_k,k stands for E_kk - I/n
+    return f"E_{u // n},{u % n}"
+
+
+def _failed(s, y, dev: float, n: int, label: str) -> InvalidElementError:
+    return InvalidElementError(f"commutator [{_unit(s, n)}, {_unit(y, n)}] deviates by {dev:.3e} in {label}")
+
+
+def _images(basis: GeneratorBasis, stack: sparse.csr_array) -> sparse.csr_array:
+    """rho(u) = sum_a 2 conj(T[a, u]) X_a for the n**2 units u = p n + q (E_kk
+    standing for E_kk - I/n), so that X_a = sum_u T[a, u] rho(u): a CSR matrix
+    whose row r n**2 + u is row r of rho(u), with sorted columns.  The lift
+    holds 2 conj(T[a, u]) at row (r, u) and column (a, r) for each stack row
+    (a, r) with an entry."""
+    n, dim = basis.n, stack.shape[1]
+    t = basis.coefficients
+    held = (np.diff(stack.indptr) > 0).reshape(-1, dim)[t.indices].T  # [r, entry of T]
+    indptr = np.zeros(dim * n * n + 1, dtype=stack.indices.dtype)
+    np.add.reduceat(held, t.indptr[:-1], axis=1).cumsum(out=indptr[1:])
+    r, entry = np.nonzero(held)
+    data, entry = 2.0 * t.data.conj()[entry], t.indices[entry].astype(indptr.dtype)
+    entry *= dim
+    entry += r
+    del held, r
+    images = sparse.csr_array((data, entry, indptr), shape=(dim * n * n, stack.shape[0])) @ stack
+    images.sort_indices()
+    return images
+
+
+def _occupation_form(images: sparse.csr_array, n: int, hermitian: float, label: str):
+    """Check each entry of rho(u) against its partner, the transposed entry
+    of rho(u'), within ``hermitian``, and split rho(u) into P_u and E_u: an
+    entry is P_u's if it is the first largest in its row and so is its
+    partner in its own (for E_kk, if it is diagonal), so P_u' = P_u^T.
+    Returns the tables (row u maps column c to row dst[u, c] with value
+    val[u, c]; column D is a sink, row n**2 + j - 1 holds H_0 - H_j, the last
+    is zero), the off-diagonal P_u's entries, m, eps, eta and the residue."""
+    units, dim = n * n, images.shape[1]
+    indptr, col, value = images.indptr, images.indices, images.data
+    del images
+    count = np.diff(indptr)
+    filled = np.flatnonzero(count)  # the rows r n**2 + u with an entry
+    run = np.arange(filled.size).repeat(count[filled])
+    row, unit = np.divmod(filled[run], units)
+    key = filled[run] * dim + col  # ascending
+    partner = (col * units + unit % n * n + unit // n) * dim + row
+    at = np.minimum(np.searchsorted(key, partner), key.size - 1)
+    found = key[at] == partner
+    del key, partner
+    size = np.abs(value)
+    skew = np.where(found, np.abs(value - value[at].conj()), size)  # no partner: its size
+    eta, e = skew.max(initial=0.0), skew.argmax() if skew.size else 0
+    del skew
+    if eta > hermitian:
+        u, r = unit[e], row[e]
+        raise InvalidElementError(
+            f"{label} is not Hermitian: rho({_unit(u % n * n + u // n, n)}) and rho({_unit(u, n)})^dagger "
+            f"differ by {eta:.3e} in column {r}"
         )
-        herm = max(herm, np.abs(sums).max(initial=0.0))
-    if herm > HERMITIAN_RTOL * scale:
-        raise InvalidElementError(f"representation not Hermitian: deviation {herm:.3e}")
+    weight = np.where((unit % (n + 1) == 0) & (row != col), -1.0, size)
+    best = np.flatnonzero(weight == np.maximum.reduceat(weight, indptr[filled])[run])
+    first = np.zeros(size.size, dtype=bool)
+    first[best] = weight[best] >= 0.0
+    first[best[1:][run[best[1:]] == run[best[:-1]]]] = False  # the first of ties in a row
+    main = best[first[best] & found[best] & first[at[best]]]
+    del weight, best, first, at, found
+    big = size[main].max(initial=0.0)
+    size[main] = 0.0  # the residue
+    spread, stray = 0.0, ""
+    if size.any():
+        at = unit * dim + col
+        spread = max(np.add.reduceat(size, indptr[filled]).max(), np.bincount(at, weights=size).max())
+        e = size.argmax()
+        stray = f"rho({_unit(unit[e], n)}) has {np.count_nonzero(at == at[e])} entries in column {col[e]}"
+    mu, mr, mc, mv = unit[main], row[main], col[main], value[main]
+    del indptr, col, value, count, filled, run, row, unit, size, main
+    dst = np.full((units + n, dim + 1), dim, dtype=np.int32)
+    val = np.zeros((units + n, dim + 1), dtype=complex)
+    dst[units:-1, :dim] = np.arange(dim)
+    dst[mu, mc], val[mu, mc] = mr, mv
+    val[units:-1] = val[0] - val[n + 1 : units : n + 1]
+    hop = mu % (n + 1) != 0
+    return (dst, val), (mu[hop], mr[hop], mc[hop], mv[hop]), big, spread, eta, stray
 
 
-def _merged_residuals(stack: sparse.csr_array, constants: StructureConstants):
-    """Commutator and invariant residuals from the grouped Gram terms.
-
-    The terms of the Gram product F F^dagger, whose (j, k) block is X_j X_k
-    for a Hermitian stack, and those of -i f_jkl X_l are summed by key: the
-    invariant in one range of keys, the commutators in the next.  A term of
-    the ((j, r), (k, c)) entry is F[(j, r), m] conj(F[(k, c), m]) for a shared
-    column m.  All terms of an entry share the state row r, so they are formed
-    and summed over runs of rows of about ``CHECK_BUDGET`` terms.  Each key's
-    terms are added in the order they are formed, so no sum depends on the
-    runs.  Returns the worst commutator deviation, its pair (j, k), and the
-    row, column and value of each stored entry of the invariant.
-    """
-    dim = stack.shape[1]
-    width = stack.shape[0]
-    d = width // dim
-    comm0 = dim * dim
-    block, row, col, val = _entries(stack)
-    tj, tk, tl, f = constants.upper
-    # per stack: the entries of each column in storage order, those of each
-    # row r in (r, generator, column) order, and the constants of each l
-    load = np.bincount(col, minlength=dim)
-    col_start = load.cumsum() - load
-    by_col = col.argsort(kind="stable")
-    by_row = row.argsort(kind="stable")
-    row_start = np.concatenate(([0], np.bincount(row, minlength=dim).cumsum()))
-    per_l = np.bincount(tl, minlength=d)
-    l_start = per_l.cumsum() - per_l
-    by_l = tl.argsort(kind="stable")
-    lead = per_l.nonzero()[0] * dim  # first stack row of each X_l with constants
-    # row r has a Gram term per entry (j, r, m) per entry of column m, and a
-    # constant term per entry (l, r, c) per constant of l
-    cost = np.bincount(row, weights=load[col] + per_l[block], minlength=dim)
-
-    def terms(r0, r1):
-        # keys and values of the Gram terms, then the constant terms, of the
-        # rows r0 to r1 - 1, built in place
-        left = by_row[row_start[r0] : row_start[r1]]
-        per = load[col[left]]
-        right = by_col[_ranges(col_start[col[left]], per)]
-        left = left.repeat(per)
-        gram = left.size
-        keys = np.empty(int(cost[r0:r1].sum()), dtype=np.int64)
-        values = np.empty(keys.size, dtype=complex)
-        v = np.take(val, left, out=values[:gram])
-        conj = val[right]
-        v *= np.conjugate(conj, out=conj)
-        del conj
-        j, k = block[left], block[right]
-        np.negative(v, out=v, where=j > k)  # [X_j, X_k] = X_j X_k - X_k X_j
-        same = (j == k).nonzero()[0]
-        # past comm0, (min(j, k) D + r) width + max(j, k) D + c
-        key = np.minimum(j, k, out=keys[:gram])
-        key *= dim
-        key += row[left]
-        key *= width
-        hi = np.maximum(j, k, out=j)
-        hi *= dim
-        hi += row[right]
-        key += hi
-        key += comm0
-        key[same] = row[left[same]] * dim + row[right[same]]  # the invariant's r D + c
-        # the constant terms, -i f_jkl X_l[r, c] at the same keys
-        first = stack.indptr[lead + r0]
-        entry = _ranges(first, stack.indptr[lead + r1] - first)
-        per = per_l[block[entry]]
-        term = by_l[_ranges(l_start[block[entry]], per)]
-        entry = entry.repeat(per)
-        key = np.take(tj, term, out=keys[gram:])
-        key *= dim
-        key += row[entry]
-        key *= width
-        hi = tk[term]
-        hi *= dim
-        hi += col[entry]
-        key += hi
-        key += comm0
-        v = values[gram:]
-        v[:] = f[term]
-        v *= val[entry]
-        v *= -1j
-        return keys, values
-
-    comm, pair, worst = 0.0, None, None
-    invariant = []
-    for r0, r1 in _runs(cost):
-        keys, sums = _merge_in_order(*terms(r0, r1))
-        comm_at = np.searchsorted(keys, comm0)
-        if comm_at < keys.size:
-            resid = np.abs(sums[comm_at:])
-            at = resid.argmax()
-            key = keys[comm_at + at]
-            # the first maximum in key order over all runs
-            if pair is None or resid[at] > comm or (resid[at] == comm and key < worst):
-                worst = int(key)
-                comm, pair = resid[at], ((worst - comm0) // width // dim, (worst - comm0) % width // dim)
-        invariant.append((keys[:comm_at].copy(), sums[:comm_at].copy()))  # not views of the run
-    keys, sums = (np.concatenate(part) for part in zip(*invariant))
-    return comm, pair, *divmod(keys, dim), sums
-
-
-def _product_matrices(stack: sparse.csr_array, constants: StructureConstants, pj, pk):
-    """The matrix Z of :func:`_product_residuals` in CSR form, a run of rows at a time.
-
-    Each row of Z is a run of segments; a segment copies a run of source
-    entries and shifts their columns.  The sources are the stack's own
-    arrays, their negative and the -i f_jkl: each row (p, r) takes three
-    segments, each invariant row d.  Yields (lo, pairs, z): z holds the rows
-    of the pairs lo to lo + pairs - 1 and, in the last run, the invariant
-    rows after them.  A run takes about ``CHECK_BUDGET`` entries of Z, and Z
-    is one run when it fits.  Indices are in the stack's integer type.  The
-    pairs j < k are (pj, pk), in (j, k) order.
-    """
-    dim = stack.shape[1]
-    d = stack.shape[0] // dim
-    nnz = stack.nnz
-    tj, tk, tl, f = constants.upper
-    npair = pj.size
-    idx = stack.indices.dtype
-    data = np.concatenate([stack.data, -stack.data, -1j * f])
-    cols = np.concatenate([stack.indices, stack.indices, tl * dim], dtype=idx)
-    # constants per pair; upper is sorted in the same (j, k) order
-    per_pair = np.bincount(tj * (2 * d - tj - 1) // 2 + tk - tj - 1, minlength=npair)
-    per_first = per_pair.cumsum() - per_pair + 2 * nnz
-    count = (stack.indptr[1:] - stack.indptr[:-1]).reshape(d, dim)
-    start = stack.indptr[:-1].reshape(d, dim)
-    # a pair's rows hold its two generators' entries and D copies of its
-    # constants, the invariant rows nnz entries
-    size = count.sum(axis=1)
-    for lo, hi in _runs(np.concatenate([size[pj] + size[pk] + per_pair * dim, [nnz]])):
-        j, k = pj[lo:hi], pk[lo:hi]
-        ncomm = 3 * j.size * dim
-        seg = np.empty((3, ncomm + d * dim * (hi > npair)), dtype=idx)  # length, source start, shift
-        length, first, shift = seg[:, :ncomm].reshape(3, j.size, dim, 3).transpose(0, 3, 1, 2)
-        length[0], length[1], length[2] = count[j], count[k], per_pair[lo:hi, None]
-        first[0], first[1] = start[j], start[k] + nnz
-        first[2] = per_first[lo:hi, None]
-        shift[0], shift[1], shift[2] = k[:, None] * dim, j[:, None] * dim, np.arange(dim)
-        if hi > npair:
-            invariant = seg[:, ncomm:].reshape(3, dim, d)
-            invariant[0], invariant[1], invariant[2] = count.T, start.T, np.arange(0, d * dim, dim)
-        length, first, shift = seg
-        bounds = np.zeros(length.size + 1, dtype=idx)
-        length.cumsum(dtype=idx, out=bounds[1:])
-        # as _ranges; intp, since numpy converts any other index array
-        source = (first - bounds[:-1]).repeat(length) + np.arange(bounds[-1])
-        yield lo, j.size, sparse.csr_array(
-            (
-                data[source],
-                cols[source] + shift.repeat(length),
-                np.concatenate([bounds[:ncomm:3], bounds[ncomm::d]]),
-            ),
-            shape=((j.size + (hi > npair)) * dim, d * dim),
-        )
-
-
-def _product_residuals(stack: sparse.csr_array, constants: StructureConstants):
-    """Commutator and invariant residuals from sparse products Z F.
-
-    Row (p, r) of Z, for the p-th pair j < k, holds X_j[r, :] in column block
-    k, -X_k[r, :] in block j and -i f_jkl at column (l, r), so row (p, r) of
-    Z F is row r of [X_j, X_k] - i f_jkl X_l.  D more rows hold X_a[r, :] in
-    block a; their product is row r of sum_a X_a X_a.  Z is multiplied a run
-    of rows at a time (see :func:`_product_matrices`), each row as it would
-    be in one product.  Returns what :func:`_merged_residuals` returns.
-    """
-    dim = stack.shape[1]
-    pj, pk = np.triu_indices(stack.shape[0] // dim, 1)
-    comm, pair = 0.0, None
-    for lo, pairs, z in _product_matrices(stack, constants, pj, pk):
-        prod = z @ stack
-        split = prod.indptr[pairs * dim]
-        if split:
-            resid = np.abs(prod.data[:split])
-            at = resid.argmax()
-            if pair is None or resid[at] > comm:  # the first maximum over all runs
-                p = lo + (np.searchsorted(prod.indptr, at, side="right") - 1) // dim
-                comm, pair = resid[at], (int(pj[p]), int(pk[p]))
-    inv_row = np.arange(dim).repeat(np.diff(prod.indptr[pairs * dim :]))
-    return comm, pair, inv_row, prod.indices[split:], prod.data[split:]
-
-
-def _choose_kernel(stack: sparse.csr_array):
-    # the merge sorts sum_m L_m**2 Gram terms, L_m the entries in column m;
-    # Z holds about (d - 1) nnz entries, and the product reads a row of the
-    # stack for each.  Where generators couple densely the terms are more.
-    d = stack.shape[0] // stack.shape[1]
-    load = np.bincount(stack.indices, minlength=stack.shape[1])
-    return _product_residuals if load @ load >= (d - 1) * stack.nnz else _merged_residuals
-
-
-def _construction_checks(
-    basis: GeneratorBasis, stack: sparse.csr_array, label: str, kernel
-) -> float:
-    """Check a representation's stack; return its Casimir.
-
-    1. Every X_a^(R) is Hermitian within ``HERMITIAN_RTOL`` relative to the
-       largest entry (or 1).
-    2. Every pair j < k satisfies [X_j, X_k] = i f_jkl X_l within
-       ``COMMUTATOR_RTOL`` relative to the same scale.
-    3. sum_a X_a^(R)**2 is scalar within ``CASIMIR_RTOL`` (else
-       :class:`NotIrreducibleError`).
-
-    Check 1 merges the stack with its blockwise conjugate transpose, a run
-    of generators of about ``CHECK_BUDGET`` terms at a time.
-    ``kernel`` computes the residuals of checks 2 and 3:
-    :func:`_product_residuals` (sparse products Z F) or
-    :func:`_merged_residuals` (grouped Gram terms), as :func:`_choose_kernel`
-    picks from the stack's column loads.  Both run over their output rows in
-    runs of about ``CHECK_BUDGET`` terms; the residuals, the worst pair and
-    the invariant do not depend on the runs.
-    """
-    scale = max(1.0, np.abs(stack.data).max(initial=0.0))
-    _check_hermitian(stack, scale)
-    comm, pair, row, col, val = kernel(stack, structure_constants(basis))
-    if comm > COMMUTATOR_RTOL * scale:
-        raise InvalidElementError(f"commutator {pair} deviates by {comm:.3e} in {label}")
-    dim = stack.shape[1]
-    on_diag = row == col
-    diag = np.zeros(dim, dtype=complex)
-    diag[row[on_diag]] = val[on_diag]
+def _cartan_and_invariant(tables, hops, n: int, allowed: float, label: str) -> tuple[float, float]:
+    """Check delta(H_k, E_pq) = (h_k[r] - h_k[c] - delta_kp + delta_kq) P_pq[r, c]
+    (h_k the diagonal of rho(H_k); diagonal images commute exactly).  Return
+    c = Tr Q / D, Q = 1/2 sum_{p != q} P_pq P_qp + 1/2 sum_k P_kk**2, and a
+    bound on |Q - c I|."""
+    dst, val = tables
+    dim = dst.shape[1] - 1
+    hu, hr, hc, hv = hops
+    hp, hq = np.divmod(hu, n)
+    size = np.abs(hv)
+    for k in range(n):
+        h = val[k * (n + 1)]
+        dev = size * np.abs(h[hr] - h[hc] - (hp == k) + (hq == k))
+        if dev.max(initial=0.0) > allowed:
+            raise _failed(k * (n + 1), hu[dev.argmax()], dev.max(), n, label)
+    at = (hq * n + hp) * (dim + 1) + hr  # P_qp takes column c to r, and P_pq takes r on
+    term = 0.5 * val.ravel()[at] * hv
+    home = dst.ravel()[at] == hc
+    diag = 0.5 * (val[: n * n : n + 1, :dim] ** 2).sum(axis=0)
+    diag += np.bincount(hc[home], weights=term.real[home], minlength=dim)
+    diag += 1j * np.bincount(hc[home], weights=term.imag[home], minlength=dim)
     c = float(diag.real.sum()) / dim
-    dev = max(np.abs(val[~on_diag]).max(initial=0.0), np.abs(diag - c).max())
-    if dev > CASIMIR_RTOL * max(1.0, abs(c)):
-        raise NotIrreducibleError(
-            f"quadratic invariant of {label} deviates from scalar by {dev:.3e}"
+    return c, max(np.bincount(hc[~home], weights=np.abs(term[~home]), minlength=dim).max(), np.abs(diag - c).max())
+
+
+def _column_deviation(dst, val, ds, vs, y, b, coef, c):
+    # the largest |entry| in each column c of [P_s, P_y] - coef P_b, whose terms
+    # put one entry each in a column, from the flat tables (ds, vs: row s)
+    at = y + c
+    mid = dst[at]
+    ra, va = ds[mid], vs[mid] * val[at]  # P_s P_y
+    mid = ds[c]
+    at = y + mid
+    rb, vb = dst[at], val[at] * vs[c]  # P_y P_s
+    at = b + c
+    rc, vc = dst[at], val[at] * coef
+    del at, mid
+    ab, ac, bc = ra == rb, ra == rc, rb == rc
+    dev = np.abs(va - vb * ab - vc * ac)
+    np.maximum(dev, np.abs((vb + vc * bc) * ~ab), out=dev)  # the entry in row rb, if it is not ra
+    np.maximum(dev, np.abs(vc * ~(ac | bc)), out=dev)  # the entry in row rc, if it is neither
+    return dev
+
+
+@lru_cache(maxsize=None)
+def _brackets(n: int):
+    # the off-diagonal units y = E_pq and, for each s = E_0j (row j - 1), the
+    # table row and coefficient of [s, y] = delta_jp E_0q - delta_q0 E_pj, which
+    # is H_0 - H_j where both hold, and the y where it is not zero
+    off = np.flatnonzero(np.arange(n * n) % (n + 1))
+    p, q, j = off // n, off % n, np.arange(1, n)[:, None]
+    row = np.where(p == j, np.where(q == 0, n * n + j - 1, q), np.where(q == 0, p * n + j, n * n + n - 1))
+    coef = np.where(p == j, 1, np.where(q == 0, -1, 0)).astype(np.int8)
+    named = np.nonzero(coef)[1].reshape(n - 1, -1)
+    brackets = off, row.astype(np.int32), coef, named, np.take_along_axis(row, named, 1)
+    for x in brackets:
+        x.setflags(write=False)  # shared by every caller
+    return brackets
+
+
+def _check_generators(tables, n: int, allowed: float, label: str) -> None:
+    # delta(E_0j, y) for y off-diagonal, in the columns of P_s, those P_y takes
+    # onto them (P_y' = P_y^T: the column P_y takes to r is dst[y', r]) and
+    # those of P_[s,y]
+    dst, val = tables
+    width = dst.shape[1]
+    dim = width - 1
+    off, brow, coef, named, named_rows = _brackets(n)
+    outside = dst[1:n] == dim  # the columns outside each P_s
+    gi, support = np.nonzero(~outside[:, :dim])
+    bi, by, bc = np.nonzero((dst[named_rows, :dim] != dim) & outside[:, None, :dim])
+    by, bc, support = named[bi, by], bc.astype(np.int32), support.astype(np.int32)
+    outside[:, dim] = False  # nor is the sink a column to add
+    ends, bends = np.searchsorted(gi, np.arange(n)), np.searchsorted(bi, np.arange(n))
+    dstf, valf = dst.ravel(), val.ravel()
+    at, back = (off * width).astype(np.int32), ((off % n * n + off // n) * width)[:, None]
+    for s in range(1, n):
+        cols, extra = support[ends[s - 1] : ends[s]], slice(bends[s - 1], bends[s])
+        pre = dstf[back + cols]
+        py, pk = np.nonzero(outside[s - 1][pre])
+        ys = np.concatenate([np.arange(off.size).repeat(cols.size), py, by[extra]])
+        cs = np.concatenate([cols] * off.size + [pre[py, pk], bc[extra]])
+        del pre, py, pk
+        dev = _column_deviation(dstf, valf, dst[s], val[s], at[ys], brow[s - 1][ys] * width, coef[s - 1][ys], cs)
+        if dev.max(initial=0.0) > allowed:
+            raise _failed(s, off[ys[dev.argmax()]], dev.max(), n, label)
+
+
+def _construction_checks(basis: GeneratorBasis, stack: sparse.csr_array, label: str) -> float:
+    """Check that a stack in occupation form represents su(n); return its Casimir.
+
+    Each matrix-unit image rho(u) (:func:`_images`) is split into a weighted
+    partial permutation P_u and a residue E_u (:func:`_occupation_form`).
+    With |A| the largest |entry| of A, ||A|| its largest row or column sum,
+    scale = max(1, |stack|), tau = max_a sum_u |T[a, u]|, m = max |P_u|,
+    eps = max ||E_u||, m' = m + eps, eta = max |rho(u') - rho(u)^dagger| and
+    delta(x, y) = [rho x, rho y] - rho [x, y], all read over the supports:
+
+    - |X_a - X_a^dagger| <= tau eta <= ``HERMITIAN_RTOL`` scale, as
+      X_a - X_a^dagger = sum_u T[a, u'] (rho(u') - rho(u)^dagger).
+    - e, the largest |entry| of [P_s, P_y] - P_[s,y] for s = E_0j or E_kk and
+      every y, moves by at most (4 m + 2 eps + 2) eps on the images, and
+      delta(E_j0, y) = -delta(E_0j, y')^dagger within (8 m' + 2) eta, so
+      |delta(s, y)| <= e' = e + (4 m + 2 eps + 2) eps + (8 m' + 2) eta on
+      G = {E_0j, E_j0, E_kk}.  Every other unit is u = [E_p0, E_0q] = [x, x']
+      (none for n = 2), and the Jacobi identity delta(u, y) = delta(x, [x', y])
+      - delta(x', [x, y]) + [rho x, delta(x', y)] - [rho x', delta(x, y)] -
+      [delta(x, x'), rho y], with [x', y] at most two units of coefficient
+      +-1 and ||rho x|| <= m', gives |delta(u, y)| <= (4 + 6 m') e'.  As
+      [X_j, X_k] - i f_jkl X_l = sum_uv T[j, u] T[k, v] delta(u, v),
+
+          |[X_j, X_k] - i f_jkl X_l| <= tau**2 (4 + 6 m') e'   (tau**2 e' for n = 2),
+
+      which must be at most ``COMMUTATOR_RTOL`` scale.
+    - sum_a X_a**2 = 1/2 sum_{p != q} rho(E_pq) rho(E_qp) + 1/2 sum_k
+      rho(E_kk)**2 is Q, the same sum over the P_u, within n**2 (2 m + eps)
+      eps / 2, and must be c I within ``CASIMIR_RTOL`` max(1, |c|), else
+      :class:`NotIrreducibleError`; c = Tr Q / D is returned.
+
+    Each identity holds for an orthonormal, Hermitian T, which
+    :class:`GeneratorBasis` checks; on a collective stack m' <= 𝒩 and
+    tau <= n, so the bounds are polynomial in n and 𝒩.
+    """
+    n = basis.n
+    scale = max(1.0, np.abs(stack.data).max(initial=0.0))
+    t = basis.coefficients
+    tau = np.bincount(t.indices, weights=np.abs(t.data), minlength=basis.dim).max()
+    tables, hops, big, spread, eta, stray = _occupation_form(
+        _images(basis, stack), n, HERMITIAN_RTOL * scale / tau, label
+    )
+    reach = big + spread
+    allowed = COMMUTATOR_RTOL * scale / (tau**2 * (1.0 if n == 2 else 4.0 + 6.0 * reach))
+    allowed -= (4.0 * big + 2.0 * spread + 2.0) * spread + (8.0 * reach + 2.0) * eta
+    if allowed < 0.0:  # the residue, or eta, leaves no room for the commutators
+        raise InvalidElementError(
+            f"{label} is not in occupation form: {stray}" if stray else f"{label} is not Hermitian enough: {eta:.3e}"
         )
+    c, dev = _cartan_and_invariant(tables, hops, n, allowed, label)
+    del hops
+    _check_generators(tables, n, allowed, label)
+    if dev + n * n * (2.0 * big + spread) * spread / 2.0 > CASIMIR_RTOL * max(1.0, abs(c)):
+        raise NotIrreducibleError(f"quadratic invariant of {label} deviates from scalar by {dev:.3e}")
     return c
 
 
 def casimir(rep: Representation) -> float:
     """Scalar value of the quadratic invariant sum_a (X_a^(R))**2.
 
-    It is trace / D of the invariant that the construction checks read from
-    the Gram product of the stack; a representation whose invariant is not
-    scalar within a 1e-8 relative tolerance (reducible or corrupted) raises
-    :class:`NotIrreducibleError` when it is built.
+    It is trace / D of the invariant that the construction checks form from
+    the matrix-unit images; a representation whose invariant is not scalar
+    within ``CASIMIR_RTOL`` (reducible or corrupted) raises
+    :class:`NotIrreducibleError` when it is built, and so does a collective
+    one whose invariant is not the closed form 𝒩(𝒩 + n)(n - 1) / (2n).
     """
     return rep._casimir
 

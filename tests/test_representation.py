@@ -28,7 +28,9 @@ from conftest import (
 from sunmetro import (
     DIMENSION_CAP,
     DimensionCapError,
+    GeneratorBasis,
     InvalidElementError,
+    InvalidStateError,
     NotIrreducibleError,
     Representation,
     casimir,
@@ -36,6 +38,8 @@ from sunmetro import (
     fock_basis,
     gellmann_basis,
     lift_unitary,
+    make_ghz,
+    pure_state,
     structure_constants,
     symmetric_representation,
 )
@@ -350,18 +354,10 @@ def test_representation_rejects_non_hermitian_stack():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (-1, -2)], ids=["diagonal", "off-diagonal"])
-@pytest.mark.parametrize(
-    "build, kernel",
-    [
-        (lambda: sym_rep(2, 3), representation._product_residuals),
-        (lambda: sym_rep(3, 1), representation._merged_residuals),
-    ],
-    ids=["sym(2,3)", "fundamental(3)"],
-)
-def test_representation_rejects_non_finite_stack(build, kernel, entry, value, monkeypatch):
+@pytest.mark.parametrize("build", [lambda: sym_rep(2, 3), lambda: sym_rep(3, 1)], ids=["sym(2,3)", "fundamental(3)"])
+def test_representation_rejects_non_finite_stack(build, entry, value, monkeypatch):
     # each residual test is False for NaN, so the check must come before them
     rep = build()
-    assert representation._choose_kernel(rep.stack) is kernel
     bad = rep.stack.toarray()
     bad[entry] = value
 
@@ -429,7 +425,9 @@ def test_stack_hops_are_exact_where_radix_keys_overflow(n, particles):
     stack = representation._collective_stack(gellmann_basis(n), fock)
     dim = fock.dim
     assert stack.shape == ((n * n - 1) * dim, dim)
-    representation._check_hermitian(stack, max(1.0, np.abs(stack.data).max()))
+    block, row, col, val = representation._entries(stack)
+    flipped = sparse.csr_array((val.conj(), (block * dim + col, row)), shape=stack.shape)
+    assert abs(stack - flipped).max() == 0.0  # each block is Hermitian
     index = state_index(fock)
     expected = set()
     for src, occ in enumerate(fock.occupations.tolist()):
@@ -480,26 +478,19 @@ def test_sector_build_of_su40_stays_near_its_stack_size():
     "n, particles", [(3, 60), (4, 30), (6, 8), (5, 10), (10, 3), (14, 2)], ids=str
 )
 def test_construction_checks_stay_within_ten_stacks(n, particles):
-    # the residual kernels run over runs of CHECK_BUDGET terms; all of Z, or
-    # every Gram term, at once peaked at 22 to 223 times the stack's bytes
-    # here.  The Hermitian check runs over runs of generators too, so the
-    # product-kernel sectors stay within 5 stacks (6.6 to 6.9 when it merged
-    # every entry at once).
+    # the checks hold the images' tables and one generator's relations at a
+    # time; every residual kernel term at once peaked at 22 to 223 times the
+    # stack's bytes here.  The sectors up to n = 6 stay within 5 stacks.
     basis = gellmann_basis(n)
-    constants = structure_constants(basis)
     stack = representation._collective_stack(basis, fock_basis(n, particles))
-    kernel = representation._choose_kernel(stack)
-    product = n <= 6
-    assert kernel is (representation._product_residuals if product else representation._merged_residuals)
     tracemalloc.start()
     try:
-        assert structure_constants(basis) is constants  # warm: nothing is built
-        c2 = representation._construction_checks(basis, stack, "guarded", kernel)
+        c2 = representation._construction_checks(basis, stack, "guarded")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert abs(c2 - casimir_formula(n, particles)) <= 1e-10 * c2
-    stacks = 5 if product else 10
+    stacks = 5 if n <= 6 else 10
     assert peak <= stacks * (stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes)
 
 
@@ -546,9 +537,9 @@ def test_commutator_check_covers_every_pair():
 
 def test_fundamental_sector_of_su40_builds():
     # the dense (d, d, n, n) product behind the structure constants needed 61 GiB
-    # here.  The construction checks take the grouped merge over runs of rows,
-    # and the build peaks near 4 MB traced (89 MB when the merge took every
-    # Gram term at once).
+    # here.  The construction checks read the matrix-unit images, and the build
+    # peaks near 3 MB traced (89 MB when the checks grouped every Gram term at
+    # once).
     basis = gellmann_basis(40)
     constants = structure_constants(basis)
     tracemalloc.start()
@@ -585,111 +576,231 @@ def test_large_sector_stays_sparse():
     assert stack.nnz <= (n - 1) * (2 * n + 1) * dim
     stack_bytes = stack.data.nbytes + stack.indices.nbytes + stack.indptr.nbytes
     assert stack_bytes < 2 * 2**20
-    # the build and its checks peak near 8 stacks (27 with all of Z at once; the
-    # grouped merge of every Gram term took 75)
+    # the build and its checks peak near 5.5 stacks (8 with the pair kernels in
+    # runs, 27 with all of Z at once and 75 with every Gram term)
     assert peak < 10 * stack_bytes
     assert not hasattr(rep, "generators")  # the stack is the only form kept
 
 
-# the construction checks with either residual kernel, as the differential
-# tests below run them
-KERNELS = (representation._product_residuals, representation._merged_residuals)
 _checks = representation._construction_checks
-
-# CHECK_BUDGET for a run of a kernel in one pass, and budgets that split the
-# sectors below into runs: at 16 terms every sector splits, since sym(2, 1)
-# already holds 24 in each kernel; at 300 runs span several pairs or rows
-ONE_PASS = 2**62
-BUDGETS = (None, 16, 300)
-
-
-def _runs_of(kernel, stack, constants, budget, monkeypatch):
-    # the kernel's residuals under CHECK_BUDGET = budget, and how many runs it took
-    runs = []
-    split = representation._runs
-
-    def counted(cost):
-        for run in split(cost):
-            runs.append(run)
-            yield run
-
-    with monkeypatch.context() as patch:
-        patch.setattr(representation, "_runs", counted)
-        patch.setattr(representation, "CHECK_BUDGET", budget)
-        return kernel(stack, constants), max(len(runs), 1)
-
-
-def _same_residuals(split, whole):
-    # the same deviation and pair, and the same invariant entries, bit for bit
-    assert split[:2] == whole[:2]
-    for a, b in zip(split[2:], whole[2:]):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_check_kernels_agree_on_intact_stacks(budget, monkeypatch):
-    sectors = [(n, particles) for n in (2, 3, 4, 5) for particles in range(1, 9)] + [(3, 24)]
-    chosen = set()
-    for n, particles in sectors:
-        rep = symmetric_representation(gellmann_basis(n), particles)
-        chosen.add(representation._choose_kernel(rep.stack))
-        if budget is not None:
-            constants = structure_constants(rep.basis)
-            for kernel in KERNELS:
-                whole, _ = _runs_of(kernel, rep.stack, constants, ONE_PASS, monkeypatch)
-                split, runs = _runs_of(kernel, rep.stack, constants, budget, monkeypatch)
-                _same_residuals(split, whole)
-                assert runs > 1 or budget > 16
-        product, merged = (_checks(rep.basis, rep.stack, rep.label, kernel) for kernel in KERNELS)
-        assert abs(product - merged) <= 1e-12 * merged
-        expected = casimir_formula(n, particles)
-        assert abs(product - expected) <= 1e-10 * expected
-    assert chosen == set(KERNELS)  # the sectors lie on both sides of the selection
 
 
 def _stack(gens):
     return sparse.csr_array(gens.reshape(-1, gens.shape[-1]))
 
 
-def _commutator_pair(message):
-    return re.match(r"commutator \((\d+), (\d+)\) deviates", message).groups()
-
-
-@pytest.mark.parametrize("budget", BUDGETS)
-def test_check_kernels_reject_the_same_corrupted_stacks(budget, monkeypatch):
-    # the lambda_8 shift of test_commutator_check_covers_every_pair
+def _lambda8_shift():
+    # symmetric(3, 16) with the lambda_8 entry of the state (0, 0, 16) moved by
+    # 1e-6, as test_commutator_check_covers_every_pair builds it
     rep = sym_rep(3, 16)
     gens = dense_generators(rep)
     last = rep.fock.rank((0, 0, 16))
     gens[7, last, last] += 1e-6
-    shifted = _stack(gens)
-    # a reducible block stack, sym(3, 1) + sym(3, 2): every commutator holds
-    small, large = dense_generators(sym_rep(3, 1)), dense_generators(sym_rep(3, 2))
-    gens = np.zeros((8, 9, 9), dtype=complex)
-    gens[:, :3, :3], gens[:, 3:, 3:] = small, large
-    reducible = _stack(gens)
-    if budget is not None:
-        constants = structure_constants(rep.basis)
-        for stack in (shifted, reducible):
-            for kernel in KERNELS:
-                whole, _ = _runs_of(kernel, stack, constants, ONE_PASS, monkeypatch)
-                split, runs = _runs_of(kernel, stack, constants, budget, monkeypatch)
-                _same_residuals(split, whole)
-                assert runs > 1
-    pairs = []
-    for kernel in KERNELS:
-        with pytest.raises(InvalidElementError, match="commutator") as err:
-            _checks(rep.basis, shifted, "shifted", kernel)
-        pairs.append(_commutator_pair(str(err.value)))
-    assert pairs[0] == pairs[1]
+    return rep.basis, gens
 
-    # a non-Hermitian entry
+
+def _reducible_blocks():
+    # sym(3, 1) + sym(3, 2), whose commutators all hold, and the su(2)
+    # fundamental plus a trivial block
+    gens = np.zeros((8, 9, 9), dtype=complex)
+    gens[:, :3, :3], gens[:, 3:, 3:] = dense_generators(sym_rep(3, 1)), dense_generators(sym_rep(3, 2))
+    trivial = np.zeros((3, 3, 3), dtype=complex)
+    trivial[:, :2, :2] = dense_gellmann(2)
+    return [(gellmann_basis(3), gens), (gellmann_basis(2), trivial)]
+
+
+def test_corrupted_stacks_name_the_failing_relation():
+    basis, gens = _lambda8_shift()
+    with pytest.raises(InvalidElementError, match=r"^commutator \[E_0,0, E_0,2\] deviates by 2\.309e-06 in shifted$"):
+        _checks(basis, _stack(gens), "shifted")
     gens = dense_generators(sym_rep(3, 4))
     gens[2, 0, 3] += 1e-3
-    for kernel in KERNELS:
-        with pytest.raises(InvalidElementError, match="Hermitian"):
-            _checks(rep.basis, _stack(gens), "skewed", kernel)
+    with pytest.raises(InvalidElementError, match=r"^skewed is not Hermitian: rho\(E_2,1\) and rho\(E_1,2\)\^dagger"):
+        _checks(basis, _stack(gens), "skewed")
+    for basis, gens in _reducible_blocks():
+        with pytest.raises(NotIrreducibleError, match=r"^quadratic invariant of reducible deviates from scalar"):
+            _checks(basis, _stack(gens), "reducible")
 
-    for kernel in KERNELS:
-        with pytest.raises(NotIrreducibleError):
-            _checks(rep.basis, reducible, "reducible", kernel)
+
+def test_a_representation_given_no_label_is_named_in_messages():
+    # with the empty default label these read "expected 2 amplitudes for , got 3"
+    # and " is not symmetric(2, 1)"
+    basis = gellmann_basis(2)
+    rep = Representation(basis, basis.coefficients.reshape((6, 2)))
+    assert rep.label == "a representation of su(2) on 2 states"
+    with pytest.raises(InvalidStateError, match=r"^expected 2 amplitudes for a representation of su\(2\) on 2 states, got 3$"):
+        pure_state(rep, np.ones(3) / np.sqrt(3))
+    with pytest.raises(InvalidStateError, match=r"^a representation of su\(2\) on 2 states is not symmetric\(2, 1\)$"):
+        make_ghz(2, 1, rep=rep)
+
+
+def test_symmetric_representation_asserts_the_closed_form_casimir(monkeypatch):
+    closed = representation._symmetric_casimir
+    monkeypatch.setattr(representation, "_symmetric_casimir", lambda n, particles: closed(n, particles + 1))
+    with pytest.raises(NotIrreducibleError, match=r"^quadratic invariant of symmetric\(3, 4\) is 9\.333\d*, not the closed form 13\.333\d*$"):
+        symmetric_representation(gellmann_basis(3), 4)
+
+
+def test_every_radix_sector_passes_the_check_at_its_closed_form_casimir():
+    for n, particles in RADIX_SECTORS:
+        rep = symmetric_representation(gellmann_basis(n), particles, cap=10**5)
+        expected = casimir_formula(n, particles)
+        assert abs(casimir(rep) - expected) <= representation.CASIMIR_RTOL * max(1.0, expected), (n, particles)
+
+
+def test_a_sector_build_computes_no_structure_constants():
+    basis = GeneratorBasis(n=4, coefficients=gellmann_basis(4).coefficients)
+    symmetric_representation(basis, 3)
+    assert "_structure_constants" not in vars(basis)
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), particles=st.integers(1, 6), draw=st.integers(0, 2**32 - 1))
+def test_rotated_bases_pass_and_rotated_states_leave_occupation_form_hypothesis(n, particles, draw):
+    # any orthonormal basis gives a stack in occupation form; a unitary change of
+    # the state basis keeps every relation but not that form, and is refused
+    rng = np.random.default_rng(draw)
+    x = dense_gellmann(n)
+    rotation, _ = np.linalg.qr(rng.standard_normal((len(x), len(x))))
+    basis = GeneratorBasis(n=n, coefficients=np.tensordot(rotation, x, axes=1).reshape(len(x), -1))
+    rep = symmetric_representation(basis, particles)
+    expected = casimir_formula(n, particles)
+    assert abs(casimir(rep) - expected) <= 1e-10 * expected
+    dim = rep.space_dim
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    turned = np.einsum("ji,ajk,kl->ail", u.conj(), dense_generators(rep), u)
+    with pytest.raises(InvalidElementError, match=r"is not in occupation form: rho\(E_\d+,\d+\) has"):
+        Representation(basis, turned.reshape(-1, dim))
+
+
+class _DenseReference:
+    """The exhaustive checks over every pair on the dense generators, for the
+    stacks that differ from one base stack in X_a alone.
+
+    The base's residuals [X_j, X_k] - i f_jkl X_l are formed over every pair
+    from conftest's dense_generators and dense_structure_constants.  Adding
+    delta E_rc to X_a moves the residual of a pair (a, k) by delta [E_rc,
+    X_k] and that of any other pair by -i delta f_jka E_rc, so a corrupted
+    stack's residuals are the base's plus those terms; its Hermiticity and
+    sum_b X_b**2 change in X_a alone.
+    """
+
+    def __init__(self, basis, gens):
+        d = gens.shape[0]
+        self.gens, self.f = gens, dense_structure_constants(basis)
+        prod = gens[:, None] @ gens[None, :]
+        self.resid = prod - prod.transpose(1, 0, 2, 3) - 1j * np.tensordot(self.f, gens, axes=1)
+        size = np.abs(self.resid)
+        others = [np.delete(np.arange(d), a) for a in range(d)]
+        # for each a, over the pairs and generators without a: the largest
+        # residual at each entry, |X_b - X_b^dagger| and |X_b|
+        self.rest = np.array([size[np.ix_(o, o)].max(axis=(0, 1)) for o in others])
+        skew = np.abs(gens - gens.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        self.skew = np.array([skew[o].max(initial=0.0) for o in others])
+        self.big = np.array([np.abs(gens[o]).max(initial=0.0) for o in others])
+        self.square = np.einsum("aij,ajk->ik", gens, gens)
+        self.fg = np.tensordot(self.f, gens, axes=1)
+
+    def rejects_moved(self, moved, r, c) -> bool:
+        # moved differs from the base in the entries (r, c) and (c, r) of any generators
+        prod = moved[:, None] @ moved[None, :]
+        resid = prod - prod.transpose(1, 0, 2, 3) - 1j * self.fg
+        for rr, cc in {(r, c), (c, r)}:
+            resid[:, :, rr, cc] -= 1j * (self.f @ (moved[:, rr, cc] - self.gens[:, rr, cc]))
+        return self._verdict(moved, np.abs(resid).max(), np.einsum("aij,ajk->ik", moved, moved))
+
+    def _verdict(self, gens, comm, square) -> bool:
+        scale = max(1.0, np.abs(gens).max())
+        skew = np.abs(gens - gens.conj().transpose(0, 2, 1)).max()
+        c2 = square.trace().real / len(square)
+        dev = max(np.abs(square - np.diag(np.diag(square))).max(), np.abs(np.diag(square) - c2).max())
+        return bool(
+            skew > representation.HERMITIAN_RTOL * scale
+            or comm > representation.COMMUTATOR_RTOL * scale
+            or dev > representation.CASIMIR_RTOL * max(1.0, abs(c2))
+        )
+
+    def rejects(self, a, changes) -> bool:
+        # changes: (r, c, delta) for each entry X_a[r, c] moved by delta
+        gens = self.gens
+        x = gens[a].copy()
+        for r, c, delta in changes:
+            x[r, c] += delta
+        scale = max(1.0, self.big[a], np.abs(x).max())
+        skew = max(self.skew[a], np.abs(x - x.conj().T).max())
+        rest = self.rest[a].copy()
+        moved = self.resid[a].copy()
+        comm = 0.0
+        for r, c, delta in changes:
+            rest[r, c] = 0.0
+            moved[:, r, :] += delta * gens[:, c, :]
+            moved[:, :, c] -= delta * gens[:, :, r]
+        for r, c in {(r, c) for r, c, _ in changes}:
+            at = self.resid[:, :, r, c] - 1j * (x[r, c] - gens[a, r, c]) * self.f[:, :, a]
+            at[a], at[:, a] = 0.0, 0.0
+            comm = max(comm, np.abs(at).max())
+        moved[a] = 0.0  # there is no pair (a, a)
+        comm = max(comm, rest.max(), np.abs(moved).max())
+        square = self.square - gens[a] @ gens[a] + x @ x
+        c2 = square.trace().real / len(square)
+        dev = max(np.abs(square - np.diag(np.diag(square))).max(), np.abs(np.diag(square) - c2).max())
+        return bool(
+            skew > representation.HERMITIAN_RTOL * scale
+            or comm > representation.COMMUTATOR_RTOL * scale
+            or dev > representation.CASIMIR_RTOL * max(1.0, abs(c2))
+        )
+
+
+def test_the_check_rejects_every_corruption_the_dense_reference_rejects():
+    # 10**4 seeded corruptions by a log-uniform 1e-14 to 1e-2 of the scale, real
+    # or of random phase.  Of one generator: one stored entry, any entry, or a
+    # stored entry and its transposed partner (Hermitian, but out of occupation
+    # form).  And, on the sectors up to D = 15, an entry of one image rho(E_pq)
+    # with its adjoint's, which changes several generators and keeps every
+    # form, so that only the commutators and the invariant can refuse it
+    bases = [(sym_rep(n, N).basis, dense_generators(sym_rep(n, N))) for n, N in [(2, 3), (3, 2), (3, 4), (4, 2), (5, 2)]]
+    bases += [_lambda8_shift()] + _reducible_blocks()
+    counts = [1710] * 5 + [250] + [600, 600]
+    rng = np.random.default_rng(26)
+    seen = {(True, True): 0, (False, False): 0, (False, True): 0}
+    for (basis, gens), count in zip(bases, counts):
+        reference = _DenseReference(basis, gens)
+        d, dim = gens.shape[:2]
+        n = basis.n
+        t = basis.coefficients.toarray()  # X_a = sum_u T[a, u] rho(u)
+        images = np.tensordot(2.0 * t.T.conj(), gens, axes=1)  # rho(E_pq) at p n + q
+        base = _stack(gens)
+        stored = np.argwhere(gens != 0)
+        hops = np.argwhere(np.abs(images[np.arange(n * n) % (n + 1) != 0]) > 0.5)
+        scale = max(1.0, np.abs(gens).max())
+        for kind in rng.integers(4 if dim <= 15 else 3, size=count):
+            a, r, c = rng.integers([d, dim, dim]) if kind == 1 else stored[rng.integers(len(stored))]
+            delta = scale * 10.0 ** rng.uniform(-14, -2)
+            delta *= rng.choice([-1.0, 1.0]) if rng.random() < 0.5 else np.exp(2j * np.pi * rng.random())
+            changes = [(r, c, delta)]
+            if kind == 2:
+                changes = [(r, c, delta.real)] if r == c else [(r, c, delta), (c, r, np.conj(delta))]
+            if kind == 3:
+                u, r, c = hops[rng.integers(len(hops))]
+                p, q = divmod(np.flatnonzero(np.arange(n * n) % (n + 1))[u], n)
+                moved = gens.copy()
+                moved[:, r, c] += t[:, p * n + q] * delta
+                moved[:, c, r] += t[:, q * n + p] * np.conj(delta)
+                changes = [(a, r, c, moved[a, r, c] - gens[a, r, c]) for a in range(d) if moved[a, r, c] != gens[a, r, c]]
+                changes += [(a, c, r, moved[a, c, r] - gens[a, c, r]) for a in range(d) if moved[a, c, r] != gens[a, c, r]]
+                expected = reference.rejects_moved(moved, r, c)
+            else:
+                changes = [(a, rr, cc, dd) for rr, cc, dd in changes]
+                expected = reference.rejects(a, [change[1:] for change in changes])
+            ga, gr, gc, gv = (np.array(x) for x in zip(*changes))
+            bad = base + sparse.csr_array((gv, (ga * dim + gr, gc)), shape=base.shape)
+            try:
+                Representation(basis, bad)
+                refused = False
+            except (InvalidElementError, NotIrreducibleError):
+                refused = True
+            assert refused or not expected, (basis.n, dim, kind, delta)
+            seen[expected, refused] += 1
+    assert sum(seen.values()) == 10**4
+    assert min(seen.values()) > 100, seen  # both outcomes occur, and refusals the reference lets pass
