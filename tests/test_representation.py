@@ -674,6 +674,25 @@ def test_rotated_bases_pass_and_rotated_states_leave_occupation_form_hypothesis(
         Representation(basis, turned.reshape(-1, dim))
 
 
+@pytest.mark.parametrize(
+    "make_basis, n, particles, cap",
+    [
+        (gellmann_basis, 3, 400, 10**5),
+        (rotated_basis, 3, 198, DIMENSION_CAP),
+        (rotated_basis, 4, 30, DIMENSION_CAP),
+    ],
+    ids=["gellmann-3-400", "rotated-3-198", "rotated-4-30"],
+)
+def test_intact_sectors_pass_where_rounding_governs(make_basis, n, particles, cap):
+    # the rounding in the checked relations grows like N**2, while the share of
+    # COMMUTATOR_RTOL left after the Jacobi step does not grow; a dense basis
+    # map adds a rounding residue to every image, which the bound carries with
+    # a factor of about N.  sym(3, 400) needs a raised cap
+    rep = symmetric_representation(make_basis(n), particles, cap=cap)
+    expected = casimir_formula(n, particles)
+    assert abs(casimir(rep) - expected) <= 1e-10 * expected
+
+
 class _DenseReference:
     """The exhaustive checks over every pair on the dense generators, for the
     stacks that differ from one base stack in X_a alone.
@@ -803,4 +822,42 @@ def test_the_check_rejects_every_corruption_the_dense_reference_rejects():
             assert refused or not expected, (basis.n, dim, kind, delta)
             seen[expected, refused] += 1
     assert sum(seen.values()) == 10**4
-    assert min(seen.values()) > 100, seen  # both outcomes occur, and refusals the reference lets pass
+    # both verdicts of the reference occur, and the check lets many of its passes pass
+    assert seen[True, True] > 100 and seen[False, False] > 100, seen
+
+
+def test_the_check_rejects_what_the_pair_residuals_reject_where_rounding_governs():
+    # at sym(3, 60) the check's tolerance is ROUNDING (1 + m')**2, not the share
+    # of COMMUTATOR_RTOL.  A stored entry of one generator and its transposed
+    # partner move by 1e-16 to 1e-8 of the scale, which keeps the generator
+    # Hermitian; the reference forms every pair's residual from sparse products
+    rep = sym_rep(3, 60)
+    base, dim = rep.stack, rep.space_dim
+    f = dense_structure_constants(rep.basis)
+    scale = np.abs(base.data).max()
+    stored = base.tocoo()
+    rng = np.random.default_rng(60)
+    seen = {(True, True): 0, (False, False): 0, (False, True): 0}
+    for _ in range(60):
+        e = rng.integers(stored.nnz)
+        a, r = divmod(int(stored.row[e]), dim)
+        c = int(stored.col[e])
+        delta = scale * 10.0 ** rng.uniform(-16, -8) * np.exp(2j * np.pi * rng.random())
+        moved = [(r, c, delta), (c, r, np.conj(delta))] if r != c else [(r, r, delta.real)]
+        rows, cols, values = zip(*moved)
+        bad = base + sparse.csr_array((values, (a * dim + np.array(rows), cols)), shape=base.shape)
+        gens = [bad[b * dim : (b + 1) * dim] for b in range(8)]
+        comm = max(
+            abs(gens[j] @ gens[k] - gens[k] @ gens[j] - 1j * sum(f[j, k, l] * gens[l] for l in range(8))).max()
+            for j in range(8)
+            for k in range(j + 1, 8)
+        )
+        expected = bool(comm > representation.COMMUTATOR_RTOL * scale)
+        try:
+            Representation(rep.basis, bad)
+            refused = False
+        except (InvalidElementError, NotIrreducibleError):
+            refused = True
+        assert refused or not expected, delta
+        seen[expected, refused] += 1
+    assert seen[True, True] > 10 and seen[False, False] > 10, seen
