@@ -284,14 +284,12 @@ def generators_quadrature(p: Parametrization, theta, order: int = 32) -> Generat
     """
     if order < 2:
         raise InvalidElementError(f"quadrature order must be >= 2, got {order}")
-    # local: scipy.linalg and scipy.special load only where quadrature runs
-    from scipy.linalg import expm
-    from scipy.special import roots_legendre
+    from scipy.linalg import expm  # local: scipy.linalg loads only where quadrature runs
 
     t = _check_theta(p, theta)
     basis = gellmann_basis(p.n)
     x = basis.coefficients.toarray().reshape(basis.dim, p.n, p.n)
-    nodes, weights = roots_legendre(order)
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     betas = (nodes + 1.0) / 2.0
     weights = weights / 2.0
 

@@ -186,13 +186,13 @@ def make_noon(particles: int, cap: int = DIMENSION_CAP) -> ProbeState:
     return make_ghz(2, particles, cap=cap)
 
 
-def make_tetrahedron_j2() -> ProbeState:
+def make_tetrahedron_j2(cap: int = DIMENSION_CAP) -> ProbeState:
     """The spin-2 tetrahedron state (|2,2> + sqrt(2) |2,-1>)/sqrt(3).
 
     In occupation amplitudes on symmetric(2, 4): (|4,0> + sqrt(2) |1,3>)/sqrt(3).
     Its covariance is isotropic, so it attains the minimum of Tr[C^(-1)].
     """
-    rep = symmetric_sector(2, 4, DIMENSION_CAP)
+    rep = symmetric_sector(2, 4, cap)
     return _superposition(rep, {(4, 0): 1.0 / np.sqrt(3.0), (1, 3): np.sqrt(2.0 / 3.0)})
 
 
@@ -250,7 +250,7 @@ def make_custom(n: int, particles: int, amplitudes, cap: int = DIMENSION_CAP) ->
 _PROBE_KINDS = {
     "ghz": (lambda s, cap: make_ghz(s.n, s.particles, cap=cap), ("n", "particles")),
     "noon": (lambda s, cap: make_noon(s.particles, cap=cap), ("particles",)),
-    "tetrahedron_j2": (lambda s, cap: make_tetrahedron_j2(), ()),
+    "tetrahedron_j2": (lambda s, cap: make_tetrahedron_j2(cap=cap), ()),
     "su3_cyclic": (lambda s, cap: make_su3_cyclic(s.k, s.l, cap=cap), ("k", "l")),
     "fock": (lambda s, cap: make_fock(s.occupations, cap=cap), ("occupations",)),
     "custom": (
@@ -674,10 +674,8 @@ def _polish(rep: Representation, z: np.ndarray) -> tuple[np.ndarray, bool]:
     tolerances, or after ``POLISH_STEPS`` steps; returns the last unit
     iterate and its certificate, whether its residual is within those
     tolerances.  Each step is the minimum-norm least-squares solution with
-    the Jacobian's rank cut at ``POLISH_RCOND`` (gelsy, a pivoted QR).
+    the Jacobian's rank cut at ``POLISH_RCOND`` (numpy's SVD-based lstsq).
     """
-    from scipy.linalg import lstsq  # local: scipy.linalg loads only where a polish runs
-
     d = rep.basis.dim
     residual_and_jacobian = _isotropy_residual(rep)
     for steps in range(POLISH_STEPS + 1):
@@ -687,6 +685,6 @@ def _polish(rep: Representation, z: np.ndarray) -> tuple[np.ndarray, bool]:
             mean < POLISH_MARGIN * FIRST_ORDER_TOL and spread < POLISH_MARGIN * SECOND_ORDER_TOL
         ):
             return z, bool(mean < FIRST_ORDER_TOL and spread < SECOND_ORDER_TOL)
-        step = lstsq(jac, -res, cond=POLISH_RCOND, lapack_driver="gelsy")[0]
+        step = np.linalg.lstsq(jac, -res, rcond=POLISH_RCOND)[0]
         z = z + step
         z = z / np.linalg.norm(z)

@@ -53,10 +53,12 @@ from .algebra import GeneratorBasis, gellmann_basis
 from .exceptions import DimensionCapError, InvalidElementError, NotIrreducibleError
 
 #: Default guard on the representation dimension; raise above this.  The
-#: sparse stack holds O(n**2 D) entries, and its checks tables of (n**2 + n)
-#: (D + 1).  A lifted unitary is one dense D x D matrix, and a mixed state of
-#: rank r holds d D r complex generator matrix elements.  The sectors
-#: :func:`symmetric_sector` holds have dimensions summing to at most this.
+#: sparse stack holds O(n**2 D) entries in the Gell-Mann basis (about d n N D,
+#: which this does not bound, where every generator has off-diagonal entries),
+#: and its checks tables of (n**2 + n) (D + 1).  A lifted unitary is one
+#: dense D x D matrix, and a mixed state of rank r holds d D r complex
+#: generator matrix elements.  The sectors :func:`symmetric_sector` holds have
+#: dimensions summing to at most this.
 DIMENSION_CAP = 20000
 
 #: Relative tolerance for the quadratic invariant to count as scalar.

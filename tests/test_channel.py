@@ -259,6 +259,15 @@ def test_quadrature_matches_closed_form_across_the_series_cutoff_hypothesis(gaps
     assert dev < (1e-10 if n == 2 else 1e-8)
 
 
+def test_quadrature_nodes_match_scipy_roots_legendre():
+    # the reference for the nodes and weights is the call they replaced
+    for order in range(2, 65):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        ref_nodes, ref_weights = roots_legendre(order)
+        assert np.abs(nodes - ref_nodes).max() <= 1e-14
+        assert np.abs(weights - ref_weights).max() <= 1e-14
+
+
 def test_quadrature_error_decreases_with_order():
     chart = exponential(2)
     theta = np.array([0.99, -1.43, 0.77])

@@ -22,6 +22,7 @@ from conftest import drop_held_sectors
 import sunmetro.channel as channel
 import sunmetro.cli as cli
 import sunmetro.metrology as metrology
+import sunmetro.probes as probes
 import sunmetro.representation as representation
 from sunmetro import (
     Parametrization,
@@ -257,6 +258,31 @@ def test_cap_below_one_is_usage_error(files, capsys, cap):
         assert main(argv + ["--cap", cap]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--cap" in captured.err
+
+
+# a document of each probe kind, with its sector (n, N) and dimension D; a
+# kind added to _PROBE_KINDS without one here fails the test below
+CAPPED_PROBES = {
+    "ghz": ({"kind": "ghz", "n": 3, "N": 3}, 3, 3, 10),
+    "noon": ({"kind": "noon", "N": 4}, 2, 4, 5),
+    "tetrahedron_j2": ({"kind": "tetrahedron_j2"}, 2, 4, 5),
+    "su3_cyclic": ({"kind": "su3_cyclic", "k": 3, "l": 3}, 3, 9, 55),
+    "fock": ({"kind": "fock", "occupations": [2, 1, 1]}, 3, 4, 15),
+    "custom": ({"kind": "custom", "n": 2, "N": 2, "amplitudes": [1.0, 0.0, 0.0]}, 2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("kind", list(probes._PROBE_KINDS))
+def test_check_honours_cap_for_every_probe_kind(kind, tmp_path, capsys):
+    doc, n, particles, dim = CAPPED_PROBES[kind]
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--cap", str(dim - 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"symmetric({n}, {particles}) has dimension {dim} > cap {dim - 1}" in captured.err
+    assert main(["check", str(path), "--cap", str(dim)]) == 0
+    capsys.readouterr()
 
 
 @pytest.fixture

@@ -35,24 +35,18 @@ def run_cli(*argv: str) -> str:
     )
 
 
-# (code, subpackages it must load, subpackages it must not load); what
-# scipy.linalg itself imports is scipy's own business
+# every case requires that no DEFERRED subpackage loads
 CASES = {
-    "import-cli": ("import sunmetro.cli", set(), set(DEFERRED)),
-    "import-package": ("import sunmetro", set(), set(DEFERRED)),
-    "scan": (run_cli("scan", "--n", "3", "--nmin", "2", "--nmax", "6"), set(), set(DEFERRED)),
-    "check": (run_cli("check", "probe.json"), set(), set(DEFERRED)),
-    "bound": (
-        run_cli("bound", "probe.json", "chart.json", "--theta", "0.3,1.1,-0.4"),
-        set(),
-        set(DEFERRED),
+    "import-cli": "import sunmetro.cli",
+    "import-package": "import sunmetro",
+    "scan": run_cli("scan", "--n", "3", "--nmin", "2", "--nmax", "6"),
+    "scan-optimized": run_cli(
+        "scan", "--n", "3", "--nmin", "3", "--nmax", "4", "--states", "optimized", "--seed", "1"
     ),
-    "optimize": (
-        # the optimizer's descent is numpy; the polish at the floor runs lstsq
-        run_cli("optimize", "--n", "2", "--particles", "4", "--seed", "1"),
-        {"scipy.linalg"},
-        {"scipy.optimize"},
-    ),
+    "check": run_cli("check", "probe.json"),
+    "bound": run_cli("bound", "probe.json", "chart.json", "--theta", "0.3,1.1,-0.4"),
+    # the descent and the polish at the floor are numpy
+    "optimize": run_cli("optimize", "--n", "2", "--particles", "4", "--seed", "1"),
 }
 
 
@@ -60,7 +54,13 @@ CASES = {
 def test_scipy_subpackages_load_only_where_they_are_called(case, tmp_path):
     (tmp_path / "probe.json").write_text(json.dumps(PROBE))
     (tmp_path / "chart.json").write_text(json.dumps(CHART))
-    code, present, absent = CASES[case]
-    loaded = loaded_after(code, tmp_path)
-    assert present <= loaded
-    assert not absent & loaded
+    assert loaded_after(CASES[case], tmp_path) == set()
+
+
+def test_quadrature_loads_no_scipy_special(tmp_path):
+    # the Gauss-Legendre nodes come from numpy; the Pade expm is scipy.linalg's
+    code = (
+        "from sunmetro import exponential, generators_quadrature\n"
+        "generators_quadrature(exponential(2), [0.3, -0.2, 0.5], order=8)"
+    )
+    assert "scipy.special" not in loaded_after(code, tmp_path)

@@ -41,6 +41,7 @@ from sunmetro import (
 from sunmetro import probes
 from sunmetro.probes import (
     BARRIER_CUTOFF,
+    POLISH_RCOND,
     _isotropy_residual,
     _lbfgs,
     _objective_and_gradient,
@@ -734,6 +735,36 @@ def test_descent_that_cannot_descend_stops_on_its_line_search():
     assert (iterations, stop) == (0, "line_search")
     np.testing.assert_array_equal(z, z0)
     assert gnorm == 4.0 and len(calls) == 1 + 20
+
+
+def test_polish_step_matches_scipy_gelsy():
+    # the reference for the polish step is the solver it replaced, scipy's
+    # pivoted-QR gelsy.  Both cut the Jacobian's rank at POLISH_RCOND; where no
+    # singular value lies within a factor 10 of the cut, they keep the same
+    # rank and give the same minimum-norm step, up to rounding amplified by
+    # the kept condition number
+    from scipy.linalg import lstsq
+
+    rng = np.random.default_rng(27)
+    tetra = make_tetrahedron_j2()
+    z0 = np.concatenate([tetra.vector.real, tetra.vector.imag])
+    points = [(tetra.rep, z0 + scale * rng.standard_normal(z0.size)) for scale in (0.0, 1e-6, 1e-3)]
+    for n, particles in ((2, 4), (3, 5), (4, 4)):
+        rep = sym_rep(n, particles)
+        points += [(rep, rng.standard_normal(2 * rep.space_dim)) for _ in range(3)]
+    ranks = []
+    for rep, z in points:
+        res, jac = _isotropy_residual(rep)(z / np.linalg.norm(z))
+        step, _, rank, sv = np.linalg.lstsq(jac, -res, rcond=POLISH_RCOND)
+        ref, _, ref_rank, _ = lstsq(jac, -res, cond=POLISH_RCOND, lapack_driver="gelsy")
+        cut = POLISH_RCOND * sv[0]
+        assert not np.any((sv > 0.1 * cut) & (sv < 10.0 * cut))
+        assert rank == ref_rank
+        cond = sv[0] / sv[rank - 1]
+        tol = max(1e-8, 64 * np.finfo(float).eps * cond)
+        assert np.abs(step - ref).max() <= tol * np.abs(step).max()
+        ranks.append(rank)
+    assert ranks[:3] == [5, 8, 8]
 
 
 def test_polish_certificate_matches_the_second_order_grade(monkeypatch):
