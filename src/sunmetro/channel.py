@@ -44,6 +44,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _has_bool(value) -> bool:
+    """True for a JSON boolean, or a list that holds one at any depth."""
+    items = [value]  # walked, not recursed, so no nesting exhausts the stack
+    while items:
+        item = items.pop()
+        if isinstance(item, (list, tuple)):
+            items.extend(item)
+        elif isinstance(item, bool):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class Parametrization:
     """A smooth coordinate chart on (a subgroup of) SU(n).
@@ -112,6 +124,8 @@ class Parametrization:
         if not _is_int(n):
             raise InvalidElementError(f"parametrization 'n' must be an integer, got {n!r}")
         factors = doc.get("factors")
+        if _has_bool(factors):
+            raise InvalidElementError("parametrization 'factors' must hold numbers, not booleans")
         try:
             if factors is not None:
                 factors = tuple(tuple(float(c) for c in ax) for ax in factors)

@@ -25,7 +25,7 @@ from math import isfinite
 import numpy as np
 
 from .algebra import gellmann_basis
-from .channel import Parametrization
+from .channel import Parametrization, _has_bool
 from .exceptions import (
     DimensionCapError,
     InvalidElementError,
@@ -33,7 +33,7 @@ from .exceptions import (
     OptimizationFailedError,
     SingularInformationError,
 )
-from .metrology import build_report, intrinsic_floor, saturation_check
+from .metrology import build_report, intrinsic_floor
 from .probes import (
     OptimizerConfig,
     ProbeSpec,
@@ -167,6 +167,8 @@ def cmd_bound(args) -> int:
     weight = args.weight
     if weight not in ("intrinsic", "identity"):
         doc = _load_json(weight)
+        if _has_bool(doc):
+            raise InvalidElementError(f"weight matrix in {args.weight} holds a boolean")
         try:
             weight = np.asarray(doc, dtype=float)
         except (TypeError, ValueError) as exc:
@@ -181,15 +183,12 @@ def cmd_bound(args) -> int:
 def cmd_check(args) -> int:
     spec = ProbeSpec.from_json(_load_json(args.probe))
     state = build_probe(spec, cap=args.cap)
-    # the structure constants' extraction peaks near ten times what it keeps;
-    # before the report's d x d covariance exists, that peak does not add to it
-    saturable = saturation_check(state)
     report = build_report(state)
     doc = {
         **report.unpolarized,
         "intrinsic_bound": report.intrinsic_bound,
         "floor": intrinsic_floor(state.rep),
-        "saturable": saturable,
+        "saturable": report.flags["saturable"],
     }
     _emit(doc, args.out)
     return 0

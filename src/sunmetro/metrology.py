@@ -339,33 +339,29 @@ def weighted_bound(weight: np.ndarray, qfim_matrix: np.ndarray) -> float:
 def saturation_check(state: ProbeState, gm: GeneratorMatrix | None = None) -> bool:
     """Whether all commutator expectations <[H_j, H_k]> vanish on the probe.
 
-    Vanishing expectations mean the scalar bound is jointly attainable; any
-    first-order unpolarized probe passes for every chart.  Without ``gm``
-    the H_j are the basis generators themselves: the exponential chart's
-    rows at the origin are -I, and the sign cancels in every product.  The
-    expectations are i ad(m)_jk (see :func:`_commutator_expectations`); without
-    a chart only the entries with j < k are formed, so no d x d array is.
+    Vanishing expectations mean the scalar bound is jointly attainable.  They
+    are i 𝗛 ad(m) 𝗛^T through a chart's rows (see :func:`_commutator_expectations`),
+    which scale with the rows, so only m = 0 passes for every chart.  Without
+    ``gm`` they are i ad(m); su(n) has no centre, so ad(m) = 0 exactly when
+    m = 0, and the check reads |m| < ``SATURATION_TOL`` with no structure
+    constants.  Every |ad(m)_jk| <= |m|, as sum_l f_jkl^2 <= 1 in an orthonormal basis.
     """
-    expectations = _adjoint_upper(state)[1] if gm is None else _commutator_expectations(state, gm)
+    if gm is None:
+        return bool(np.linalg.norm(state._moments[0]) < SATURATION_TOL)
+    expectations = _commutator_expectations(state, gm)
     return float(max(expectations.max(), -expectations.min())) < SATURATION_TOL
-
-
-def _adjoint_upper(state: ProbeState) -> tuple[np.ndarray, np.ndarray]:
-    # the index in upper of each pair j < k that has constants, and ad(m)_jk =
-    # sum_l f_jkl m_l over the pair's run of it: upper is sorted by (j, k)
-    j, k, l, f = structure_constants(state.rep.basis).upper
-    first = np.flatnonzero(np.concatenate(([True], (j[1:] != j[:-1]) | (k[1:] != k[:-1]))))
-    terms = state._moments[0][l]
-    terms *= f
-    return first, np.add.reduceat(terms, first)
 
 
 def _commutator_expectations(state: ProbeState, gm: GeneratorMatrix) -> np.ndarray:
     # <[H_j, H_k]> / i through a chart's rows: every representation passed its
     # commutator check, so <[X_j, X_k]> = i sum_l f_jkl m_l = i ad(m)_jk in any
-    # state, pure or mixed, and the chart gives 𝗛 ad(m) 𝗛^T
-    j, k = structure_constants(state.rep.basis).upper[:2]
-    first, entries = _adjoint_upper(state)
+    # state, pure or mixed, and the chart gives 𝗛 ad(m) 𝗛^T; ad(m)_jk sums
+    # over the pair's run of constants in upper, sorted by (j, k)
+    j, k, l, f = structure_constants(state.rep.basis).upper
+    first = np.flatnonzero(np.concatenate(([True], (j[1:] != j[:-1]) | (k[1:] != k[:-1]))))
+    terms = state._moments[0][l]
+    terms *= f
+    entries = np.add.reduceat(terms, first)
     ad = np.zeros((state.rep.basis.dim,) * 2)
     ad[j[first], k[first]] = entries
     ad[k[first], j[first]] = -entries
@@ -389,7 +385,8 @@ class BoundReport:
     """Everything the bound evaluation produced for one probe and chart.
 
     ``intrinsic_bound`` and ``weighted_bound`` are None when the required
-    matrix is singular; the flags say which one failed.  :meth:`to_json`
+    matrix is singular; the flags say which one failed, and ``saturable`` is
+    :func:`saturation_check` through the chart, if any.  :meth:`to_json`
     emits the first seven attributes only.  The others: ``unpolarized`` is
     the grade :func:`unpolarized_report` returns; ``covariance_rank`` and
     ``covariance_condition_number`` are C's numerical rank and condition
@@ -452,7 +449,7 @@ def build_report(
     except a pure C that its rank bound 2(D - 1) < d makes singular: its
     rank is read from a 2D x 2D Gram matrix, its condition number is inf,
     and C is not decomposed.  A singular matrix is recorded in the report,
-    not raised.
+    not raised.  Without a chart ``saturable`` reads the mean alone.
     """
     mean, cov = covariance(state)
     if state.is_pure and _pure_rank_deficient(state.rep):
@@ -501,7 +498,7 @@ def build_report(
     flags = {
         "covariance_singular": intrinsic is None,
         "qfim_singular": q_singular if q_singular is None else bool(q_singular),
-        "saturable": saturable,
+        "saturable": saturation_check(state) if parametrization is None else saturable,
         "unpolarized_order": 2 if second else (1 if first else 0),
     }
     return BoundReport(

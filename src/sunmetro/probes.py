@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidStateError,
     OptimizationFailedError,
 )
-from .channel import _is_int
+from .channel import _has_bool, _is_int
 from .metrology import (
     FIRST_ORDER_TOL,
     SECOND_ORDER_TOL,
@@ -112,8 +112,9 @@ class ProbeSpec:
     def from_json(cls, doc: dict) -> "ProbeSpec":
         """Parse a probe document; a malformed one raises InvalidStateError.
 
-        ``n``, ``N``, ``k``, ``l`` and each occupation must be integers (not
-        booleans), the kind must be known and the fields it needs present.
+        ``n``, ``N``, ``k``, ``l`` and each occupation must be integers and the
+        amplitudes numbers, none of them booleans; the kind must be known and
+        the fields it needs present.
         """
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidStateError("probe document needs a 'kind' field")
@@ -148,11 +149,11 @@ class ProbeSpec:
 
 
 def _parse_amplitude(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if isinstance(entry, (int, float)) and not _has_bool(entry):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and not _has_bool(entry):
         return complex(float(entry[0]), float(entry[1]))
-    raise InvalidStateError(f"amplitude entries are numbers or [re, im] pairs, got {entry!r}")
+    raise InvalidStateError(f"probe field 'amplitudes' holds numbers or [re, im] pairs, got {entry!r}")
 
 
 def _superposition(rep: Representation, amplitudes: dict) -> ProbeState:

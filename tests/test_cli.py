@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from conftest import drop_held_sectors
 
+import sunmetro.algebra as algebra
 import sunmetro.channel as channel
 import sunmetro.cli as cli
 import sunmetro.metrology as metrology
@@ -31,6 +32,7 @@ from sunmetro import (
     SingularCovarianceError,
     SingularInformationError,
     build_probe,
+    build_report,
     casimir,
     covariance,
     exponential,
@@ -245,6 +247,53 @@ def test_malformed_optimizer_config_exits_1(capsys, tmp_path, text, seed_flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("sunmetro: error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "role, doc, field",
+    [
+        ("probe", {"kind": "custom", "n": 2, "N": 1, "amplitudes": [True, False]}, "'amplitudes'"),
+        ("chart", {"kind": "product_of_exponentials", "n": 2, "factors": [[True, 0, 0]]},
+         "'factors'"),
+        ("weight", [[True, 0, 0], [0, True, 0], [0, 0, True]], "weight matrix"),
+    ],
+    ids=["amplitudes", "factors", "weight"],
+)
+def test_json_booleans_are_refused_where_numbers_are_read(files, capsys, tmp_path, role, doc, field):
+    # true and false are not read as 1.0 and 0.0, as they are not read as
+    # integers in n, N or the optimizer config
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "probe": ["check", str(path)],
+        "chart": ["bound", files["tetra"], str(path), "--theta", "0.3"],
+        "weight": ["bound", files["tetra"], files["euler"], "--theta", "0.3,1.1,-0.4",
+                   "--weight", str(path)],
+    }[role]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("sunmetro: error:") and field in line
+
+
+def test_no_chart_free_request_forms_structure_constants(tmp_path, capsys, monkeypatch):
+    # without a chart saturable is read from the mean alone, so neither check
+    # nor scan asks for the structure constants
+    def refuse(basis):
+        raise AssertionError("a request without a chart formed structure constants")
+
+    monkeypatch.setattr(metrology, "structure_constants", refuse)
+    monkeypatch.setattr(algebra, "structure_constants", refuse)
+    doc = {"kind": "ghz", "n": 3, "N": 2}
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["saturable"] is True
+    scan = ["scan", "--n", "3", "--nmin", "2", "--nmax", "4", "--states", "ghz,optimized"]
+    assert main([*scan, "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert type(build_report(build_probe(ProbeSpec.from_json(doc))).flags["saturable"]) is bool
 
 
 @pytest.mark.parametrize("cap", ["0", "-1"])

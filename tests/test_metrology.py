@@ -3,10 +3,11 @@
 import json
 import sys
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import dense_generators, random_pure, sym_rep
+from conftest import dense_generators, dense_structure_constants, random_pure, rotated_basis, sym_rep
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,6 +28,7 @@ from sunmetro import (
     covariance,
     euler_su2,
     exponential,
+    gellmann_basis,
     generators_closed_form,
     intrinsic_bound,
     make_fock,
@@ -37,7 +39,6 @@ from sunmetro import (
     pure_state,
     qfim,
     saturation_check,
-    structure_constants,
     unpolarized_report,
     weighted_bound,
 )
@@ -356,11 +357,44 @@ def test_chart_free_saturation_matches_the_origin_chart(n, particles):
         free = metrology._commutator_expectations(state, identity)
         charted = metrology._commutator_expectations(state, origin)
         assert np.max(np.abs(free - charted)) < 1e-12
-        # the chart-free check reads the pairs j < k of the same ad(m)
-        assert np.max(np.abs(metrology._adjoint_upper(state)[1])) == np.max(np.abs(free))
+        # the chart-free check reads |m|, which bounds every entry of the same ad(m)
+        mean = covariance(state)[0]
+        assert np.max(np.abs(free)) <= np.linalg.norm(mean) * (1.0 + 1e-12)
+        assert saturation_check(state) == (np.linalg.norm(mean) < metrology.SATURATION_TOL)
         outcomes.add(saturation_check(state))
         assert saturation_check(state) == saturation_check(state, origin)
     assert outcomes == {True, False}
+
+
+@lru_cache(maxsize=None)
+def _dense_constants(n: int, rotated: bool) -> np.ndarray:
+    return dense_structure_constants(rotated_basis(n) if rotated else gellmann_basis(n))
+
+
+@seed(20261020)
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    rotated=st.booleans(),
+    aligned=st.booleans(),
+    scale=st.floats(1e-14, 1e2),
+    draw=st.integers(0, 2**32 - 1),
+)
+def test_every_adjoint_entry_is_at_most_the_mean_norm_hypothesis(n, rotated, aligned, scale, draw):
+    # in an orthonormal basis sum_l f_jkl^2 = |[X_j, X_k]|^2 <= 1 (Boettcher-Wenzel),
+    # so |ad(m)_jk| <= |m|: a mean that passes the chart-free |m| < SATURATION_TOL
+    # has every |ad(m)_jk| below it too, so the check never passes a probe that
+    # the entrywise test refused.  A mean along a pair's row of f is the tight case
+    f = _dense_constants(n, rotated)
+    rng = np.random.default_rng(draw)
+    m = rng.standard_normal(len(f))
+    if aligned:
+        pairs = np.argwhere(f.any(axis=2))
+        j, k = pairs[rng.integers(len(pairs))]
+        m = f[j, k] + 1e-3 * m
+    m *= scale
+    ad = f @ m  # ad[j, k] = sum_l f_jkl m_l
+    assert np.max(np.abs(ad[np.triu_indices(len(f), 1)])) <= np.linalg.norm(m) * (1.0 + 1e-12)
 
 
 def _second_moment_commutators(state, gm):
@@ -552,11 +586,9 @@ def test_cached_moments_are_read_only():
 @pytest.mark.parametrize("particles", [1, 2])
 def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
     # the commutator expectations are read from the mean, so the state holds
-    # its mean and C alone, and the chart-free check forms only arrays of the
-    # size of the structure constants, no d x d ad(m) beside C; the constants
-    # themselves are built once per basis, before the trace
+    # its mean and C alone, and the chart-free check reads |m| alone: it forms
+    # no structure constants and no d x d ad(m) beside C
     rep = make_ghz(40, particles).rep
-    structure_constants(rep.basis)
     tracemalloc.start()
     try:
         state = make_ghz(40, particles, rep=rep)
@@ -570,7 +602,7 @@ def test_ghz_state_at_su40_keeps_only_its_mean_and_covariance(particles):
         tracemalloc.stop()
     assert saturable == (particles > 1)
     assert held <= 1.01 * (cov.nbytes + mean.nbytes)
-    assert peak <= 0.25 * cov.nbytes
+    assert peak <= 2 * mean.nbytes  # the norm's one temporary of the mean's size
 
 
 @pytest.mark.parametrize("particles, bound", [(1, 1.5), (2, 4.0)])
@@ -723,7 +755,8 @@ def test_report_without_chart(tetrahedron):
     assert report.qfim is None and report.metric is None
     assert report.weighted_bound is None
     assert report.flags["qfim_singular"] is None
-    assert report.flags["saturable"] is None
+    # without a chart saturable is read from the mean, which vanishes here
+    assert report.flags["saturable"] is True
     assert abs(report.intrinsic_bound - 0.375) < 1e-10
 
 
