@@ -44,16 +44,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _has_bool(value) -> bool:
-    """True for a JSON boolean, or a list that holds one at any depth."""
-    items = [value]  # walked, not recursed, so no nesting exhausts the stack
-    while items:
-        item = items.pop()
-        if isinstance(item, (list, tuple)):
-            items.extend(item)
-        elif isinstance(item, bool):
-            return True
-    return False
+def _number(value) -> float:
+    """A JSON number, an int that is not a bool or a float, as a float: the one
+    rule for the amplitudes, factor axes and weight entries of a document.
+
+    Anything else raises ValueError naming its type (a bool, a string, a list,
+    null), and an int beyond float range raises OverflowError.
+    """
+    if not (isinstance(value, float) or _is_int(value)):
+        raise ValueError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,11 @@ class Parametrization:
         if not _is_int(n):
             raise InvalidElementError(f"parametrization 'n' must be an integer, got {n!r}")
         factors = doc.get("factors")
-        if _has_bool(factors):
-            raise InvalidElementError("parametrization 'factors' must hold numbers, not booleans")
         try:
             if factors is not None:
-                factors = tuple(tuple(float(c) for c in ax) for ax in factors)
+                factors = tuple(tuple(map(_number, ax)) for ax in factors)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidElementError(f"malformed parametrization document: {exc}") from None
+            raise InvalidElementError(f"malformed parametrization 'factors': {exc}") from None
         return cls(kind=str(doc["kind"]), n=n, factors=factors)
 
 

@@ -25,7 +25,7 @@ from math import isfinite
 import numpy as np
 
 from .algebra import gellmann_basis
-from .channel import Parametrization, _has_bool
+from .channel import Parametrization, _number
 from .exceptions import (
     DimensionCapError,
     InvalidElementError,
@@ -139,7 +139,10 @@ def _emit(doc: dict, out_path: str | None) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None
 
 
 def _cap(text: str) -> int:
@@ -167,11 +170,9 @@ def cmd_bound(args) -> int:
     weight = args.weight
     if weight not in ("intrinsic", "identity"):
         doc = _load_json(weight)
-        if _has_bool(doc):
-            raise InvalidElementError(f"weight matrix in {args.weight} holds a boolean")
         try:
-            weight = np.asarray(doc, dtype=float)
-        except (TypeError, ValueError) as exc:
+            weight = np.array([list(map(_number, row)) for row in doc])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidElementError(f"malformed weight matrix in {args.weight}: {exc}") from None
     report = build_report(state, chart, theta, weight=weight)
     if report.weighted_bound is None:

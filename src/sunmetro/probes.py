@@ -21,7 +21,7 @@ from .exceptions import (
     InvalidStateError,
     OptimizationFailedError,
 )
-from .channel import _has_bool, _is_int
+from .channel import _is_int, _number
 from .metrology import (
     FIRST_ORDER_TOL,
     SECOND_ORDER_TOL,
@@ -113,8 +113,8 @@ class ProbeSpec:
         """Parse a probe document; a malformed one raises InvalidStateError.
 
         ``n``, ``N``, ``k``, ``l`` and each occupation must be integers and the
-        amplitudes numbers, none of them booleans; the kind must be known and
-        the fields it needs present.
+        amplitudes numbers (``channel._number``), none of them booleans; the
+        kind must be known and the fields it needs present.
         """
         if not isinstance(doc, dict) or "kind" not in doc:
             raise InvalidStateError("probe document needs a 'kind' field")
@@ -132,9 +132,9 @@ class ProbeSpec:
         amplitudes = doc.get("amplitudes")
         if amplitudes is not None:
             try:
-                amplitudes = tuple(_parse_amplitude(a) for a in amplitudes)
+                amplitudes = tuple(map(_parse_amplitude, amplitudes))
             except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidStateError(f"malformed probe document: {exc}") from None
+                raise InvalidStateError(f"malformed probe field 'amplitudes': {exc}") from None
         spec = cls(
             kind=str(doc["kind"]),
             n=doc.get("n"),
@@ -149,11 +149,9 @@ class ProbeSpec:
 
 
 def _parse_amplitude(entry) -> complex:
-    if isinstance(entry, (int, float)) and not _has_bool(entry):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and not _has_bool(entry):
-        return complex(float(entry[0]), float(entry[1]))
-    raise InvalidStateError(f"probe field 'amplitudes' holds numbers or [re, im] pairs, got {entry!r}")
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        return complex(_number(entry[0]), _number(entry[1]))
+    return complex(_number(entry))
 
 
 def _superposition(rep: Representation, amplitudes: dict) -> ProbeState:

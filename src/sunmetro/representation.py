@@ -44,7 +44,6 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
 
 import numpy as np
 from scipy import sparse
@@ -257,14 +256,26 @@ def symmetric_sector(n: int, particles: int, cap: int = DIMENSION_CAP) -> Repres
 def check_cap(n: int, particles: int, cap: int) -> None:
     """Raise :class:`DimensionCapError` if symmetric(n, particles) has
     dimension above ``cap``; an n below 2 is left for gellmann_basis to refuse,
-    with its own message."""
+    with its own message.
+
+    The dimension binom(𝒩 + n - 1, k), k = min(𝒩, n - 1), is formed one exact
+    factor at a time and stops at the first partial binom(𝒩 + n - 1, i) above
+    ``cap``.  These rise with i up to k and are at least 2**i, so the check
+    takes at most about log2(cap) steps whatever n and 𝒩 are.  The message
+    gives the dimension where the product completes, and otherwise the
+    partial product as a lower bound.
+    """
     if n < 2:
         return
-    dim = comb(particles + n - 1, n - 1)
-    if dim > cap:
-        raise DimensionCapError(
-            f"symmetric({n}, {particles}) has dimension {dim} > cap {cap}"
-        )
+    top, k = particles + n - 1, min(particles, n - 1)
+    dim = 1
+    for i in range(1, k + 1):
+        dim = dim * (top - i + 1) // i
+        if dim > cap:
+            size = dim if i == k else f"at least {dim}"
+            raise DimensionCapError(
+                f"symmetric({n}, {particles}) has dimension {size} > cap {cap}"
+            )
 
 
 class _HeldSectors:

@@ -256,12 +256,22 @@ def test_malformed_optimizer_config_exits_1(capsys, tmp_path, text, seed_flag):
         ("chart", {"kind": "product_of_exponentials", "n": 2, "factors": [[True, 0, 0]]},
          "'factors'"),
         ("weight", [[True, 0, 0], [0, True, 0], [0, 0, True]], "weight matrix"),
+        ("probe", {"kind": "custom", "n": 2, "N": 1, "amplitudes": [["0.6", "0"], ["0.8", "0"]]},
+         "'amplitudes'"),
+        ("chart", {"kind": "product_of_exponentials", "n": 2, "factors": [["1", "0", "0"]]},
+         "'factors'"),
+        ("weight", [["1", 0, 0], [0, "1", 0], [0, 0, "1"]], "weight matrix"),
+        ("weight", [[10**400, 0, 0], [0, 1, 0], [0, 0, 1]], "weight matrix"),
     ],
-    ids=["amplitudes", "factors", "weight"],
+    ids=["amplitudes", "factors", "weight", "amplitudes-str", "factors-str", "weight-str",
+         "weight-int-beyond-float"],
 )
-def test_json_booleans_are_refused_where_numbers_are_read(files, capsys, tmp_path, role, doc, field):
+def test_json_booleans_and_strings_are_refused_where_numbers_are_read(
+    files, capsys, tmp_path, role, doc, field
+):
     # true and false are not read as 1.0 and 0.0, as they are not read as
-    # integers in n, N or the optimizer config
+    # integers in n, N or the optimizer config; nor is a numeric string read
+    # as its number, or an integer beyond float range rounded to inf
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     argv = {
@@ -275,6 +285,26 @@ def test_json_booleans_are_refused_where_numbers_are_read(files, capsys, tmp_pat
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("sunmetro: error:") and field in line
+
+
+@pytest.mark.parametrize("role", ["probe", "chart", "weight", "config"])
+def test_an_over_deep_document_exits_1(files, capsys, tmp_path, role):
+    # written as text: json.dumps itself recurses once per level
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "1" + "]" * 5000)
+    argv = {
+        "probe": ["check", str(path)],
+        "chart": ["bound", files["tetra"], str(path), "--theta", "0.3"],
+        "weight": ["bound", files["tetra"], files["euler"], "--theta", "0.3,1.1,-0.4",
+                   "--weight", str(path)],
+        "config": ["optimize", "--n", "2", "--particles", "4", "--seed", "1",
+                   "--config", str(path)],
+    }[role]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("sunmetro: error:") and str(path) in line
 
 
 def test_no_chart_free_request_forms_structure_constants(tmp_path, capsys, monkeypatch):
@@ -517,6 +547,14 @@ def test_scan_cap_marks_skipped_rows(capsys):
     assert lines[2] == "3,2,skipped,skipped,skipped,skipped"
     assert lines[3] == "3,3,skipped,skipped,skipped,skipped"
     assert lines[1].startswith("3,1,")
+
+
+def test_scan_skips_a_sector_whose_dimension_has_thousands_of_digits(capsys):
+    # binom(39999, 19999) has about 12000 digits, more than int-to-str allows
+    assert main(["scan", "--n", "20000", "--nmin", "20000", "--nmax", "20000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "20000,20000,skipped,skipped,skipped,skipped"
+    assert captured.err == ""
 
 
 def test_scan_marks_failed_optimization_singular(capsys):
@@ -1225,8 +1263,11 @@ def test_writer_prints_real_documents_as_json_dumps(files, capsys, monkeypatch, 
 # Documents for the exit-code property: arbitrary JSON, and documents of each
 # role with fields in range, some of them then replaced by arbitrary JSON or
 # dropped.  Integers stay small: a valid document's cost grows with n, N and
-# the restarts.
-_NUMBER = st.one_of(st.integers(-2, 6), st.floats())
+# the restarts.  Numbers include numeric strings and integers beyond float
+# range, which amplitudes, factor axes and weight entries refuse.
+_NUMBER = st.one_of(
+    st.integers(-2, 6), st.floats(), st.floats().map(repr), st.integers(10**308, 10**400)
+)
 _ANY_JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-4, 12), st.floats(), st.text(max_size=6)),
     lambda inner: st.one_of(

@@ -222,6 +222,13 @@ def test_dimension_cap_enforced():
     assert representation.symmetric_sector(3, 9, cap=55).space_dim == 55
 
 
+def test_dimension_cap_refuses_without_forming_a_huge_dimension():
+    # binom(199999, 99999) has about 60000 digits; the partial products stop
+    # at the first one above the cap
+    with pytest.raises(DimensionCapError, match="symmetric\\(100000, 100000\\) has dimension at least"):
+        representation.check_cap(10**5, 10**5, 20000)
+
+
 # the sectors of the benchmark decks: the bound-mix probes (tetrahedron, NOON 6,
 # su(3) cyclic k = 3, the two GHZ probes and the singular Fock probe) and
 # every optimize-small size
